@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Perf smoke gate: E10 scaling driver at a fixed size vs the recorded JSON
-# baseline (benchmarks/results/e10_smoke_baseline.json).  Exits non-zero if
-# wall time regresses more than 2x.  Pass --update-baseline to re-record.
+# Perf smoke gate: the E10 scaling experiment at fixed sizes, plus one
+# hijack-coalition execution (a pool with dishonest players), vs the recorded
+# JSON baseline (benchmarks/results/e10_smoke_baseline.json).  Exits non-zero
+# if wall time regresses more than 2x.  Pass --update-baseline to re-record.
 #
 # The whole gate runs under a wall-clock timeout (SMOKE_TIMEOUT_S, default
 # 900s) so a hung pool worker or stalled probe fails CI loudly instead of

@@ -2,10 +2,13 @@
 
 ``benchmarks/smoke.sh`` is the entry point.  The first run (or
 ``--update-baseline``) records ``benchmarks/results/e10_smoke_baseline.json``
-with one entry per gated size (default ``512,1024``); later runs re-measure
-the same configurations and exit non-zero when any size's wall time exceeds
+with one entry per gated size (default ``512,1024``) plus one entry per
+gated scenario (one ``hijack-coalition`` execution, the registered spec at
+``--seed``: a pool with dishonest players, so the gate also fails if such
+pools lose the batched protocol paths); later runs re-measure the same
+configurations and exit non-zero when any entry's wall time exceeds
 ``--factor`` (default 2.0) times its recorded baseline, so a perf regression
-on the scaling driver fails loudly in CI or pre-commit.
+fails loudly in CI or pre-commit.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "e10_smoke_baseline.json"
+#: Registered scenarios gated next to the E10 sizes (one execution each).
+GATED_SCENARIOS = ("hijack-coalition",)
 
 
 def hardware_label() -> str:
@@ -60,6 +65,25 @@ def measure(n: int, budget: int, seed: int, repeats: int) -> float:
     return best
 
 
+def measure_scenario(name: str, seed: int, repeats: int) -> float:
+    """Best-of-N wall time of one execution of a registered scenario."""
+    from repro.scenarios.engine import execute
+    from repro.scenarios.registry import get_scenario
+
+    spec = get_scenario(name)
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        execute(spec, seed)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def entry_label(config: dict) -> str:
+    """How an entry is named in the gate's output."""
+    return f"n={config['n']}" if "n" in config else config["scenario"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -93,6 +117,9 @@ def main(argv: list[str] | None = None) -> int:
         entries.append(
             {"config": {"n": n, "budget": args.budget, "seed": args.seed}, "wall_time_s": wall}
         )
+    for name in GATED_SCENARIOS:
+        wall = measure_scenario(name, args.seed, args.repeats)
+        entries.append({"config": {"scenario": name, "seed": args.seed}, "wall_time_s": wall})
 
     baseline = None
     if BASELINE_PATH.exists():
@@ -114,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def report_record(reason: str) -> None:
         timings = ", ".join(
-            f"n={e['config']['n']}: {e['wall_time_s']:.3f}s" for e in entries
+            f"{entry_label(e['config'])}: {e['wall_time_s']:.3f}s" for e in entries
         )
         print(f"e10 smoke: {timings} ({reason})")
 
@@ -125,9 +152,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    # Gate every size the baseline knows; sizes it does not know yet are
+    # Gate every entry the baseline knows; entries it does not know yet are
     # *appended* after a passing gate, never allowed to disarm the gate for
-    # the known ones (a regression must not hide behind a new size).
+    # the known ones (a regression must not hide behind a new entry).
     failed = False
     unknown = []
     for entry in entries:
@@ -136,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         if key not in baseline_entries:
             unknown.append(entry)
             print(
-                f"e10 smoke: {wall:.3f}s at n={entry['config']['n']} "
+                f"e10 smoke: {wall:.3f}s at {entry_label(entry['config'])} "
                 "(no baseline entry, will record)"
             )
             continue
@@ -145,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         status = "OK" if wall <= limit else "REGRESSION"
         failed = failed or wall > limit
         print(
-            f"e10 smoke: {wall:.3f}s at n={entry['config']['n']} "
+            f"e10 smoke: {wall:.3f}s at {entry_label(entry['config'])} "
             f"(baseline {reference:.3f}s, limit {limit:.3f}s) -> {status}"
         )
     if failed:

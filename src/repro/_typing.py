@@ -8,7 +8,8 @@ The simulator works with three recurring array shapes:
 * index arrays of players or objects (``int64``).
 
 Keeping the aliases in one module lets every public signature say what it
-means without repeating ``numpy.typing`` incantations.
+means without repeating ``numpy.typing`` incantations.  The binary-value
+check every report path shares (:func:`check_binary`) lives here too.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from typing import TypeAlias
 
 import numpy as np
 import numpy.typing as npt
+
+from repro.errors import ConfigurationError
 
 #: A binary preference / prediction matrix of shape ``(n_players, n_objects)``.
 PreferenceMatrix: TypeAlias = npt.NDArray[np.uint8]
@@ -55,6 +58,20 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
+
+
+def check_binary(values: np.ndarray, where: str) -> None:
+    """Reject report values outside ``{0, 1}`` (cheaper than ``np.isin``).
+
+    Check the raw array *before* any cast to ``uint8``: a cast would wrap
+    ``256`` to ``0`` and truncate ``0.5`` to ``0``.
+    """
+    if values.dtype == np.uint8:
+        ok = values.size == 0 or int(values.max()) <= 1
+    else:
+        ok = bool(((values == 0) | (values == 1)).all())
+    if not ok:
+        raise ConfigurationError(f"report values must be binary (0/1) in {where}")
 
 
 def spawn_seeds(seed: SeedLike, count: int) -> list[int]:

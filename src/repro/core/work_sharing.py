@@ -15,10 +15,12 @@ the attack surface the robust wrapper's leader election closes.
 :func:`share_work` runs the whole phase **cross-cluster batched**: the
 assignments are still drawn cluster by cluster (the shared-randomness order
 is part of the protocol's determinism contract), but the probes of *all*
-clusters resolve through one ``probe_pairs`` call and one report pass, with
-each cluster's reports posted to its own channel slice.  Clusters are
-disjoint, so the batched accounting, board state and majorities are
-bit-identical to looping :func:`cluster_majority_vote` (property-tested).
+clusters resolve through one ``probe_pairs`` call, with each cluster's
+reports produced and posted to its own channel per cluster block, in
+cluster order.  Clusters are disjoint, so the batched accounting, board
+state, strategy calls and majorities are bit-identical to looping
+:func:`cluster_majority_vote` (property-tested against that loop, kept in
+the tests as the reference).
 """
 
 from __future__ import annotations
@@ -89,21 +91,19 @@ def share_work(
     ctx: ProtocolContext,
     clustering: Clustering,
     channel: str = "work-sharing",
-    batch_clusters: bool = True,
 ) -> np.ndarray:
     """Run the work-sharing phase for every cluster.
 
     Returns the prediction matrix ``W`` of shape ``(n_players, n_objects)``:
-    every member of a cluster receives the cluster's majority vector.
-    ``batch_clusters=False`` forces the per-cluster reference loop (one
-    :func:`cluster_majority_vote` per cluster); the default batches the
-    probe/report traffic of all clusters into single bulk calls, which is
-    bit-identical — same shared-randomness draws (still per cluster, in
-    cluster order), same probe accounting (clusters are disjoint, so no
-    cross-cluster pair collides), same board state, same majorities.
-    Pools carrying reporting strategies take the loop: a strategy may draw
-    from the pool's generator per call, and batching would reorder those
-    draws across clusters.
+    every member of a cluster receives the cluster's majority vector.  The
+    probe traffic of all clusters goes through one bulk call; this is
+    bit-identical to one :func:`cluster_majority_vote` per cluster — same
+    shared-randomness draws (still per cluster, in cluster order), same
+    probe accounting (clusters are disjoint, so no cross-cluster pair
+    collides), same board state, same majorities.  Pools with reporting
+    strategies take the same path: reports are produced per cluster block,
+    in cluster order, so every strategy sees the calls of the per-cluster
+    loop in its order.
     """
     redundancy = ctx.constants.vote_redundancy(ctx.n_players)
     predictions = np.zeros((ctx.n_players, ctx.n_objects), dtype=np.uint8)
@@ -116,16 +116,6 @@ def share_work(
     ]
     if not populated:
         return predictions
-    if not batch_clusters or ctx.pool.has_strategies:
-        for cluster_id in populated:
-            vector = cluster_majority_vote(
-                ctx,
-                clustering.members(cluster_id),
-                redundancy,
-                channel=f"{channel}/c{cluster_id}",
-            )
-            predictions[clustering.members(cluster_id)] = vector
-        return predictions
 
     # Draw every cluster's assignment first (cluster order — the draws are
     # the protocol-visible part), then resolve all probes in one call.
@@ -137,21 +127,24 @@ def share_work(
         for cluster_id in populated
     ]
     probers = np.concatenate(prober_blocks)
-    all_objects = np.tile(objects, len(populated))
-    true_values = ctx.oracle.probe_pairs(probers, all_objects)
-    reported = ctx.pool.reports_pairs(probers, all_objects, true_values)
+    true_values = ctx.oracle.probe_pairs(probers, np.tile(objects, len(populated)))
+    # With no strategies installed the reports are a pure function of the
+    # cell, so duplicate pairs are consistent and the board may skip its
+    # dedup sort.
+    consistent = not ctx.pool.has_strategies
 
     span = n_objects * redundancy
     for index, cluster_id in enumerate(populated):
         block = slice(index * span, (index + 1) * span)
+        reported = ctx.pool.reports_pairs(probers[block], objects, true_values[block])
         ctx.board.post_report_pairs(
             f"{channel}/c{cluster_id}",
             probers[block],
             objects,
-            reported[block],
-            consistent=True,  # no strategies on this path: reports are true values
+            reported,
+            consistent=consistent,
         )
         predictions[clustering.members(cluster_id)] = _majority_from_votes(
-            reported[block], n_objects, redundancy
+            reported, n_objects, redundancy
         )
     return predictions

@@ -61,6 +61,40 @@ __all__ = [
 ]
 
 
+class _ObjectSet:
+    """A fixed set of object indices with a membership table built once.
+
+    :meth:`contains` equals ``np.isin(objects, self.objects)`` for every
+    input, but an ``int64`` query (what :class:`PlayerPool` passes) costs
+    one table gather instead of the sort ``np.isin`` pays per call.
+    """
+
+    #: Widest index range given a table (one byte per index in the range);
+    #: a set spread wider keeps ``np.isin``.
+    MAX_SPAN = 1 << 20
+
+    def __init__(self, objects: np.ndarray) -> None:
+        objects = np.array(objects, dtype=np.int64)
+        objects.flags.writeable = False
+        self.objects = objects
+        low = int(objects.min()) if objects.size else 0
+        span = int(objects.max()) - low + 1 if objects.size else 0
+        self._table: np.ndarray | None = None
+        if span <= self.MAX_SPAN:
+            # One False sentinel on each side: a query outside the range
+            # clips onto one of them.
+            self._table = np.zeros(span + 2, dtype=bool)
+            self._table[objects - low + 1] = True
+        self._offset = low - 1
+
+    def contains(self, objects: np.ndarray) -> np.ndarray:
+        """Boolean mask: which of ``objects`` are in the set."""
+        objects = np.asarray(objects)
+        if self._table is None or objects.dtype != np.int64:
+            return np.isin(objects, self.objects)
+        return self._table.take(objects - self._offset, mode="clip")
+
+
 class RandomReportStrategy(ReportingStrategy):
     """Post uniformly random values regardless of the truth."""
 
@@ -107,10 +141,15 @@ class PromotionStrategy(ReportingStrategy):
         promoted_value: int = 1,
         seed: SeedLike = None,
     ) -> None:
-        self.target_objects = np.asarray(target_objects, dtype=np.int64)
+        self._targets = _ObjectSet(target_objects)
         if promoted_value not in (0, 1):
             raise ConfigurationError(f"promoted_value must be 0 or 1, got {promoted_value}")
         self.promoted_value = int(promoted_value)
+
+    @property
+    def target_objects(self) -> np.ndarray:
+        """The attacked objects (read-only)."""
+        return self._targets.objects
 
     def report(
         self,
@@ -120,8 +159,7 @@ class PromotionStrategy(ReportingStrategy):
         pool: PlayerPool,
     ) -> np.ndarray:
         reports = np.asarray(true_values, dtype=np.uint8).copy()
-        targeted = np.isin(objects, self.target_objects)
-        reports[targeted] = self.promoted_value
+        reports[self._targets.contains(objects)] = self.promoted_value
         return reports
 
 
@@ -139,7 +177,12 @@ class ClusterHijackStrategy(ReportingStrategy):
         self, victim: int, target_objects: np.ndarray, seed: SeedLike = None
     ) -> None:
         self.victim = int(victim)
-        self.target_objects = np.asarray(target_objects, dtype=np.int64)
+        self._targets = _ObjectSet(target_objects)
+
+    @property
+    def target_objects(self) -> np.ndarray:
+        """The objects lied about (read-only)."""
+        return self._targets.objects
 
     def report(
         self,
@@ -149,10 +192,7 @@ class ClusterHijackStrategy(ReportingStrategy):
         pool: PlayerPool,
     ) -> np.ndarray:
         victim_values = pool.truth[self.victim, objects].astype(np.uint8)
-        reports = victim_values.copy()
-        targeted = np.isin(objects, self.target_objects)
-        reports[targeted] = 1 - reports[targeted]
-        return reports
+        return victim_values ^ self._targets.contains(objects)
 
 
 class StrangeObjectStrategy(ReportingStrategy):

@@ -5,7 +5,8 @@ A *reporting strategy* answers one question: when the protocol asks player
 actually post?  Honest players post the truth; dishonest players post
 whatever their strategy computes.  The pool applies the right strategy per
 player and exposes vectorised bulk paths, because the collective protocol
-implementations move blocks of reports at a time.
+implementations move blocks of reports at a time.  The bulk paths cost
+O(rows with a strategy) on top of one copy: honest rows are never visited.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro._typing import PreferenceMatrix, SeedLike, as_generator
+from repro._typing import PreferenceMatrix, SeedLike, as_generator, check_binary
 from repro.errors import ConfigurationError
 
 __all__ = ["ReportingStrategy", "PlayerPool"]
@@ -80,6 +81,10 @@ class PlayerPool:
                     f"got {type(strategy).__name__}"
                 )
         self._strategies = {int(p): s for p, s in strategies.items()}
+        # Built once: the bulk report paths find the rows they must rewrite
+        # with one gather instead of a dict lookup per row.
+        self._has_strategy = np.zeros(self.n_players, dtype=bool)
+        self._has_strategy[list(self._strategies)] = True
 
     # ------------------------------------------------------------------
     # Composition queries
@@ -97,10 +102,11 @@ class PlayerPool:
     def has_strategies(self) -> bool:
         """Whether *any* player carries a reporting strategy.
 
-        The collective bulk paths use this to skip the copy-then-rewrite
-        report pass entirely: with no strategies installed, reports are the
-        true values verbatim (an adaptive strategy counts even while it is
-        still reporting honestly — it may consume randomness per call).
+        Every protocol takes the same batched paths either way; this only
+        lets them skip the copy-then-rewrite report pass, since with no
+        strategies installed reports are the true values verbatim (an
+        adaptive strategy counts even while it is still reporting honestly —
+        it keeps state per call).
         """
         return bool(self._strategies)
 
@@ -135,21 +141,27 @@ class PlayerPool:
         true_values = np.asarray(true_values, dtype=np.uint8)
         if objects.shape != true_values.shape:
             raise ConfigurationError("objects and true_values must align")
-        strategy = self._strategies.get(int(player))
-        if strategy is None:
+        if int(player) not in self._strategies:
             return true_values.copy()
+        return self._strategy_reports(int(player), objects, true_values).astype(np.uint8)
+
+    def _strategy_reports(
+        self, player: int, objects: np.ndarray, true_values: np.ndarray
+    ) -> np.ndarray:
+        """``player``'s strategy output, checked by :func:`check_binary`
+        but not yet cast to ``uint8``.
+
+        Callers pass ``int64`` objects and aligned ``uint8`` true values.
+        """
         reported = np.asarray(
-            strategy.report(int(player), objects, true_values, self)
-        ).astype(np.uint8)
+            self._strategies[player].report(player, objects, true_values, self)
+        )
         if reported.shape != objects.shape:
             raise ConfigurationError(
                 f"strategy for player {player} returned reports of shape "
                 f"{reported.shape}, expected {objects.shape}"
             )
-        if not np.all(np.isin(reported, (0, 1))):
-            raise ConfigurationError(
-                f"strategy for player {player} returned non-binary reports"
-            )
+        check_binary(reported, f"the reports of player {player}'s strategy")
         return reported
 
     def reports_block(
@@ -159,7 +171,8 @@ class PlayerPool:
 
         ``true_block[i, j]`` is the true probe result of ``players[i]`` on
         ``objects[j]``.  Honest rows pass through untouched (vectorised);
-        dishonest rows are rewritten by their strategies.
+        rows with a strategy are rewritten by it, one call per row in row
+        order.
         """
         players = np.asarray(players, dtype=np.int64)
         objects = np.asarray(objects, dtype=np.int64)
@@ -172,11 +185,8 @@ class PlayerPool:
         reports = true_block.copy()
         if not self._strategies:
             return reports
-        for row, player in enumerate(players):
-            strategy = self._strategies.get(int(player))
-            if strategy is None:
-                continue
-            reports[row] = self.reports_for(int(player), objects, true_block[row])
+        for row in np.flatnonzero(self._has_strategy[players]):
+            reports[row] = self._strategy_reports(int(players[row]), objects, true_block[row])
         return reports
 
     def reports_pairs(
@@ -186,8 +196,8 @@ class PlayerPool:
 
         Used by the work-sharing phase where each object is probed by a
         different random subset of players.  Honest pairs pass through; the
-        pairs of each dishonest player are grouped and rewritten by its
-        strategy in one call.
+        pairs of each player with a strategy are grouped (in pair order) and
+        rewritten by its strategy in one call, players in ascending order.
         """
         players = np.asarray(players, dtype=np.int64)
         objects = np.asarray(objects, dtype=np.int64)
@@ -197,10 +207,18 @@ class PlayerPool:
         reports = true_values.copy()
         if not self._strategies:
             return reports
-        involved = np.intersect1d(np.unique(players), self.dishonest_players)
-        for player in involved:
-            mask = players == player
-            reports[mask] = self.reports_for(int(player), objects[mask], true_values[mask])
+        rows = np.flatnonzero(self._has_strategy[players])
+        if rows.size == 0:
+            return reports
+        # Group the strategy rows by player; the stable sort keeps each
+        # player's pairs in their original order.
+        rows = rows[np.argsort(players[rows], kind="stable")]
+        owners = players[rows]
+        starts = np.flatnonzero(np.diff(owners, prepend=-1))
+        for group in np.split(rows, starts[1:]):
+            reports[group] = self._strategy_reports(
+                int(players[group[0]]), objects[group], true_values[group]
+            )
         return reports
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

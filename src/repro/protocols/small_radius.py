@@ -15,15 +15,19 @@ using ``O(B · D^{3/2} (D + log n))`` probes.  The protocol:
    per-repetition concatenated candidates.
 
 The implementation is collective (one call simulates all players) and leans
-on the vectorised :func:`repro.protocols.select.select_collective`.  When
-nobody lies, each repetition additionally batches every partition subset
-that falls into ZeroRadius' base case — *mixed recursion*: the base-case
-subsets collapse into one probe+report block over their union, one publish
-and one probe block over their Select samples, while the subsets large
-enough to recurse still run the full ZeroRadius at their position in the
-partition order.  The batched path consumes the shared randomness in
-exactly the per-subset order and charges the same probes, so its output is
-bit-identical to the plain loop (property-tested).
+on the vectorised :func:`repro.protocols.select.select_collective`.  Each
+repetition batches every partition subset that falls into ZeroRadius' base
+case — *mixed recursion*: the base-case subsets collapse into one probe
+block over their union, one post per channel and one probe block over their
+Select samples, while the subsets large enough to recurse still run the
+full ZeroRadius at their position in the partition order.  Pools with
+dishonest players take the same path: their strategies are asked for each
+base subset's reports at that subset's position, so every strategy sees the
+calls of the per-subset loop in its order.  The batched repetition consumes
+the shared randomness in exactly the per-subset order and charges the same
+probes, so its output is bit-identical to running ZeroRadius, publish and
+Select subset by subset (property-tested against that loop, kept in the
+tests as the reference).
 """
 
 from __future__ import annotations
@@ -111,7 +115,6 @@ def small_radius(
     diameter: float,
     budget: int | None = None,
     channel: str = "small-radius",
-    batch_base: bool = True,
 ) -> np.ndarray:
     """Run SmallRadius collectively for ``players`` over ``objects``.
 
@@ -129,11 +132,6 @@ def small_radius(
         The budget ``B``; defaults to ``ctx.budget``.
     channel:
         Bulletin-board channel prefix.
-    batch_base:
-        Batch the base-case partition subsets of each repetition (the mixed
-        recursion described in the module docstring).  Output is
-        bit-identical either way; the flag exists so the property tests can
-        force the per-subset reference loop.
 
     Returns
     -------
@@ -174,53 +172,23 @@ def small_radius(
         assembled = np.empty((players.size, objects.size), dtype=np.uint8)
         # Mixed recursion: subsets that would hit ZeroRadius' base case (the
         # common regime — the partition count is Θ(D^1.5), so subsets are
-        # small) collapse to bulk blocks whenever nobody lies: one
-        # probe+report over their union instead of one per subset, and one
-        # probe over all their Select samples.  Subsets large enough to
-        # recurse still run inline, in partition order, so the shared
-        # randomness is consumed exactly as in the per-subset loop and the
-        # probes charged are the same — the output is bit-identical
-        # (tested).  Dishonest pools take the loop: a strategy may consume
-        # its own randomness per reporting call, so merging calls could
-        # change what liars post.
+        # small) share one probe block, one post per channel and one probe
+        # block over their Select samples; subsets large enough to recurse
+        # run inline, in partition order.
         is_base = [min(players.size, subset.size) < base_size for subset in partitions]
-        if batch_base and ctx.pool.n_dishonest == 0 and any(is_base):
-            _batched_base_repetition(
-                ctx,
-                players,
-                partitions,
-                is_base,
-                zr_budget,
-                object_order,
-                sorted_objects,
-                min_support,
-                select_sample,
-                assembled,
-                channel,
-            )
-        else:
-            for subset in partitions:
-                cols = object_order[np.searchsorted(sorted_objects, subset)]
-                # Partitions cover disjoint objects and repetitions re-post
-                # over a player's own cells, so a single pair of channels
-                # serves every (repetition, partition) — keeping board memory
-                # independent of the partition count.
-                own_estimates = zero_radius(
-                    ctx, players, subset, zr_budget, channel=f"{channel}/zr"
-                )
-                published = ctx.publish_vectors(
-                    f"{channel}/pub", players, subset, own_estimates
-                )
-                candidates = popular_vectors(published, min_support)
-                if candidates.shape[0] == 0:
-                    # Off-promise input: no vector has enough support, so each
-                    # player keeps its own ZeroRadius estimate for this subset.
-                    assembled[:, cols] = own_estimates
-                    continue
-                _, chosen = select_collective(
-                    ctx, players, subset, candidates, sample_size=select_sample
-                )
-                assembled[:, cols] = chosen
+        _batched_base_repetition(
+            ctx,
+            players,
+            partitions,
+            is_base,
+            zr_budget,
+            object_order,
+            sorted_objects,
+            min_support,
+            select_sample,
+            assembled,
+            channel,
+        )
         repetition_candidates[:, rep, :] = assembled
 
     if repetitions == 1:
@@ -245,50 +213,98 @@ def _batched_base_repetition(
 ) -> np.ndarray:
     """One SmallRadius repetition with the base-case subsets batched.
 
-    Performs the same probes, posts and shared-randomness draws as running
-    the per-subset loop, but bulks the base group: base-case subsets are
-    disjoint, so their dense probe/report blocks concatenate into one call
-    up front (a ZeroRadius base case consumes no shared randomness, so
-    hoisting it cannot shift any draw), and their per-subset Select sample
-    probes concatenate into one more call at the end.  Subsets that recurse
-    run the full ZeroRadius *inline at their partition position*, keeping
-    every shared-randomness draw — recursion splits and Select samples alike
-    — in the per-subset order.  Results are written into ``assembled`` in
-    place.
-    """
-    base_subsets = [subset for subset, base in zip(partitions, is_base) if base]
-    merged = np.concatenate(base_subsets)
-    # ZeroRadius base case for every base subset at once (same channel the
-    # recursive implementation uses for its base blocks).
-    true_merged, _ = ctx.probe_and_report_block(f"{channel}/zr/base", players, merged)
-    published_merged = ctx.publish_vectors(f"{channel}/pub", players, merged, true_merged)
+    Performs the same probes, board writes, strategy calls and
+    shared-randomness draws as running the per-subset loop, but bulks the
+    base group: base-case subsets are disjoint, so their dense probe blocks
+    concatenate into one call up front (a ZeroRadius base case consumes no
+    shared randomness, so hoisting it cannot shift any draw), their reports
+    land in one post per channel at the end, and their per-subset Select
+    sample probes concatenate into one more call.  Subsets that recurse run
+    the full ZeroRadius *inline at their partition position*.
 
+    A pool with strategies is asked for each base subset's two report
+    blocks (the ZeroRadius base report, then the publish) at that subset's
+    position too, so strategies with per-instance state see the loop's
+    calls in the loop's order.  A base subset's Select sample draw needs its
+    candidate set, and so its published block: consecutive base subsets (a
+    *run*) resolve together, before the next recursive subset draws, which
+    keeps every shared-randomness draw in per-subset order (strategies never
+    touch the shared randomness, so asking them before a run's draws is
+    safe).  Results are written into ``assembled`` in place.
+    """
+    pool = ctx.pool
+    base_subsets = [subset for subset, base in zip(partitions, is_base) if base]
     widths = np.asarray([subset.size for subset in base_subsets], dtype=np.int64)
-    base_candidates = _popular_vectors_blocks(published_merged, widths, min_support)
     offsets = np.concatenate(([0], np.cumsum(widths)))
-    # One lookup resolves every base subset's assembled columns; the walk
-    # below only slices it (the residual per-subset searchsorted is gone).
-    merged_cols = object_order[np.searchsorted(sorted_objects, merged)]
-    # Walk the partition in order: resolve each base subset's candidate set
-    # and draw its Select sample (deferring the probe), and run each
-    # recursive subset in full (the draws must interleave exactly as in the
-    # per-subset loop to keep the shared-randomness stream aligned).
-    # Resolved base columns/values accumulate and land in one scatter.
+    if base_subsets:
+        merged = np.concatenate(base_subsets)
+        # ZeroRadius base case for every base subset at once.
+        true_merged = ctx.oracle.probe_block(players, merged)
+        # One lookup resolves every base subset's assembled columns; the walk
+        # below only slices it.
+        merged_cols = object_order[np.searchsorted(sorted_objects, merged)]
+        # Read-only by contract: without strategies, reports and published
+        # vectors are the true values verbatim.
+        reported = published = true_merged
+        if pool.has_strategies:
+            reported = np.empty_like(true_merged)
+            published = np.empty_like(true_merged)
+
+    # Walk the partition in order.  Resolved base columns/values accumulate
+    # and land in one scatter; base subsets whose Select needs probing
+    # defer the probe (``pending``) to one block at the end.
     write_cols: list[np.ndarray] = []
     write_vals: list[np.ndarray] = []
     pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
     sampled_objects: list[np.ndarray] = []
+    run_start = 0
+
+    def resolve_run(run_stop: int) -> None:
+        """Candidate sets and Select draws of base subsets ``[run_start,
+        run_stop)``, in partition order."""
+        nonlocal run_start
+        if run_stop == run_start:
+            return
+        run = slice(offsets[run_start], offsets[run_stop])
+        run_candidates = _popular_vectors_blocks(
+            published[:, run], widths[run_start:run_stop], min_support
+        )
+        for index, candidates in zip(range(run_start, run_stop), run_candidates):
+            block = slice(offsets[index], offsets[index + 1])
+            cols = merged_cols[block]
+            if candidates.shape[0] == 0:
+                # Off-promise input: no vector has enough support, so each
+                # player keeps its own ZeroRadius estimate for this subset.
+                write_cols.append(cols)
+                write_vals.append(true_merged[:, block])
+                continue
+            if candidates.shape[0] == 1:
+                # select_collective's single-candidate shortcut: no sample drawn.
+                write_cols.append(cols)
+                write_vals.append(np.broadcast_to(candidates[0], (players.size, cols.size)))
+                continue
+            subset = base_subsets[index]
+            positions = draw_sample_positions(ctx, subset.size, select_sample)
+            pending.append((cols, candidates, positions, len(sampled_objects)))
+            sampled_objects.append(subset[positions])
+        run_start = run_stop
+
     base_index = 0
     for subset, base in zip(partitions, is_base):
         if not base:
+            resolve_run(base_index)
             cols = object_order[np.searchsorted(sorted_objects, subset)]
+            # Partitions cover disjoint objects and repetitions re-post over
+            # a player's own cells, so a single pair of channels serves every
+            # (repetition, partition) — keeping board memory independent of
+            # the partition count.
             own_estimates = zero_radius(
                 ctx, players, subset, zr_budget, channel=f"{channel}/zr"
             )
-            published = ctx.publish_vectors_packed(
+            packed = ctx.publish_vectors_packed(
                 f"{channel}/pub", players, subset, own_estimates
             )
-            candidates = popular_vectors(published, min_support)
+            candidates = popular_vectors(packed, min_support)
             if candidates.shape[0] == 0:
                 assembled[:, cols] = own_estimates
                 continue
@@ -297,22 +313,17 @@ def _batched_base_repetition(
             )
             assembled[:, cols] = chosen
             continue
-        block = slice(offsets[base_index], offsets[base_index + 1])
-        cols = merged_cols[block]
-        candidates = base_candidates[base_index]
+        if pool.has_strategies:
+            block = slice(offsets[base_index], offsets[base_index + 1])
+            true_block = true_merged[:, block]
+            reported[:, block] = pool.reports_block(players, subset, true_block)
+            published[:, block] = pool.reports_block(players, subset, true_block)
         base_index += 1
-        if candidates.shape[0] == 0:
-            write_cols.append(cols)
-            write_vals.append(true_merged[:, block])
-            continue
-        if candidates.shape[0] == 1:
-            # select_collective's single-candidate shortcut: no sample drawn.
-            write_cols.append(cols)
-            write_vals.append(np.broadcast_to(candidates[0], (players.size, cols.size)))
-            continue
-        positions = draw_sample_positions(ctx, subset.size, select_sample)
-        pending.append((cols, candidates, positions, len(sampled_objects)))
-        sampled_objects.append(subset[positions])
+    resolve_run(base_index)
+    if base_subsets:
+        # The base subsets' posts, on the channels the per-subset loop uses.
+        ctx.board.post_report_block(f"{channel}/zr/base", players, merged, reported)
+        ctx.board.post_report_block(f"{channel}/pub", players, merged, published)
 
     if pending:
         # Final pass: one probe block over every deferred subset's sample,

@@ -36,6 +36,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from repro._typing import check_binary
 from repro.errors import BoardOwnershipError, ConfigurationError
 from repro.faults.runtime import board_fault_gate
 from repro.obs import runtime as obs
@@ -49,16 +50,6 @@ from repro.perf import (
 )
 
 __all__ = ["BoardEntry", "BulletinBoard"]
-
-
-def _check_binary(values: np.ndarray, where: str) -> None:
-    """Reject non-binary report values (cheaper than ``np.isin`` on hot paths)."""
-    if values.dtype == np.uint8:
-        ok = values.size == 0 or int(values.max()) <= 1
-    else:
-        ok = bool(((values == 0) | (values == 1)).all())
-    if not ok:
-        raise ConfigurationError(f"report values must be binary (0/1) in {where}")
 
 
 def _readonly_view(array: np.ndarray) -> np.ndarray:
@@ -192,7 +183,7 @@ class BulletinBoard:
             return
         if objects.min() < 0 or objects.max() >= self.n_objects:
             raise ConfigurationError("object index out of range in post_reports")
-        _check_binary(values, "post_reports")
+        check_binary(values, "post_reports")
         values = np.asarray(values, dtype=np.uint8)
         if obs._AMBIENT.telemetry is not None:
             obs.add("board.posts")
@@ -253,7 +244,7 @@ class BulletinBoard:
             raise ConfigurationError("player index out of range in post_report_pairs")
         if objects.min() < 0 or objects.max() >= self.n_objects:
             raise ConfigurationError("object index out of range in post_report_pairs")
-        _check_binary(values, "post_report_pairs")
+        check_binary(values, "post_report_pairs")
         values = np.asarray(values, dtype=np.uint8)
         if obs._AMBIENT.telemetry is not None:
             obs.add("board.posts")
@@ -346,7 +337,7 @@ class BulletinBoard:
             )
         if players.size == 0 or objects.size == 0:
             return
-        _check_binary(values, "post_report_block")
+        check_binary(values, "post_report_block")
         values = np.asarray(values, dtype=np.uint8)
         if player_keep is not None:
             values = values[player_keep]

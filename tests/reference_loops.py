@@ -1,0 +1,123 @@
+"""Reference loops the batched protocol paths are tested against.
+
+Each function here is the plain, one-step-at-a-time form of a batched
+production path: SmallRadius run subset by subset, and work sharing run
+cluster by cluster.  They make the same probes, posts, strategy calls and
+shared-randomness draws in the order the protocol describes them, so a
+batched path is correct exactly when it matches its reference bit for bit
+(outputs, probe accounting, randomness state, strategy state and board
+contents).  Nothing in ``src/`` calls them.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+
+from repro.core.clustering import Clustering
+from repro.core.work_sharing import cluster_majority_vote
+from repro.protocols.context import ProtocolContext
+from repro.protocols.select import select_collective, select_per_player
+from repro.protocols.zero_radius import popular_vectors, zero_radius
+
+
+def small_radius_per_subset(
+    ctx: ProtocolContext,
+    players: np.ndarray,
+    objects: np.ndarray,
+    diameter: float,
+    budget: int | None = None,
+    channel: str = "small-radius",
+) -> np.ndarray:
+    """SmallRadius with every partition subset run on its own: ZeroRadius,
+    publish, then Select, one subset after another."""
+    players = np.asarray(players, dtype=np.int64)
+    objects = np.asarray(objects, dtype=np.int64)
+    budget = int(budget if budget is not None else ctx.budget)
+    constants = ctx.constants
+    repetitions = constants.small_radius_repetitions(ctx.n_players)
+    zr_budget = constants.small_radius_budget_multiplier * budget
+    min_support = max(
+        1,
+        int(np.floor(players.size / (constants.small_radius_popularity_divisor * budget))),
+    )
+    select_sample = constants.rselect_sample_size(ctx.n_players)
+
+    repetition_candidates = np.empty(
+        (players.size, repetitions, objects.size), dtype=np.uint8
+    )
+    object_order = np.argsort(objects, kind="stable")
+    sorted_objects = objects[object_order]
+    for rep in range(repetitions):
+        partitions = ctx.randomness.partition_objects(
+            objects, constants.small_radius_partitions(diameter, objects.size)
+        )
+        assembled = np.empty((players.size, objects.size), dtype=np.uint8)
+        for subset in partitions:
+            if not subset.size:
+                continue
+            cols = object_order[np.searchsorted(sorted_objects, subset)]
+            own_estimates = zero_radius(
+                ctx, players, subset, zr_budget, channel=f"{channel}/zr"
+            )
+            published = ctx.publish_vectors(
+                f"{channel}/pub", players, subset, own_estimates
+            )
+            candidates = popular_vectors(published, min_support)
+            if candidates.shape[0] == 0:
+                assembled[:, cols] = own_estimates
+                continue
+            _, chosen = select_collective(
+                ctx, players, subset, candidates, sample_size=select_sample
+            )
+            assembled[:, cols] = chosen
+        repetition_candidates[:, rep, :] = assembled
+
+    if repetitions == 1:
+        return repetition_candidates[:, 0, :].copy()
+    return select_per_player(
+        ctx, players, objects, repetition_candidates, sample_size=select_sample
+    )
+
+
+def share_work_per_cluster(
+    ctx: ProtocolContext, clustering: Clustering, channel: str = "work-sharing"
+) -> np.ndarray:
+    """Work sharing with one :func:`cluster_majority_vote` per cluster, in
+    cluster order."""
+    redundancy = ctx.constants.vote_redundancy(ctx.n_players)
+    predictions = np.zeros((ctx.n_players, ctx.n_objects), dtype=np.uint8)
+    for cluster_id in range(clustering.n_clusters):
+        members = clustering.members(cluster_id)
+        if members.size:
+            predictions[members] = cluster_majority_vote(
+                ctx, members, redundancy, channel=f"{channel}/c{cluster_id}"
+            )
+    return predictions
+
+
+def assert_same_execution(ctx: ProtocolContext, reference: ProtocolContext) -> None:
+    """Assert two executions left identical state behind: probe accounting,
+    shared-randomness state, every strategy's internal state and the board's
+    report channels."""
+    np.testing.assert_array_equal(ctx.oracle.probes_used(), reference.oracle.probes_used())
+    np.testing.assert_array_equal(
+        ctx.oracle.requests_used(), reference.oracle.requests_used()
+    )
+    assert (
+        ctx.randomness.generator.bit_generator.state
+        == reference.randomness.generator.bit_generator.state
+    )
+    # A pickle captures a strategy's whole state: an adaptive strategy's
+    # report count, a random reporter's generator, and so on.
+    for player in range(ctx.n_players):
+        strategy = ctx.pool.strategy_of(player)
+        assert pickle.dumps(strategy) == pickle.dumps(reference.pool.strategy_of(player))
+    assert ctx.board.channels() == reference.board.channels()
+    for channel in ctx.board.channels():
+        for got, want in zip(
+            ctx.board.report_matrix_packed(channel),
+            reference.board.report_matrix_packed(channel),
+        ):
+            np.testing.assert_array_equal(got.data, want.data)

@@ -29,6 +29,11 @@ from repro.core.calculate_preferences import (
 )
 from repro.core.clustering import Clustering, build_neighbor_graph
 from repro.core.work_sharing import share_work
+from repro.players.adversaries import (
+    COALITION_STRATEGIES,
+    RandomReportStrategy,
+    build_coalition,
+)
 from repro.preferences.generators import planted_clusters_instance
 from repro.protocols.context import make_context
 from repro.scenarios.engine import _resolve_probe_limits, run_scenario
@@ -36,6 +41,7 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import PopulationSpec, ProtocolSpec, ScenarioSpec
 from repro.simulation.board import BulletinBoard
 from repro.simulation.oracle import ProbeOracle
+from reference_loops import assert_same_execution, share_work_per_cluster
 
 
 class DenseReferenceBoard:
@@ -375,7 +381,11 @@ class TestOraclePackedPaths:
 
 
 class TestShareWorkBatching:
-    def test_batched_share_work_bit_identical_to_cluster_loop(self):
+    @pytest.mark.parametrize(
+        "strategy",
+        [pytest.param(None, id="honest"), *COALITION_STRATEGIES, "shared-random"],
+    )
+    def test_batched_share_work_bit_identical_to_cluster_loop(self, strategy):
         instance = planted_clusters_instance(48, 60, n_clusters=3, diameter=6, seed=2)
         clusters = [
             np.flatnonzero(instance.cluster_of == cid) for cid in range(3)
@@ -383,26 +393,29 @@ class TestShareWorkBatching:
         assignment = instance.cluster_of.copy()
         clustering = Clustering(assignment=assignment, clusters=clusters)
 
-        def run(batch):
-            ctx = make_context(instance, budget=4, seed=77)
-            preds = share_work(ctx, clustering, batch_clusters=batch)
-            return preds, ctx
+        def context():
+            strategies = None
+            if strategy == "shared-random":
+                # One instance behind liars in every cluster: its generator
+                # pins the order of the per-cluster report calls.
+                shared = RandomReportStrategy(seed=5)
+                strategies = {int(p): shared for p in (1, 7, 18, 30, 41)}
+            elif strategy is not None:
+                # A one-player victim set lets the liars land in every
+                # cluster; switch_after=30 sits inside the members' report
+                # volumes, so some adaptive members turn hostile.
+                strategies, _ = build_coalition(
+                    instance.preferences, 6, strategy,
+                    victim_cluster=np.asarray([0]), switch_after=30, seed=5,
+                )
+            return make_context(instance, budget=4, strategies=strategies, seed=77)
 
-        batched, ctx_b = run(True)
-        looped, ctx_l = run(False)
+        ctx_b = context()
+        batched = share_work(ctx_b, clustering)
+        ctx_l = context()
+        looped = share_work_per_cluster(ctx_l, clustering)
         np.testing.assert_array_equal(batched, looped)
-        np.testing.assert_array_equal(
-            ctx_b.oracle.probes_used(), ctx_l.oracle.probes_used()
-        )
-        np.testing.assert_array_equal(
-            ctx_b.oracle.requests_used(), ctx_l.oracle.requests_used()
-        )
-        assert ctx_b.board.channels() == ctx_l.board.channels()
-        for channel in ctx_b.board.channels():
-            for got, want in zip(
-                ctx_b.board.report_matrix(channel), ctx_l.board.report_matrix(channel)
-            ):
-                np.testing.assert_array_equal(got, want)
+        assert_same_execution(ctx_b, ctx_l)
 
 
 class TestParallelDiameterSearch:

@@ -8,9 +8,12 @@ for any worker count.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro import ProtocolConstants
 from repro.analysis.experiments import scaling_experiment
 from repro.analysis.runner import default_worker_count, run_trials, spawn_seeds
 from repro.core.clustering import build_neighbor_graph, cluster_players
@@ -31,6 +34,7 @@ from repro.protocols.context import make_context
 from repro.protocols.small_radius import small_radius
 from repro.simulation.board import BulletinBoard
 from repro.simulation.oracle import ProbeOracle
+from reference_loops import small_radius_per_subset
 
 # Widths straddling byte boundaries, including non-multiples of 8.
 WIDTHS = [1, 3, 7, 8, 9, 13, 16, 17, 31, 64, 65, 100, 130]
@@ -291,8 +295,8 @@ def test_share_work_bulk_posting_attribution():
 # SmallRadius batched repetition == per-subset loop
 # ---------------------------------------------------------------------------
 class _HonestLiar(ReportingStrategy):
-    """A 'dishonest' strategy that reports the truth — forces the per-subset
-    fallback path while keeping the execution semantics honest."""
+    """A 'dishonest' strategy that reports the truth: its pool takes the
+    strategy branch of every report path while the execution stays honest."""
 
     def report(self, player, objects, true_values, pool):
         return np.asarray(true_values, dtype=np.uint8)
@@ -300,32 +304,32 @@ class _HonestLiar(ReportingStrategy):
 
 def test_small_radius_batched_path_matches_per_subset_loop():
     instance = planted_clusters_instance(32, 64, n_clusters=4, diameter=4, seed=11)
+    # The practical profile at D=4 makes every partition subset a ZeroRadius
+    # base case; a low base factor at D=1 makes every subset recurse, so a
+    # repetition has no base subsets at all.
+    no_base = replace(ProtocolConstants.practical(), zero_radius_base_factor=0.2)
 
-    batched_ctx = make_context(instance, budget=4, seed=7)
-    batched = small_radius(
-        batched_ctx,
-        batched_ctx.all_players(),
-        batched_ctx.all_objects(),
-        diameter=4,
-    )
+    def run(solver, strategies, constants, diameter):
+        ctx = make_context(
+            instance, budget=4, constants=constants, strategies=strategies, seed=7
+        )
+        return solver(ctx, ctx.all_players(), ctx.all_objects(), diameter), ctx
 
-    fallback_ctx = make_context(
-        instance, budget=4, strategies={0: _HonestLiar()}, seed=7
-    )
-    fallback = small_radius(
-        fallback_ctx,
-        fallback_ctx.all_players(),
-        fallback_ctx.all_objects(),
-        diameter=4,
-    )
-
-    assert np.array_equal(batched, fallback)
-    assert np.array_equal(
-        batched_ctx.oracle.probes_used(), fallback_ctx.oracle.probes_used()
-    )
-    assert np.array_equal(
-        batched_ctx.oracle.requests_used(), fallback_ctx.oracle.requests_used()
-    )
+    for constants, diameter in ((None, 4), (no_base, 1)):
+        batched, batched_ctx = run(small_radius, None, constants, diameter)
+        for solver, strategies in (
+            (small_radius, {0: _HonestLiar()}),
+            (small_radius_per_subset, None),
+            (small_radius_per_subset, {0: _HonestLiar()}),
+        ):
+            other, other_ctx = run(solver, strategies, constants, diameter)
+            assert np.array_equal(batched, other)
+            assert np.array_equal(
+                batched_ctx.oracle.probes_used(), other_ctx.oracle.probes_used()
+            )
+            assert np.array_equal(
+                batched_ctx.oracle.requests_used(), other_ctx.oracle.requests_used()
+            )
 
 
 # ---------------------------------------------------------------------------

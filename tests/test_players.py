@@ -14,7 +14,7 @@ from repro.players.adversaries import (
     StrangeObjectStrategy,
     build_coalition,
 )
-from repro.players.base import PlayerPool
+from repro.players.base import PlayerPool, ReportingStrategy
 from repro.players.honest import HonestStrategy
 
 
@@ -73,6 +73,46 @@ class TestPlayerPool:
         with pytest.raises(ConfigurationError):
             pool.reports_for(0, np.asarray([0, 1]), np.asarray([1]))
 
+    @pytest.mark.parametrize("value", [256, 0.5, 1.7, -255])
+    def test_non_binary_reports_rejected_before_the_cast(self, truth, value):
+        # A uint8 cast would turn these into 0/0/1/1 and let them through.
+        class Constant(ReportingStrategy):
+            def report(self, player, objects, true_values, pool):
+                return np.full(objects.shape, value)
+
+        pool = PlayerPool(truth, strategies={1: Constant()})
+        objects = np.asarray([0, 3])
+        with pytest.raises(ConfigurationError, match="binary"):
+            pool.reports_for(1, objects, truth[1, objects])
+        with pytest.raises(ConfigurationError, match="binary"):
+            pool.reports_block(np.asarray([0, 1]), objects, truth[np.ix_([0, 1], objects)])
+
+    def test_bulk_reports_visit_only_strategy_rows_in_loop_order(self, truth):
+        calls = []
+
+        class Recording(InvertingStrategy):
+            def report(self, player, objects, true_values, pool):
+                calls.append((player, objects.tolist()))
+                return super().report(player, objects, true_values, pool)
+
+        pool = PlayerPool(truth, strategies={4: Recording(), 2: Recording()})
+        objects = np.asarray([1, 6])
+        players = np.asarray([0, 4, 3, 2, 4])
+        pool.reports_block(players, objects, truth[np.ix_(players, objects)])
+        assert calls == [(4, [1, 6]), (2, [1, 6]), (4, [1, 6])]
+
+        calls.clear()
+        pair_players = np.asarray([4, 0, 2, 4, 2])
+        pair_objects = np.asarray([7, 1, 5, 3, 0])
+        reports = pool.reports_pairs(
+            pair_players, pair_objects, truth[pair_players, pair_objects]
+        )
+        # One call per player, players ascending, pairs in their own order.
+        assert calls == [(2, [5, 0]), (4, [7, 3])]
+        np.testing.assert_array_equal(
+            reports, np.where(pair_players == 0, 0, 1) ^ truth[pair_players, pair_objects]
+        )
+
 
 class TestStrategies:
     def test_random_reporter_binary_and_deterministic(self, truth):
@@ -98,6 +138,24 @@ class TestStrategies:
         out = strategy.report(0, objects, truth[0, objects], pool)
         assert out[1] == 1 and out[3] == 1
         assert out[0] == truth[0, 1] and out[2] == truth[0, 3]
+
+    def test_target_lookup_matches_isin(self, rng):
+        from repro.players.adversaries import _ObjectSet
+
+        extremes = np.asarray([np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+        for trial in range(200):
+            targets = rng.integers(-5, 40, size=rng.integers(0, 12))
+            if trial % 50 == 0:
+                # Too wide for a table: the lookup keeps np.isin.
+                targets = np.append(targets, extremes[(trial // 50) % 2])
+            queries = np.concatenate(
+                (rng.integers(-50, 90, size=rng.integers(0, 30)), extremes)
+            )
+            lookup = _ObjectSet(targets)
+            for probe in (queries, queries.astype(np.int32), queries + 0.5, queries[:, None]):
+                np.testing.assert_array_equal(
+                    lookup.contains(probe), np.isin(probe, targets)
+                )
 
     def test_promotion_invalid_value(self):
         with pytest.raises(ConfigurationError):

@@ -7,7 +7,9 @@ on random instances including dishonest reporters and the noisy oracle:
 * ``rselect_collective(vectorised=True)`` vs the per-player serial
   tournaments (``vectorised=False``);
 * ``ProbeOracle.probe_ragged`` vs a loop of ``probe_objects``;
-* mixed base/recursive SmallRadius batching vs the per-subset loop.
+* mixed base/recursive SmallRadius batching vs the per-subset loop
+  (``tests/reference_loops.py``), for honest pools and every coalition
+  strategy.
 
 Plus the two new perf kernels (``packed_pair_vote``,
 ``packed_majority_tall``) against unpacked references, and the RSelect
@@ -26,11 +28,16 @@ import repro.protocols.small_radius  # noqa: F401 - registers the submodule
 from repro import ProtocolConstants, make_context
 from repro.errors import ConfigurationError, ProtocolError
 from repro.perf import pack_bits, packed_majority, packed_majority_tall, packed_pair_vote
-from repro.players.adversaries import RandomReportStrategy
+from repro.players.adversaries import (
+    COALITION_STRATEGIES,
+    RandomReportStrategy,
+    build_coalition,
+)
 from repro.preferences.generators import PlantedInstance, planted_clusters_instance
 from repro.protocols.rselect import rselect, rselect_collective
 from repro.protocols.small_radius import small_radius
 from repro.simulation.oracle import ProbeOracle
+from reference_loops import assert_same_execution, small_radius_per_subset
 
 _SMALL_RADIUS_MODULE = sys.modules["repro.protocols.small_radius"]
 
@@ -185,13 +192,34 @@ def test_probe_ragged_duplicate_players_and_validation():
 # ---------------------------------------------------------------------------
 # Mixed base/recursive SmallRadius batching == per-subset loop
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("seed", range(4))
-def test_small_radius_mixed_recursion_matches_per_subset_loop(seed, monkeypatch):
+@pytest.mark.parametrize(
+    ("strategy", "seed"),
+    [pytest.param(None, seed, id=str(seed)) for seed in range(4)]
+    + [
+        pytest.param(strategy, seed, id=f"{strategy}-{seed}")
+        for strategy in COALITION_STRATEGIES
+        for seed in range(4)
+    ],
+)
+def test_small_radius_mixed_recursion_matches_per_subset_loop(strategy, seed, monkeypatch):
     # A low base factor makes the random partition subsets straddle the
     # ZeroRadius base size, so each repetition genuinely mixes bulk base
     # blocks with inline recursion (asserted via the zero_radius call count).
+    # With a coalition, every strategy must see the loop's calls in its
+    # order; switch_after=40 turns adaptive members hostile mid-run.
     constants = replace(ProtocolConstants.practical(), zero_radius_base_factor=0.5)
     instance = planted_clusters_instance(48, 96, n_clusters=4, diameter=8, seed=seed)
+
+    def context():
+        strategies = None
+        if strategy is not None:
+            strategies, _ = build_coalition(
+                instance.preferences, 5, strategy, switch_after=40, seed=seed
+            )
+        return make_context(
+            instance, budget=1, constants=constants, strategies=strategies, seed=seed
+        )
+
     calls = {"batched": 0}
     real_zero_radius = _SMALL_RADIUS_MODULE.zero_radius
 
@@ -199,31 +227,20 @@ def test_small_radius_mixed_recursion_matches_per_subset_loop(seed, monkeypatch)
         calls["batched"] += 1
         return real_zero_radius(*args, **kwargs)
 
-    batched_ctx = make_context(instance, budget=1, constants=constants, seed=seed)
+    batched_ctx = context()
     monkeypatch.setattr(_SMALL_RADIUS_MODULE, "zero_radius", counting_zero_radius)
     batched = small_radius(
         batched_ctx, batched_ctx.all_players(), batched_ctx.all_objects(), diameter=8, budget=1
     )
     monkeypatch.setattr(_SMALL_RADIUS_MODULE, "zero_radius", real_zero_radius)
 
-    loop_ctx = make_context(instance, budget=1, constants=constants, seed=seed)
-    loop = small_radius(
-        loop_ctx,
-        loop_ctx.all_players(),
-        loop_ctx.all_objects(),
-        diameter=8,
-        budget=1,
-        batch_base=False,
+    loop_ctx = context()
+    loop = small_radius_per_subset(
+        loop_ctx, loop_ctx.all_players(), loop_ctx.all_objects(), diameter=8, budget=1
     )
     assert calls["batched"] > 0, "expected some subsets to recurse (mixed mode)"
     np.testing.assert_array_equal(batched, loop)
-    np.testing.assert_array_equal(
-        batched_ctx.oracle.probes_used(), loop_ctx.oracle.probes_used()
-    )
-    np.testing.assert_array_equal(
-        batched_ctx.oracle.requests_used(), loop_ctx.oracle.requests_used()
-    )
-    assert batched_ctx.randomness.generator.integers(0, 2**63) == loop_ctx.randomness.generator.integers(0, 2**63)
+    assert_same_execution(batched_ctx, loop_ctx)
 
 
 def test_popular_vectors_blocks_matches_per_block_reference():
