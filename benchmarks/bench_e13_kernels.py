@@ -86,6 +86,8 @@ def _kernel_microbenchmark(
             "asserted bit-for-bit equal to the references before timing.",
             "tournament-layer rows: 'unpacked' = serial/per-player reference, "
             "'packed' = collective path (probe memoisation reset per run).",
+            "select-sample row: 138 subsets x 1024 players x 8 candidates, "
+            "14-bit samples packed one 16-bit word per row; kernel call only.",
         ],
     )
 
@@ -121,6 +123,32 @@ def _kernel_microbenchmark(
         lambda: _unpacked_cross(rows, candidates),
         packed_cross,
         lambda: np.array_equal(packed_cross(), _unpacked_cross(rows, candidates)),
+    )
+
+    # The deferred Select of one batched SmallRadius repetition on the
+    # benchmark's honest workload: every base subset's 14-bit sample, one
+    # 16-bit word per player row and candidate row, against its candidates.
+    # "packed" times the kernel on the word operands the repetition builds.
+    select_subsets, select_players, select_k, select_bits = 138, 1024, 8, 14
+    sample_rows = rng.integers(
+        0, 2, size=(select_players, select_subsets, select_bits), dtype=np.uint8
+    )
+    sample_candidates = rng.integers(
+        0, 2, size=(select_k, select_subsets, select_bits), dtype=np.uint8
+    )
+    row_words = pack_bits(sample_rows).data[None]  # (1, P, S, 2 bytes)
+    candidate_words = pack_bits(sample_candidates).data[:, None]  # (k, 1, S, 2 bytes)
+
+    def unpacked_select():
+        return (sample_candidates[:, None] != sample_rows[None]).sum(axis=-1, dtype=np.int64)
+
+    add_row(
+        "select-sample hamming (small_radius words)",
+        unpacked_select,
+        lambda: packed_hamming(candidate_words, row_words),
+        lambda: np.array_equal(packed_hamming(candidate_words, row_words), unpacked_select()),
+        n_value=select_players,
+        width_value=select_bits,
     )
 
     def unique_equal() -> bool:
@@ -345,7 +373,7 @@ def _kernel_microbenchmark(
 
 def test_e13_kernels(benchmark, report_table):
     table = report_table(benchmark, kernel_microbenchmark, "e13_kernels")
-    assert len(table.rows) == 11
+    assert len(table.rows) == 12
     for row in table.rows:
         assert row["packed_ms"] > 0.0
     by_kernel = {row["kernel"]: row for row in table.rows}

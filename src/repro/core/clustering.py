@@ -64,7 +64,10 @@ def build_neighbor_graph(
     sample set (shape ``(n_players, sample_size)``), dense or already packed
     along the sample axis (the packed publish path hands the block over
     without a repack); an edge joins two players whose estimates differ on
-    at most ``threshold`` sampled objects.  Self-loops are excluded.
+    at most ``threshold`` sampled objects.  Self-loops are excluded.  The
+    distances are exact integers (:func:`repro.perf.pairwise_hamming`
+    counts them in integer arithmetic), compared with ``threshold`` as it
+    is given, so a threshold that lands on a distance keeps that edge.
     """
     if isinstance(published_estimates, PackedBits):
         packed = published_estimates
@@ -79,9 +82,7 @@ def build_neighbor_graph(
         raise ProtocolError(
             f"published_estimates must be 2-D, got shape {packed.data.shape}"
         )
-    # Pairwise Hamming distances on the packed representation (XOR+popcount)
-    # instead of the seed's (n, n) int32 Gram matrix of ±1 rows.
-    distances = pairwise_hamming(packed)
+    distances = pairwise_hamming(packed)  # (n, n) int64
     adjacency = distances <= threshold
     np.fill_diagonal(adjacency, False)
     return adjacency

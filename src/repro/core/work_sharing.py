@@ -18,9 +18,9 @@ is part of the protocol's determinism contract), but the probes of *all*
 clusters resolve through one ``probe_pairs`` call, with each cluster's
 reports produced and posted to its own channel per cluster block, in
 cluster order.  Clusters are disjoint, so the batched accounting, board
-state, strategy calls and majorities are bit-identical to looping
-:func:`cluster_majority_vote` (property-tested against that loop, kept in
-the tests as the reference).
+state, strategy calls and majorities are bit-identical to voting one
+cluster at a time (property-tested against that loop, kept in the tests as
+the reference).
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.clustering import Clustering
-from repro.errors import ProtocolError
 from repro.obs.runtime import traced
 from repro.protocols.context import ProtocolContext
 
-__all__ = ["share_work", "cluster_majority_vote"]
+__all__ = ["share_work"]
 
 
 def _majority_from_votes(reported: np.ndarray, n_objects: int, redundancy: int) -> np.ndarray:
@@ -48,44 +47,6 @@ def _majority_from_votes(reported: np.ndarray, n_objects: int, redundancy: int) 
     return (2 * likes >= redundancy).astype(np.uint8)
 
 
-def cluster_majority_vote(
-    ctx: ProtocolContext,
-    members: np.ndarray,
-    redundancy: int,
-    channel: str,
-) -> np.ndarray:
-    """Compute one cluster's shared prediction vector by redundant probing.
-
-    For every object, ``redundancy`` members (chosen by the shared
-    randomness, with replacement) probe it and post reports; the cluster
-    prediction is the majority of the posted reports.  Returns the cluster's
-    prediction vector over all objects.
-    """
-    members = np.asarray(members, dtype=np.int64)
-    if members.size == 0:
-        raise ProtocolError("cluster_majority_vote requires a non-empty cluster")
-    redundancy = int(redundancy)
-    if redundancy <= 0:
-        raise ProtocolError(f"redundancy must be positive, got {redundancy}")
-
-    n_objects = ctx.n_objects
-    assignment = ctx.randomness.assign_probers(members, n_objects, redundancy)
-    objects = np.repeat(np.arange(n_objects, dtype=np.int64), redundancy)
-    probers = assignment.reshape(-1)
-
-    true_values = ctx.oracle.probe_pairs(probers, objects)
-    reported = ctx.pool.reports_pairs(probers, objects, true_values)
-    # One bulk post; the board resolves duplicate pairs last-wins in call
-    # order, which matches a sequential posting loop (attribution stays
-    # per-pair inside post_report_pairs).  With no strategies installed the
-    # reports are a pure function of the cell, so duplicates are consistent
-    # and the board may skip its dedup sort.
-    ctx.board.post_report_pairs(
-        channel, probers, objects, reported, consistent=not ctx.pool.has_strategies
-    )
-    return _majority_from_votes(reported, n_objects, redundancy)
-
-
 @traced("share_work")
 def share_work(
     ctx: ProtocolContext,
@@ -95,15 +56,17 @@ def share_work(
     """Run the work-sharing phase for every cluster.
 
     Returns the prediction matrix ``W`` of shape ``(n_players, n_objects)``:
-    every member of a cluster receives the cluster's majority vector.  The
-    probe traffic of all clusters goes through one bulk call; this is
-    bit-identical to one :func:`cluster_majority_vote` per cluster — same
-    shared-randomness draws (still per cluster, in cluster order), same
-    probe accounting (clusters are disjoint, so no cross-cluster pair
-    collides), same board state, same majorities.  Pools with reporting
-    strategies take the same path: reports are produced per cluster block,
-    in cluster order, so every strategy sees the calls of the per-cluster
-    loop in its order.
+    every member of a cluster receives the cluster's majority vector: for
+    every object, ``redundancy`` members chosen by the shared randomness
+    (with replacement) probe it and post reports, and the cluster adopts
+    the majority of the posted reports.  The probe traffic of all clusters
+    goes through one bulk call; this is bit-identical to voting one cluster
+    at a time — same shared-randomness draws (still per cluster, in cluster
+    order), same probe accounting (clusters are disjoint, so no
+    cross-cluster pair collides), same board state, same majorities.  Pools
+    with reporting strategies take the same path: reports are produced per
+    cluster block, in cluster order, so every strategy sees the calls of the
+    per-cluster loop in its order.
     """
     redundancy = ctx.constants.vote_redundancy(ctx.n_players)
     predictions = np.zeros((ctx.n_players, ctx.n_objects), dtype=np.uint8)

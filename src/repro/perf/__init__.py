@@ -2,7 +2,9 @@
 
 ``repro.perf`` hosts representation-level optimisations that are invisible
 at the protocol layer: :mod:`repro.perf.bitset` packs binary vectors eight
-positions per byte and computes Hamming-shaped reductions as XOR+popcount.
+positions per byte and computes Hamming-shaped reductions as XOR+popcount
+on machine words, or, for all-pairs distances, from an exact ``float32``
+Gram matrix.
 The consumers are the Select distance estimators
 (:mod:`repro.protocols.select`), the collective RSelect tournament
 (:mod:`repro.protocols.rselect`, via :func:`packed_pair_vote`), the

@@ -3,17 +3,20 @@
 Every hot computation in the protocol stack is Hamming-distance-shaped: a
 binary vector (a preference estimate, a published report row, a candidate)
 is compared against many others and the number of disagreeing positions is
-counted.  The seed implementation materialised dense ``uint8`` tensors for
-these comparisons — ``(P, k, s)`` broadcasts in Select, an ``(n, n)``
-``int32`` Gram matrix in the neighbour graph, row-sorting ``np.unique`` in
-ZeroRadius — which caps the simulable instance size long before the
-algorithmic probe complexity does.
+counted.  Dense ``uint8`` tensors for these comparisons — ``(P, k, s)``
+broadcasts in Select, row-sorting ``np.unique`` in ZeroRadius — cap the
+simulable instance size long before the algorithmic probe complexity does.
 
 This module stores binary vectors **eight positions per byte**
 (:func:`numpy.packbits`) and computes disagreement counts as XOR followed by
-a population count.  The popcount uses :func:`numpy.bitwise_count` when the
-installed NumPy provides it (>= 2.0) and a 256-entry lookup table otherwise,
-so the kernels run everywhere the rest of the package does.
+a population count, a machine word at a time: :func:`packed_hamming` views
+the packed bytes as the narrowest unsigned word that holds them (8, 16, 32
+or 64 bits) and accumulates per word, so no reduction runs over a short byte
+axis.  The popcount uses :func:`numpy.bitwise_count` when the installed
+NumPy provides it (>= 2.0) and a 256-entry lookup table otherwise, so the
+kernels run everywhere the rest of the package does.  All-pairs distances
+(:func:`pairwise_hamming`) accumulate per word the same way, over a
+word-major layout, in pure integer arithmetic.
 
 All kernels are *bit-for-bit* equivalent to their unpacked references —
 ``tests/test_perf_kernels.py`` asserts exact equality on random instances,
@@ -55,8 +58,10 @@ _POPCOUNT_LUT = (
 )
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
-#: Target scratch size (bytes) for chunked pairwise kernels.
-_CHUNK_BYTES = 1 << 25
+#: Target scratch size (bytes) of one word's XOR block in the chunked
+#: pairwise kernel: about a core's L2 cache, so the XOR, popcount and
+#: accumulate passes over a chunk stay cache-resident.
+_CHUNK_BYTES = 1 << 20
 
 #: Row count above which ``packed_majority`` switches to the vertical-counter
 #: kernel (below it, one bulk unpack + column sum wins on call overhead).
@@ -73,6 +78,45 @@ def popcount(values: np.ndarray) -> np.ndarray:
     if _HAS_BITWISE_COUNT:
         return np.bitwise_count(values)
     return _POPCOUNT_LUT[values]
+
+
+def _popcount_words(words: np.ndarray) -> np.ndarray:
+    """Per-element population count of an unsigned-word array (``uint8``
+    counts); the lookup-table fallback sums the counts of each word's bytes."""
+    if _HAS_BITWISE_COUNT:
+        return np.bitwise_count(words)
+    words = np.asarray(words)
+    as_bytes = np.ascontiguousarray(words).view(np.uint8)
+    return _POPCOUNT_LUT[as_bytes].reshape(*words.shape, words.itemsize).sum(
+        axis=-1, dtype=np.uint8
+    )
+
+
+def _as_words(data: np.ndarray) -> np.ndarray:
+    """View packed bytes as unsigned words along the last axis.
+
+    A row of ``n`` bytes becomes one word of the narrowest width holding it
+    (8, 16, 32 or 64 bits), or ``ceil(n / 8)`` 64-bit words beyond eight
+    bytes.  Widths between word sizes are zero-padded, and zero pad bytes add
+    nothing to an XOR popcount.  Only the grouping of bits into words
+    changes, so the Hamming distance between two operands viewed alike is
+    the distance between their packed rows.
+    """
+    n_bytes = data.shape[-1]
+    itemsize = 8
+    for candidate in (1, 2, 4):
+        if n_bytes <= candidate:
+            itemsize = candidate
+            break
+    pad = -n_bytes % itemsize
+    if pad:
+        data = np.concatenate(
+            [data, np.zeros((*data.shape[:-1], pad), dtype=np.uint8)], axis=-1
+        )
+    if data.shape[-1] > 1 and data.strides[-1] != 1:
+        # A word view needs the bytes of each row adjacent in memory.
+        data = np.ascontiguousarray(data)
+    return data.view(np.dtype(f"u{itemsize}"))
 
 
 @dataclass(frozen=True)
@@ -251,8 +295,13 @@ def packed_hamming(a_data: np.ndarray, b_data: np.ndarray) -> np.ndarray:
 
     ``a_data`` and ``b_data`` are packed ``uint8`` arrays (``PackedBits.data``)
     of the *same* logical width; the result drops the byte axis, e.g.
-    ``(P, 1, nb) ^ (1, k, nb) -> (P, k)``.  This replaces the seed's dense
-    ``(P, k, s)`` ``!=``-broadcast with a tensor one eighth the size.
+    ``(P, 1, nb) ^ (1, k, nb) -> (P, k)``, as ``int64``.  The byte axis is
+    viewed as machine words (see :func:`_as_words`): rows of up to eight
+    bytes cost one XOR and one popcount over the broadcast shape, and wider
+    rows add one XOR + popcount per further 64-bit word into the running
+    count, so no reduction ever runs over the short word axis.  Any
+    contiguous unsigned words (a ``uint16`` key per row, say) can be passed
+    as their byte view.
     """
     a_data = np.asarray(a_data, dtype=np.uint8)
     b_data = np.asarray(b_data, dtype=np.uint8)
@@ -261,18 +310,28 @@ def packed_hamming(a_data: np.ndarray, b_data: np.ndarray) -> np.ndarray:
             "packed operands disagree on byte width: "
             f"{a_data.shape[-1]} vs {b_data.shape[-1]}"
         )
-    return popcount(np.bitwise_xor(a_data, b_data)).sum(axis=-1, dtype=np.int64)
+    if a_data.shape[-1] == 0:
+        return np.zeros(np.broadcast_shapes(a_data.shape[:-1], b_data.shape[:-1]), np.int64)
+    a_words, b_words = _as_words(a_data), _as_words(b_data)
+    distance = _popcount_words(a_words[..., 0] ^ b_words[..., 0]).astype(np.int64)
+    for word in range(1, a_words.shape[-1]):
+        distance += _popcount_words(a_words[..., word] ^ b_words[..., word])
+    return distance
 
 
 def pairwise_hamming(packed: PackedBits) -> np.ndarray:
     """All-pairs Hamming distance matrix of a stack of packed rows.
 
     ``packed`` holds ``n`` rows; returns the symmetric ``(n, n)`` ``int64``
-    distance matrix.  Work is chunked so the XOR scratch tensor stays under a
-    fixed byte budget regardless of ``n``, and only the upper block triangle
-    is computed — each chunk XORs against the rows at or after its own start
-    and the transpose fills the mirror half, roughly halving the popcount
-    traffic of the full Gram-style sweep.
+    distance matrix.  Rows are viewed as machine words (see
+    :func:`_as_words`) and laid out word-major, so each word of a chunk of
+    rows XORs against the same word of every later row in one contiguous
+    outer operation.  The per-word popcounts accumulate in the narrowest
+    unsigned integer holding the row width, so no reduction runs over the
+    short word axis and the counts are exact at any width.  Only the upper
+    block triangle is computed — each chunk compares against the rows at or
+    after its own start and the transpose fills the mirror half — and the
+    chunk height keeps one word's XOR scratch within a fixed byte budget.
     """
     data = np.ascontiguousarray(packed.data)
     if data.ndim != 2:
@@ -281,28 +340,17 @@ def pairwise_hamming(packed: PackedBits) -> np.ndarray:
     out = np.zeros((n, n), dtype=np.int64)
     if n_bytes == 0 or n == 0:
         return out
-    if _HAS_BITWISE_COUNT:
-        # Work in 64-bit words: zero-padding to a word multiple never adds
-        # popcount, and XOR + bitwise_count on uint64 does an eighth of the
-        # element traffic of the byte path.
-        pad = (-n_bytes) % 8
-        if pad:
-            data = np.ascontiguousarray(
-                np.pad(data, ((0, 0), (0, pad)), mode="constant")
-            )
-        data = data.view(np.uint64)
-        n_bytes = data.shape[1]
-    chunk = max(1, _CHUNK_BYTES // max(1, n * n_bytes * data.itemsize))
+    words = np.ascontiguousarray(_as_words(data).T)  # (n_words, n)
+    counts = np.min_scalar_type(8 * n_bytes)  # holds the largest distance
+    chunk = max(1, _CHUNK_BYTES // (n * words.itemsize))
     # Small chunks are what make the triangle trick pay: the wasted corner of
     # each chunk's [start:, :] slab shrinks with the chunk height.
     chunk = min(chunk, max(32, (n + 7) // 8))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        xor = data[start:stop, None, :] ^ data[None, start:, :]
-        if _HAS_BITWISE_COUNT:
-            block = np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
-        else:
-            block = popcount(xor).sum(axis=2, dtype=np.int64)
+        block = np.zeros((stop - start, n - start), dtype=counts)
+        for row in words:
+            block += _popcount_words(row[start:stop, None] ^ row[None, start:])
         out[start:stop, start:] = block
         out[start:, start:stop] = block.T
     return out

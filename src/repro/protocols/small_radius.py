@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.errors import ProtocolError
 from repro.obs.runtime import traced
-from repro.perf import pack_bits, packed_hamming
+from repro.perf import packed_hamming
 from repro.protocols.context import ProtocolContext
 from repro.protocols.select import (
     draw_sample_positions,
@@ -46,6 +46,37 @@ from repro.protocols.select import (
 from repro.protocols.zero_radius import popular_vectors, zero_radius
 
 __all__ = ["small_radius"]
+
+
+def _block_words(bits: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pack contiguous column blocks of a 0/1 matrix into unsigned words.
+
+    Block ``i`` is the next ``widths[i] >= 1`` columns of ``bits``; each of
+    its rows becomes ``ceil(widths[i] / 64)`` words holding the block's
+    columns in order, first column in the most significant bit.  A block of
+    at most 64 columns is thus one word, the row read as a binary number, so
+    numeric order on the words is lexicographic order on the rows; and the
+    XOR popcount of two rows' words is their Hamming distance on the block.
+    The words use the narrowest unsigned dtype holding ``min(64,
+    max(widths))`` bits, so the same width set always gives the same dtype.
+    Returns ``(words, starts)``: the ``(rows, n_words)`` word matrix and the
+    index of each block's first word.
+    """
+    widths = np.asarray(widths, dtype=np.int64)
+    dtype = np.min_scalar_type((1 << min(64, int(widths.max()))) - 1)
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+    col_block = np.repeat(np.arange(widths.size), widths)
+    position = np.arange(offsets[-1]) - offsets[col_block]
+    shifts = (np.minimum(64, widths[col_block]) - 1 - (position & 63)).astype(np.uint64)
+    weights = (np.uint64(1) << shifts).astype(dtype)
+    words = np.add.reduceat(
+        np.multiply(bits, weights, dtype=dtype),
+        np.flatnonzero((position & 63) == 0),
+        axis=1,
+        dtype=dtype,
+    )
+    starts = np.concatenate(([0], np.cumsum((widths + 63) // 64)[:-1]))
+    return words, starts
 
 
 def _popular_vectors_blocks(
@@ -58,26 +89,22 @@ def _popular_vectors_blocks(
     ``popular_vectors(published[:, block], min_support)`` — same rows, same
     ascending-lexicographic order — but blocks of ≤ 64 bits (the common
     case: base subsets are small by construction) are resolved together:
-    each block row becomes one uint64 key (first column most significant, so
-    numeric order equals lexicographic row order), one column-wise sort
-    orders every block at once, and one run-length pass finds the rows with
-    enough support.  Only blocks wider than 64 bits fall back to the
-    per-block call.
+    each block row becomes one word key (:func:`_block_words`), one sort
+    orders every block's keys at once, and one run-length pass finds the
+    rows with enough support.  Only blocks wider than 64 bits fall back to
+    the per-block call.
     """
-    n_players, total = published.shape
+    n_players = published.shape[0]
     widths = np.asarray(widths, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(widths)))
     min_support = max(1, int(min_support))
 
-    col_block = np.repeat(np.arange(widths.size), widths)
-    shifts = widths[col_block] - 1 - (np.arange(total) - offsets[col_block])
-    narrow_col = shifts < 64
-    weights = np.zeros(total, dtype=np.uint64)
-    weights[narrow_col] = np.uint64(1) << shifts[narrow_col].astype(np.uint64)
-    keys = np.add.reduceat(
-        published.astype(np.uint64) * weights[None, :], offsets[:-1], axis=1
-    )
-    flat = np.sort(keys, axis=0).T.ravel()  # block-major, sorted within block
+    words, word_starts = _block_words(published, widths)
+    # One key per block row: its first word, the whole row for blocks of
+    # ≤ 64 bits.  Block-major, so each block's keys sort as one contiguous row.
+    keys = words.T[word_starts]
+    keys.sort(axis=1)
+    flat = keys.ravel()
     is_start = np.empty(flat.size, dtype=bool)
     is_start[0] = True
     is_start[1:] = flat[1:] != flat[:-1]
@@ -105,6 +132,23 @@ def _popular_vectors_blocks(
             ((block_keys[:, None] >> bit_shifts[None, :]) & np.uint64(1)).astype(np.uint8)
         )
     return blocks
+
+
+def _first_argmin(distances: np.ndarray, max_distance: int) -> np.ndarray:
+    """``distances.argmin(axis=0)`` for distances in ``[0, max_distance]``.
+
+    Each candidate's index is folded into its distance as ``distance · k +
+    index`` (in the narrowest unsigned dtype holding the largest key), so
+    the smallest key names the first closest candidate, as argmin does, and
+    one min over the leading axis — a vectorised pass per candidate —
+    replaces argmin's scan along a short axis for every element.
+    """
+    count = distances.shape[0]
+    dtype = np.min_scalar_type((max_distance + 1) * count - 1)
+    keys = distances.astype(dtype)
+    keys *= dtype.type(count)
+    keys += np.arange(count, dtype=dtype).reshape(count, *[1] * (keys.ndim - 1))
+    return keys.min(axis=0) % count
 
 
 @traced("small_radius")
@@ -255,8 +299,7 @@ def _batched_base_repetition(
     # defer the probe (``pending``) to one block at the end.
     write_cols: list[np.ndarray] = []
     write_vals: list[np.ndarray] = []
-    pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
-    sampled_objects: list[np.ndarray] = []
+    pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     run_start = 0
 
     def resolve_run(run_stop: int) -> None:
@@ -285,8 +328,7 @@ def _batched_base_repetition(
                 continue
             subset = base_subsets[index]
             positions = draw_sample_positions(ctx, subset.size, select_sample)
-            pending.append((cols, candidates, positions, len(sampled_objects)))
-            sampled_objects.append(subset[positions])
+            pending.append((subset[positions], cols, candidates, positions))
         run_start = run_stop
 
     base_index = 0
@@ -326,34 +368,49 @@ def _batched_base_repetition(
         ctx.board.post_report_block(f"{channel}/pub", players, merged, published)
 
     if pending:
-        # Final pass: one probe block over every deferred subset's sample,
-        # then one packed argmin per distinct candidate count — subsets with
-        # the same count stack into a single (S, P, k) kernel call, sample
-        # widths zero-padded (pads are zero in both operands, so they add no
-        # disagreement and cannot move the argmin or its tie-breaks).
-        sample_offsets = np.cumsum([0] + [sample.size for sample in sampled_objects])
-        true_samples = ctx.oracle.probe_block(players, np.concatenate(sampled_objects))
-        by_count: dict[int, list[int]] = {}
-        for index, (_, candidates, _, _) in enumerate(pending):
-            by_count.setdefault(candidates.shape[0], []).append(index)
-        for n_candidates, indices in by_count.items():
-            max_width = max(pending[i][2].size for i in indices)
-            true_pad = np.zeros((len(indices), players.size, max_width), dtype=np.uint8)
-            cand_pad = np.zeros((len(indices), n_candidates, max_width), dtype=np.uint8)
-            for row, i in enumerate(indices):
-                _, candidates, positions, sample_index = pending[i]
-                sample = slice(sample_offsets[sample_index], sample_offsets[sample_index + 1])
-                true_pad[row, :, : positions.size] = true_samples[:, sample]
-                cand_pad[row, :, : positions.size] = candidates[:, positions]
+        # Final pass: one probe block over every deferred subset's sample.
+        # One builder packs each subset's sample into words, for every
+        # player row and every candidate row alike, and each (candidate
+        # count, word count) group of subsets stacks into one (k, P, S)
+        # packed argmin.
+        sample_widths = np.asarray([positions.size for *_, positions in pending])
+        counts = np.asarray([candidates.shape[0] for _, _, candidates, _ in pending])
+        true_samples = ctx.oracle.probe_block(
+            players, np.concatenate([sampled for sampled, *_ in pending])
+        )
+        true_words, true_starts = _block_words(true_samples, sample_widths)
+        # One block per candidate row, of its subset's sample width: the
+        # width set is the players', so the word dtype is too.
+        cand_words, cand_starts = _block_words(
+            np.concatenate(
+                [candidates[:, positions].ravel() for _, _, candidates, positions in pending]
+            )[None, :],
+            np.repeat(sample_widths, counts),
+        )
+        cand_starts = cand_starts[np.cumsum(counts) - counts]
+        groups: dict[tuple[int, int], list[int]] = {}
+        n_words = (sample_widths + 63) // 64
+        for index, key in enumerate(zip(counts.tolist(), n_words.tolist())):
+            groups.setdefault(key, []).append(index)
+        for (count, words), indices in groups.items():
+            true_block = np.take(
+                true_words, true_starts[indices][:, None] + np.arange(words), axis=1
+            )  # (P, S, words), C-contiguous so its bytes view in place
+            cand_block = cand_words[
+                0,
+                cand_starts[indices][None, :, None]
+                + words * np.arange(count)[:, None, None]
+                + np.arange(words),
+            ]  # (k, S, words)
             disagreements = packed_hamming(
-                pack_bits(true_pad).data[:, :, None, :],
-                pack_bits(cand_pad).data[:, None, :, :],
-            )  # (S, P, k)
-            choices = disagreements.argmin(axis=2)
+                cand_block.view(np.uint8)[:, None, :, :],
+                true_block.view(np.uint8)[None, :, :, :],
+            )  # (k, P, S)
+            choices = _first_argmin(disagreements, int(sample_widths[indices].max()))
             for row, i in enumerate(indices):
-                cols, candidates, _, _ = pending[i]
+                _, cols, candidates, _ = pending[i]
                 write_cols.append(cols)
-                write_vals.append(candidates[choices[row]])
+                write_vals.append(candidates[choices[:, row]])
     if write_cols:
         # All base-subset results land in one column scatter instead of one
         # strided write per subset.

@@ -80,11 +80,19 @@ class SharedRandomness:
 
     def partition_objects(self, objects: np.ndarray, parts: int) -> list[np.ndarray]:
         """Randomly partition ``objects`` into ``parts`` disjoint subsets
-        (SmallRadius step 1)."""
+        (SmallRadius step 1).
+
+        Each object draws its subset uniformly; subset ``i`` lists its
+        objects in input order and may be empty.  One stable sort groups
+        the objects by subset, in place of one mask over every object per
+        subset.
+        """
         objects = np.asarray(objects, dtype=np.int64)
         parts = max(1, min(int(parts), max(1, objects.size)))
         assignment = self._rng.integers(0, parts, size=objects.size)
-        return [objects[assignment == i] for i in range(parts)]
+        grouped = objects[np.argsort(assignment, kind="stable")]
+        stops = np.cumsum(np.bincount(assignment, minlength=parts)).tolist()
+        return [grouped[start:stop] for start, stop in zip([0, *stops[:-1]], stops)]
 
     def assign_probers(
         self,

@@ -2,11 +2,11 @@
 
 Each function here is the plain, one-step-at-a-time form of a batched
 production path: SmallRadius run subset by subset, and work sharing run
-cluster by cluster.  They make the same probes, posts, strategy calls and
-shared-randomness draws in the order the protocol describes them, so a
-batched path is correct exactly when it matches its reference bit for bit
-(outputs, probe accounting, randomness state, strategy state and board
-contents).  Nothing in ``src/`` calls them.
+cluster by cluster (one :func:`cluster_majority_vote` each).  They make the
+same probes, posts, strategy calls and shared-randomness draws in the order
+the protocol describes them, so a batched path is correct exactly when it
+matches its reference bit for bit (outputs, probe accounting, randomness
+state, strategy state and board contents).  Nothing in ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pickle
 import numpy as np
 
 from repro.core.clustering import Clustering
-from repro.core.work_sharing import cluster_majority_vote
 from repro.protocols.context import ProtocolContext
 from repro.protocols.select import select_collective, select_per_player
 from repro.protocols.zero_radius import popular_vectors, zero_radius
@@ -79,6 +78,27 @@ def small_radius_per_subset(
     return select_per_player(
         ctx, players, objects, repetition_candidates, sample_size=select_sample
     )
+
+
+def cluster_majority_vote(
+    ctx: ProtocolContext, members: np.ndarray, redundancy: int, channel: str
+) -> np.ndarray:
+    """One cluster's shared prediction vector by redundant probing: for
+    every object, ``redundancy`` members chosen by the shared randomness
+    (with replacement) probe it and post their reports, and the prediction
+    is the majority of the posted reports (ties go to 1)."""
+    members = np.asarray(members, dtype=np.int64)
+    n_objects = ctx.n_objects
+    assignment = ctx.randomness.assign_probers(members, n_objects, redundancy)
+    objects = np.repeat(np.arange(n_objects, dtype=np.int64), redundancy)
+    probers = assignment.reshape(-1)
+    true_values = ctx.oracle.probe_pairs(probers, objects)
+    reported = ctx.pool.reports_pairs(probers, objects, true_values)
+    ctx.board.post_report_pairs(
+        channel, probers, objects, reported, consistent=not ctx.pool.has_strategies
+    )
+    likes = reported.reshape(n_objects, redundancy).sum(axis=1, dtype=np.int64)
+    return (2 * likes >= redundancy).astype(np.uint8)
 
 
 def share_work_per_cluster(

@@ -14,9 +14,8 @@ from repro.core.sampling import (
     sample_disagreements,
     select_sample_set,
 )
-from repro.core.work_sharing import cluster_majority_vote, share_work
+from repro.core.work_sharing import share_work
 from repro.errors import ProtocolError
-from repro.players.adversaries import InvertingStrategy
 from repro.preferences.metrics import prediction_errors
 from repro.simulation.randomness import AdversarialRandomness
 
@@ -134,13 +133,6 @@ class TestClusterPlayers:
 
 
 class TestWorkSharing:
-    def test_cluster_majority_matches_cluster_consensus(self, constants):
-        instance = zero_radius_instance(n_players=32, n_objects=40, n_clusters=2, seed=0)
-        ctx = make_context(instance, budget=4, constants=constants, seed=0)
-        members = instance.cluster_members(0)
-        vector = cluster_majority_vote(ctx, members, redundancy=5, channel="t")
-        np.testing.assert_array_equal(vector, instance.preferences[members[0]])
-
     def test_share_work_assigns_every_player(self, constants):
         instance = zero_radius_instance(n_players=32, n_objects=40, n_clusters=4, seed=1)
         ctx = make_context(instance, budget=4, constants=constants, seed=1)
@@ -164,19 +156,3 @@ class TestWorkSharing:
         expected_per_player = 64 * redundancy / 32  # objects * redundancy / cluster size
         assert ctx.oracle.max_probes() <= 4 * expected_per_player
         assert ctx.oracle.max_probes() < 64
-
-    def test_dishonest_minority_outvoted(self, constants):
-        instance = zero_radius_instance(n_players=48, n_objects=48, n_clusters=2, seed=3)
-        members = instance.cluster_members(0)
-        liars = members[:3]
-        strategies = {int(p): InvertingStrategy() for p in liars}
-        ctx = make_context(instance, budget=4, constants=constants, strategies=strategies, seed=3)
-        vector = cluster_majority_vote(ctx, members, redundancy=9, channel="t")
-        errors = int((vector != instance.preferences[members[-1]]).sum())
-        assert errors <= 3  # a 1/8 dishonest minority flips almost nothing
-
-    def test_invalid_inputs(self, ctx_planted):
-        with pytest.raises(ProtocolError):
-            cluster_majority_vote(ctx_planted, np.asarray([], dtype=np.int64), 3, "t")
-        with pytest.raises(ProtocolError):
-            cluster_majority_vote(ctx_planted, np.asarray([0]), 0, "t")

@@ -31,10 +31,11 @@ from repro.core.clustering import Clustering, build_neighbor_graph
 from repro.core.work_sharing import share_work
 from repro.players.adversaries import (
     COALITION_STRATEGIES,
+    InvertingStrategy,
     RandomReportStrategy,
     build_coalition,
 )
-from repro.preferences.generators import planted_clusters_instance
+from repro.preferences.generators import planted_clusters_instance, zero_radius_instance
 from repro.protocols.context import make_context
 from repro.scenarios.engine import _resolve_probe_limits, run_scenario
 from repro.scenarios.registry import get_scenario
@@ -416,6 +417,28 @@ class TestShareWorkBatching:
         looped = share_work_per_cluster(ctx_l, clustering)
         np.testing.assert_array_equal(batched, looped)
         assert_same_execution(ctx_b, ctx_l)
+
+    @pytest.mark.parametrize("liars", [0, 3])
+    def test_share_work_recovers_cluster_consensus(self, liars):
+        # Zero-radius clusters: each cluster's members share one preference
+        # vector, which every member's vote recovers exactly; three
+        # inverting liars (1/8 of cluster 0) flip almost nothing.
+        instance = zero_radius_instance(n_players=48, n_objects=48, n_clusters=2, seed=3)
+        clusters = [instance.cluster_members(cid) for cid in range(2)]
+        clustering = Clustering(assignment=instance.cluster_of.copy(), clusters=clusters)
+        strategies = {int(p): InvertingStrategy() for p in clusters[0][:liars]}
+
+        def context():
+            return make_context(instance, budget=4, strategies=strategies, seed=3)
+
+        ctx_b = context()
+        batched = share_work(ctx_b, clustering)
+        ctx_l = context()
+        np.testing.assert_array_equal(batched, share_work_per_cluster(ctx_l, clustering))
+        assert_same_execution(ctx_b, ctx_l)
+        for members in clusters:
+            errors = (batched[members] != instance.preferences[members[-1]]).sum(axis=1)
+            assert errors.max() <= (3 if liars else 0)
 
 
 class TestParallelDiameterSearch:

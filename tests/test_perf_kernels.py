@@ -8,6 +8,7 @@ for any worker count.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.protocols.context import make_context
 from repro.protocols.small_radius import small_radius
 from repro.simulation.board import BulletinBoard
 from repro.simulation.oracle import ProbeOracle
-from reference_loops import small_radius_per_subset
+from reference_loops import assert_same_execution, small_radius_per_subset
 
 # Widths straddling byte boundaries, including non-multiples of 8.
 WIDTHS = [1, 3, 7, 8, 9, 13, 16, 17, 31, 64, 65, 100, 130]
@@ -99,6 +100,61 @@ def test_packed_hamming_width_mismatch_raises():
         packed_hamming(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 4), dtype=np.uint8))
 
 
+# Byte widths on both sides of every word size (1, 2, 4 and 8 bytes) and
+# several 64-bit word counts.
+HAMMING_BYTE_WIDTHS = [*range(1, 18), 24, 33, 65, 72, 130]
+
+
+def _operand_pairs(rng, n_bits):
+    """(a, b) dense operand pairs of one logical width: broadcast shapes,
+    per-player stacks, a 1-D pair and an empty leading axis."""
+    yield _random_binary(rng, (9, 1, n_bits)), _random_binary(rng, (1, 5, n_bits))
+    yield _random_binary(rng, (3, 6, 1, n_bits)), _random_binary(rng, (3, 1, 4, n_bits))
+    yield _random_binary(rng, (7, 4, n_bits)), _random_binary(rng, (7, 1, n_bits))
+    yield _random_binary(rng, (n_bits,)), _random_binary(rng, (n_bits,))
+    yield _random_binary(rng, (0, 1, n_bits)), _random_binary(rng, (1, 3, n_bits))
+
+
+@pytest.mark.parametrize("lookup_table", [False, True], ids=["bitwise_count", "lut"])
+@pytest.mark.parametrize("n_bytes", HAMMING_BYTE_WIDTHS)
+def test_packed_hamming_word_widths_match_reference(n_bytes, lookup_table, monkeypatch):
+    import repro.perf.bitset as bitset
+
+    if lookup_table:
+        monkeypatch.setattr(bitset, "_HAS_BITWISE_COUNT", False)
+    rng = np.random.default_rng(n_bytes)
+    n_bits = 8 * n_bytes - int(rng.integers(0, 8))  # pad bits in the last byte
+    for a, b in _operand_pairs(rng, n_bits):
+        reference = (a != b).sum(axis=-1)
+        a_data, b_data = pack_bits(a).data, pack_bits(b).data
+        got = packed_hamming(a_data, b_data)
+        assert np.asarray(got).dtype == np.int64
+        assert np.array_equal(got, reference)
+        # Layouts the word view must not depend on: a Fortran-ordered
+        # operand (row bytes not adjacent) and a broadcast one (stride 0).
+        assert np.array_equal(packed_hamming(np.asfortranarray(a_data), b_data), reference)
+        shape = np.broadcast_shapes(a_data.shape, b_data.shape)
+        assert np.array_equal(packed_hamming(np.broadcast_to(a_data, shape), b_data), reference)
+
+
+def test_packed_hamming_accepts_word_byte_views():
+    # Words packed elsewhere (a uint16 key per row, say) compare as their
+    # byte view; the XOR popcount does not depend on how bits are grouped.
+    rng = np.random.default_rng(12)
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        a = rng.integers(0, np.iinfo(dtype).max, size=(6, 1, 3), dtype=dtype, endpoint=True)
+        b = rng.integers(0, np.iinfo(dtype).max, size=(1, 5, 3), dtype=dtype, endpoint=True)
+        bits_a = np.unpackbits(a.view(np.uint8), axis=-1)
+        bits_b = np.unpackbits(b.view(np.uint8), axis=-1)
+        reference = (bits_a != bits_b).sum(axis=-1)
+        assert np.array_equal(packed_hamming(a.view(np.uint8), b.view(np.uint8)), reference)
+
+
+def test_packed_hamming_zero_width_operands():
+    got = packed_hamming(np.zeros((3, 1, 0), np.uint8), np.zeros((1, 2, 0), np.uint8))
+    assert got.shape == (3, 2) and got.dtype == np.int64 and not got.any()
+
+
 def test_pairwise_hamming_matches_reference():
     rng = np.random.default_rng(4)
     for width in WIDTHS:
@@ -115,6 +171,37 @@ def test_pairwise_hamming_chunking_boundary(monkeypatch):
     reference = pairwise_hamming(pack_bits(rows))
     monkeypatch.setattr(bitset, "_CHUNK_BYTES", 64)  # force many tiny chunks
     assert np.array_equal(pairwise_hamming(pack_bits(rows)), reference)
+
+
+@pytest.mark.parametrize(
+    "n_rows, width",
+    [(1, 13), (1, 0), (6, 0), (0, 9), (40, 1), (40, 3), (40, 31), (40, 248), (40, 256),
+     (40, 1001), (17, 4099), (3, 70001)],
+)
+def test_pairwise_hamming_is_exact_at_every_width(n_rows, width):
+    # Widths that are not byte multiples leave pad bits in the last byte.
+    # The all-zeros and all-ones rows reach the largest distance, the row
+    # width, on both sides of each accumulator size (255 and 65535 bits).
+    rng = np.random.default_rng(n_rows + width)
+    rows = _random_binary(rng, (n_rows, width))
+    rows[:2] = np.arange(2)[:n_rows, None]
+    reference = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
+    got = pairwise_hamming(pack_bits(rows))
+    assert got.dtype == np.int64 and got.shape == (n_rows, n_rows)
+    assert np.array_equal(got, reference)
+
+
+@pytest.mark.parametrize("lookup_table", [False, True], ids=["bitwise_count", "lut"])
+def test_pairwise_hamming_under_both_popcounts(lookup_table, monkeypatch):
+    import repro.perf.bitset as bitset
+
+    if lookup_table:
+        monkeypatch.setattr(bitset, "_HAS_BITWISE_COUNT", False)
+    rng = np.random.default_rng(13)
+    for width in (5, 16, 27, 64, 100, 130):
+        rows = _random_binary(rng, (37, width))
+        reference = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
+        assert np.array_equal(pairwise_hamming(pack_bits(rows)), reference)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +284,22 @@ def test_build_neighbor_graph_matches_gram_reference():
             build_neighbor_graph(published, threshold),
             _reference_neighbor_graph(published, threshold),
         )
+
+
+def test_build_neighbor_graph_threshold_on_an_integer_distance():
+    # Row j holds ones[j] leading ones, so d(i, j) = |ones[i] - ones[j]|.
+    ones = np.asarray([0, 4, 5, 6, 11, 39])
+    published = (np.arange(40)[None, :] < ones[:, None]).astype(np.uint8)
+    distances = np.abs(ones[:, None] - ones[None, :])
+    off_diagonal = ~np.eye(ones.size, dtype=bool)
+    # A distance equal to the threshold is an edge; the next double below
+    # it is not, and neither is 5 - 1e-8, which float32 would round to 5.
+    for threshold in (5.0, 5, np.nextafter(5.0, 0.0), 5 - 1e-8, np.nextafter(5.0, 6.0)):
+        got = build_neighbor_graph(published, threshold)
+        assert np.array_equal(got, (distances <= threshold) & off_diagonal), threshold
+        assert np.array_equal(got, _reference_neighbor_graph(published, threshold))
+    assert build_neighbor_graph(published, 5.0)[0, 2]
+    assert not build_neighbor_graph(published, 5 - 1e-8)[0, 2]
 
 
 def test_cluster_players_incremental_matches_recompute_reference():
@@ -302,34 +405,64 @@ class _HonestLiar(ReportingStrategy):
         return np.asarray(true_values, dtype=np.uint8)
 
 
-def test_small_radius_batched_path_matches_per_subset_loop():
-    instance = planted_clusters_instance(32, 64, n_clusters=4, diameter=4, seed=11)
-    # The practical profile at D=4 makes every partition subset a ZeroRadius
-    # base case; a low base factor at D=1 makes every subset recurse, so a
-    # repetition has no base subsets at all.
-    no_base = replace(ProtocolConstants.practical(), zero_radius_base_factor=0.2)
+# Select sample width classes of the batched path's word kernel.  At n = 32
+# (ln 32 ≈ 3.47) a factor f samples min(ceil(f · ln n), subset size) bits,
+# which the deferred Select packs into one uint8/16/32/64 word, or into two
+# 64-bit words past 64 bits.  Subsets here hold about 80 objects.
+SAMPLE_WIDTH_CLASSES = [
+    pytest.param(2.0, 1, id="le8"),  # 7 bits
+    pytest.param(4.0, 2, id="9to16"),  # 14 bits (the practical profile)
+    pytest.param(8.0, 4, id="17to32"),  # 28 bits
+    pytest.param(16.0, 8, id="33to64"),  # 56 bits
+    pytest.param(32.0, 16, id="gt64"),  # about 80 bits
+    # A low base factor at D=1 makes every subset recurse, so a repetition
+    # has no base subsets and no deferred Select at all.
+    pytest.param(None, 0, id="no-base"),
+]
 
-    def run(solver, strategies, constants, diameter):
+
+@pytest.mark.parametrize("sample_factor, word_bytes", SAMPLE_WIDTH_CLASSES)
+def test_small_radius_batched_path_matches_per_subset_loop(
+    sample_factor, word_bytes, monkeypatch
+):
+    # The package re-exports the function under the module's name.
+    small_radius_module = importlib.import_module("repro.protocols.small_radius")
+    instance = planted_clusters_instance(32, 320, n_clusters=4, diameter=4, seed=11)
+    if sample_factor is None:
+        constants = replace(ProtocolConstants.practical(), zero_radius_base_factor=0.2)
+        diameter = 1
+    else:
+        # At D=4 every partition subset is a ZeroRadius base case.
+        constants = ProtocolConstants.practical().with_overrides(
+            rselect_sample_factor=sample_factor
+        )
+        diameter = 4
+
+    operand_bytes: list[int] = []
+    deferred_kernel = small_radius_module.packed_hamming
+
+    def spy(a_data, b_data):
+        operand_bytes.append(a_data.shape[-1])
+        return deferred_kernel(a_data, b_data)
+
+    monkeypatch.setattr(small_radius_module, "packed_hamming", spy)
+
+    def run(solver, strategies):
         ctx = make_context(
             instance, budget=4, constants=constants, strategies=strategies, seed=7
         )
         return solver(ctx, ctx.all_players(), ctx.all_objects(), diameter), ctx
 
-    for constants, diameter in ((None, 4), (no_base, 1)):
-        batched, batched_ctx = run(small_radius, None, constants, diameter)
-        for solver, strategies in (
-            (small_radius, {0: _HonestLiar()}),
-            (small_radius_per_subset, None),
-            (small_radius_per_subset, {0: _HonestLiar()}),
-        ):
-            other, other_ctx = run(solver, strategies, constants, diameter)
-            assert np.array_equal(batched, other)
-            assert np.array_equal(
-                batched_ctx.oracle.probes_used(), other_ctx.oracle.probes_used()
-            )
-            assert np.array_equal(
-                batched_ctx.oracle.requests_used(), other_ctx.oracle.requests_used()
-            )
+    estimates = []
+    for strategies in (None, {0: _HonestLiar()}):
+        batched, batched_ctx = run(small_radius, strategies)
+        looped, looped_ctx = run(small_radius_per_subset, strategies)
+        np.testing.assert_array_equal(batched, looped)
+        assert_same_execution(batched_ctx, looped_ctx)
+        estimates.append(batched)
+    np.testing.assert_array_equal(estimates[0], estimates[1])
+    # The deferred Select ran on words of the intended width class.
+    assert max(operand_bytes, default=0) == word_bytes
 
 
 # ---------------------------------------------------------------------------

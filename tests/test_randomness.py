@@ -51,6 +51,26 @@ class TestSharedRandomness:
         parts = rng.partition_objects(np.arange(3), 10)
         assert len(parts) == 3
 
+    def test_partition_objects_matches_mask_comprehension(self):
+        # The subsets of one integers draw, built one mask per subset.
+        cases = np.random.default_rng(11)
+        for seed in range(40):
+            n = int(cases.integers(0, 60))
+            requested = int(cases.integers(1, 80))  # often more parts than objects
+            objects = np.sort(cases.choice(500, size=n, replace=False))
+            rng, reference = SharedRandomness(seed), SharedRandomness(seed)
+            got = rng.partition_objects(objects, requested)
+            parts = max(1, min(requested, max(1, n)))
+            assignment = reference.generator.integers(0, parts, size=n)
+            want = [objects[assignment == i] for i in range(parts)]
+            assert len(got) == len(want)
+            for subset, expected in zip(got, want):
+                assert subset.dtype == np.int64
+                np.testing.assert_array_equal(subset, expected)
+            assert (
+                rng.generator.bit_generator.state == reference.generator.bit_generator.state
+            )
+
     def test_assign_probers_shape_and_membership(self):
         rng = SharedRandomness(4)
         members = np.asarray([3, 8, 11])
