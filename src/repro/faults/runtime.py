@@ -85,8 +85,12 @@ class FaultInjector:
         return fault
 
 
-#: The installed injector, if any.  Workers are single-threaded, so a plain
-#: module global (rather than a contextvar) is sufficient and cheaper.
+#: The installed injector, if any: one slot for the whole process, read by
+#: every thread.  A trial worker runs one execution at a time, but
+#: ``disk_fault_gate`` also runs on the server's per-session worker threads
+#: under a plan installed from another thread (the durability tests install
+#: from the test thread), so concurrent sessions under one plan share its
+#: occurrence counters: install a disk plan around one session's work only.
 _ACTIVE: FaultInjector | None = None
 
 

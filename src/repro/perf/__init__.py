@@ -34,7 +34,6 @@ from repro.perf import bitset as _bitset
 from repro.perf.bitset import PackedBits, bit_cover, column_plan, popcount
 
 pack_bits = timed_kernel(_bitset.pack_bits)
-packed_gather_columns = timed_kernel(_bitset.packed_gather_columns)
 packed_hamming = timed_kernel(_bitset.packed_hamming)
 packed_majority = timed_kernel(_bitset.packed_majority)
 packed_majority_tall = timed_kernel(_bitset.packed_majority_tall)
@@ -49,7 +48,6 @@ __all__ = [
     "bit_cover",
     "column_plan",
     "pack_bits",
-    "packed_gather_columns",
     "packed_hamming",
     "packed_majority",
     "packed_majority_tall",

@@ -46,7 +46,6 @@ __all__ = [
     "packed_masked_majority",
     "packed_pair_vote",
     "packed_scatter_columns",
-    "packed_gather_columns",
     "packed_unique_rows",
 ]
 
@@ -242,28 +241,6 @@ def packed_scatter_columns(
         rows = np.asarray(rows, dtype=np.int64)
         sub = dest[rows[:, None], touched[None, :]]
         dest[rows[:, None], touched[None, :]] = (sub & ~cover) | contrib
-
-
-def packed_gather_columns(
-    source: np.ndarray, columns: np.ndarray, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """Read bit columns out of packed rows.
-
-    Inverse of :func:`packed_scatter_columns`: returns the dense 0/1 matrix
-    of shape ``(rows, len(columns))`` holding bit ``columns[j]`` of each
-    selected row.  Only the touched bytes are gathered and unpacked.
-    """
-    columns = np.asarray(columns, dtype=np.int64)
-    if columns.size and not np.all(columns[1:] > columns[:-1]):
-        raise ProtocolError("columns must be strictly increasing")
-    n_rows = source.shape[0] if rows is None else np.asarray(rows).size
-    if columns.size == 0:
-        return np.zeros((n_rows, 0), dtype=np.uint8)
-    byte_idx = columns >> 3
-    touched, inverse = np.unique(byte_idx, return_inverse=True)
-    sub = source[:, touched] if rows is None else source[np.asarray(rows)[:, None], touched[None, :]]
-    bits = np.unpackbits(sub, axis=1)
-    return bits[:, inverse * 8 + (columns & 7)]
 
 
 def packed_masked_majority(

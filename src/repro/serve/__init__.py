@@ -14,10 +14,10 @@ The package splits along the control/state boundary:
 * :mod:`repro.serve.server` — the asyncio control plane: connections,
   dispatch, the pub/sub publisher, overload shedding, idle eviction,
   session recovery and graceful shutdown.
-* :mod:`repro.serve.client` — sync and async typed clients with
+* :mod:`repro.serve.client` — one typed async client state machine with
   auto-reconnect, heartbeat liveness probes and cursor-based stream
-  resume (connection loss surfaces as a typed
-  :class:`~repro.errors.ConnectionLost`, never a raw ``OSError``).
+  resume, plus a blocking facade over it (connection loss surfaces as a
+  typed :class:`~repro.errors.ConnectionLost`, never a raw ``OSError``).
 * :mod:`repro.serve.cli` — the ``serve`` / ``call`` / ``watch`` verbs.
 
 Everything is stdlib + numpy; the server holds no state that is not

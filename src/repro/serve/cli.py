@@ -18,10 +18,10 @@ serving imports until a serve verb actually runs.
   and print the JSON response.  ``python -m repro call --connect HOST:PORT
   open --params '{"scenario": "zero-radius-exact", "seed": 1}'``.
 * ``watch`` — open a session, subscribe, kick off a full run and stream the
-  round-result / board-delta / telemetry events as JSON lines until the run
-  completes.  Each line carries the event's ``(session, seq)`` cursor; a
-  jump in ``seq`` (or a server ``gap`` event) is flagged on stderr so
-  missed frames never pass silently.
+  round-result / board-delta / telemetry events as JSON lines until every
+  trial's round-result has arrived.  Each line carries the event's
+  ``(session, seq)`` cursor; a jump in ``seq`` (or a server ``gap`` event)
+  is flagged on stderr so missed frames never pass silently.
 """
 
 from __future__ import annotations
@@ -120,14 +120,26 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         client.subscribe(session)
         print(json.dumps({"opened": session, "scenario": args.scenario}), flush=True)
         result = client.run(session, trials=args.trials, workers=args.workers)
-        # The run response arrives after the publisher has flushed its final
-        # events into our buffer; drain what we saw (each line carries its
-        # (session, seq) cursor), then summarise.  A jump in seq — or a
-        # server gap event after a reconnect — means frames this watcher can
-        # never get back; flag it on stderr instead of passing silently.
+        # The publisher streams round results on its own tick, so most of
+        # them can arrive *after* the run response.  Print events in arrival
+        # order (each line carries its (session, seq) cursor) until one
+        # round-result per returned row has been printed.  A jump in seq —
+        # or a server gap event after a reconnect — means frames this
+        # watcher can never get back; flag it on stderr instead of passing
+        # silently.
+        trials = len(result["rows"])
         expected_seq: int | None = None
-        while client.events:
-            frame = client.events.popleft()
+        rounds = 0
+        while rounds < trials or client.events:
+            try:
+                frame = client.wait_event(timeout_s=30.0)
+            except TimeoutError:
+                print(
+                    f"warning: {trials - rounds} round result(s) did not "
+                    "arrive within 30s",
+                    file=sys.stderr, flush=True,
+                )
+                break
             seq = frame.get("seq")
             if frame.get("event") == "gap":
                 print(
@@ -143,9 +155,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                         file=sys.stderr, flush=True,
                     )
                 expected_seq = int(seq) + 1
+            if frame.get("event") == "round-result":
+                rounds += 1
             print(json.dumps(frame), flush=True)
         summary = {
-            "completed": len(result["rows"]),
+            "completed": trials,
             "wall_s": round(result["wall_s"], 3),
             "stats": result["stats"],
             "last_seq": client.last_seen.get(session),
@@ -153,7 +167,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         }
         print(json.dumps(summary), flush=True)
         client.call("close", session=session)
-    return 0
+    return 0 if rounds >= trials else 1
 
 
 def add_serve_commands(sub: argparse._SubParsersAction) -> None:

@@ -133,10 +133,6 @@ class BulletinBoard:
         entry = self._scalar.get(channel, {}).get(key)
         return default if entry is None else entry.value
 
-    def read_entry(self, channel: str, key: Any) -> BoardEntry | None:
-        """Read the full entry (including owner) posted under ``key``."""
-        return self._scalar.get(channel, {}).get(key)
-
     def entries(self, channel: str) -> Iterator[BoardEntry]:
         """Iterate over all scalar entries on ``channel``."""
         return iter(self._scalar.get(channel, {}).values())
@@ -349,50 +345,6 @@ class BulletinBoard:
         for _ in range(2 if faulted == "duplicate" else 1):
             self._write_block(channel, players, objects, values)
 
-    def post_report_block_packed(
-        self,
-        channel: str,
-        players: np.ndarray,
-        objects: np.ndarray,
-        values: PackedBits,
-    ) -> None:
-        """Post a dense block whose values arrive already bit-packed.
-
-        ``values`` is packed along the *object* axis with logical shape
-        ``(len(players), len(objects))`` — exactly what
-        ``ProbeOracle.probe_block(..., packed=True)`` returns — so a caller
-        on the packed dataflow never materialises a dense report block of
-        its own.  The board realigns the bits to its object-major rows with
-        one C-level unpack of the block (packing orientation necessarily
-        flips between the player-major oracle and the object-major board);
-        validation of the bit values is free because packed bits are binary
-        by construction.
-        """
-        faulted = board_fault_gate()
-        if faulted == "drop":
-            return
-        players = np.asarray(players, dtype=np.int64)
-        objects = np.asarray(objects, dtype=np.int64)
-        if not isinstance(values, PackedBits):
-            raise ConfigurationError(
-                "post_report_block_packed requires a PackedBits value block"
-            )
-        players, objects, player_keep, object_keep = self._prepare_block(
-            "post_report_block_packed", players, objects, values.shape
-        )
-        if players.size == 0 or objects.size == 0:
-            return
-        bits = values.unpack()
-        if player_keep is not None:
-            bits = bits[player_keep]
-        if object_keep is not None:
-            bits = bits[:, object_keep]
-        if obs._AMBIENT.telemetry is not None:
-            obs.add("board.posts")
-            obs.add("board.cells", int(players.size) * int(objects.size))
-        for _ in range(2 if faulted == "duplicate" else 1):
-            self._write_block(channel, players, objects, bits)
-
     def _write_block(
         self, channel: str, players: np.ndarray, objects: np.ndarray, values: np.ndarray
     ) -> None:
@@ -584,12 +536,6 @@ class BulletinBoard:
             )
             entry["report_cells"] = cells
         return stats
-
-    def clear_channel(self, channel: str) -> None:
-        """Drop a channel entirely (used between independent protocol runs)."""
-        self._scalar.pop(channel, None)
-        self._reports.pop(channel, None)
-        self._dense_cache.pop(channel, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

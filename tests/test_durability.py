@@ -39,6 +39,7 @@ The load-bearing properties from the durability acceptance criteria:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import threading
@@ -49,7 +50,11 @@ import pytest
 
 from repro.errors import ConnectionLost, ExperimentError
 from repro.faults import FaultInjector, FaultPlan, PlannedFault, installed
-from repro.serve.client import PreferenceClient, ServerSideError
+from repro.serve.client import (
+    AsyncPreferenceClient,
+    PreferenceClient,
+    ServerSideError,
+)
 from repro.serve.durability import (
     CheckpointError,
     DurabilityWarning,
@@ -448,6 +453,190 @@ class TestServerRestartAndReconnect:
             thread.join(timeout=30)
         finally:
             client.close()
+
+
+def _stop(srv, thread) -> None:
+    srv.request_shutdown()
+    thread.join(timeout=30)
+
+
+class TestAsyncClientReconnect:
+    """The one client state machine, driven directly on its event loop
+    (server restarts run in a thread so the client's loop keeps going)."""
+
+    @staticmethod
+    def _mute_listener(path: str) -> socket.socket:
+        """A UNIX listener the kernel accepts on and nobody ever answers."""
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(path)
+        listener.listen(16)
+        return listener
+
+    def test_unanswered_call_times_out(self, tmp_path):
+        sock = str(tmp_path / "mute.sock")
+        listener = self._mute_listener(sock)
+
+        async def scenario() -> float:
+            client = await AsyncPreferenceClient.connect(socket_path=sock, timeout_s=0.5)
+            try:
+                start = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    # The outer bound only keeps a broken client from
+                    # hanging the suite; the elapsed check tells them apart.
+                    await asyncio.wait_for(client.call("ping"), 5.0)
+                return time.monotonic() - start
+            finally:
+                await client.close()
+
+        try:
+            elapsed = asyncio.run(scenario())
+        finally:
+            listener.close()
+        assert 0.4 <= elapsed < 2.0
+
+    def test_unanswered_heartbeat_drops_into_reconnect(self, tmp_path):
+        sock = str(tmp_path / "mute.sock")
+        listener = self._mute_listener(sock)
+
+        async def scenario() -> dict[str, int]:
+            async with await AsyncPreferenceClient.connect(
+                socket_path=sock, heartbeat_s=0.1, backoff_base_s=0.01
+            ) as client:
+                with pytest.raises(TimeoutError):
+                    await client.next_event(timeout_s=1.0)
+                return dict(client.stats)
+
+        try:
+            stats = asyncio.run(scenario())
+        finally:
+            listener.close()
+        assert stats["heartbeats"] >= 2
+        assert stats["reconnects"] >= 1  # each silent ping dropped its link
+
+    def test_next_event_heartbeats_an_idle_subscription(self, tmp_path):
+        sock = str(tmp_path / "repro.sock")
+        srv, thread = _boot(sock, None)
+
+        async def scenario() -> dict[str, int]:
+            async with await AsyncPreferenceClient.connect(
+                socket_path=sock, heartbeat_s=0.1
+            ) as client:
+                session = await client.open_session(SCENARIO, seed=0)
+                await client.subscribe(session)
+                with pytest.raises(TimeoutError):
+                    await client.next_event("never-happens", timeout_s=0.8)
+                await client.call("close", session=session)
+                return dict(client.stats)
+
+        try:
+            stats = asyncio.run(scenario())
+        finally:
+            _stop(srv, thread)
+        assert stats["heartbeats"] >= 1
+        assert stats["reconnects"] == 0  # the server answered them
+
+    def test_exhausted_reconnect_leaves_the_next_call_a_fresh_budget(self, tmp_path):
+        sock = str(tmp_path / "repro.sock")
+        srv, thread = _boot(sock, None)
+
+        async def scenario() -> dict[str, int]:
+            client = await AsyncPreferenceClient.connect(
+                socket_path=sock, reconnect_attempts=2,
+                backoff_base_s=0.01, backoff_cap_s=0.02,
+            )
+            try:
+                assert (await client.ping())["pong"] is True
+                await asyncio.to_thread(_stop, srv, thread)
+                with pytest.raises(ConnectionLost):
+                    await client.ping()  # two redials, both refused
+                srv2, thread2 = await asyncio.to_thread(_boot, sock, None)
+                try:
+                    assert (await client.ping())["pong"] is True
+                finally:
+                    await asyncio.to_thread(_stop, srv2, thread2)
+                return dict(client.stats)
+            finally:
+                await client.close()
+
+        assert asyncio.run(scenario())["reconnects"] == 1
+
+    def test_stream_resumes_across_restart_while_waiting_in_next_event(
+        self, tmp_path
+    ):
+        sock = str(tmp_path / "repro.sock")
+        state = tmp_path / "state"
+        srv, thread = _boot(sock, state)
+
+        async def scenario() -> tuple[dict, dict, dict[str, int]]:
+            client = await AsyncPreferenceClient.connect(
+                socket_path=sock, reconnect_attempts=40,
+                backoff_base_s=0.02, backoff_cap_s=0.2,
+            )
+            try:
+                session = await client.open_session(SCENARIO, seed=2)
+                await client.subscribe(session)
+                await client.report(session, "before", 4, [0, 1], [1, 0])
+                before = await client.next_event("board-delta", timeout_s=30)
+
+                async def delta_with(channel: str) -> dict:
+                    while True:
+                        frame = await client.next_event("board-delta", timeout_s=30)
+                        if channel in frame["channels"]:
+                            return frame
+
+                waiting = asyncio.create_task(delta_with("after"))
+                await asyncio.to_thread(_stop, srv, thread)
+                srv2, thread2 = await asyncio.to_thread(_boot, sock, state)
+                try:
+                    # Another client posts; only the resumed subscription
+                    # can carry the delta to the waiting one.
+                    async with await AsyncPreferenceClient.connect(
+                        socket_path=sock
+                    ) as other:
+                        await other.report(session, "after", 5, [2], [1])
+                    after = await waiting
+                    await client.call("close", session=session)
+                finally:
+                    await asyncio.to_thread(_stop, srv2, thread2)
+                return before, after, dict(client.stats)
+            finally:
+                await client.close()
+
+        before, after, stats = asyncio.run(scenario())
+        assert after["session"] == before["session"]
+        assert after["seq"] > before["seq"]
+        assert stats["reconnects"] == 1
+        assert stats["resubscribes"] == 1
+
+    def test_facade_buffers_events_that_precede_a_response(self, tmp_path):
+        sock = str(tmp_path / "repro.sock")
+        srv, thread = _boot(sock, None)
+        client = PreferenceClient(sock)
+        try:
+            session = client.open_session(SCENARIO, seed=0)
+            ring = srv.sessions[session].ring
+            for n in range(3):
+                ring.stamp({"event": "telemetry", "session": session, "n": n})
+            client.subscribe(session, from_seq=1)
+            # The backfill precedes the subscribe response on the wire, so
+            # it is already in the inbox, in order, when the call returns.
+            assert [frame["n"] for frame in client.events if "n" in frame] == [0, 1, 2]
+            client.call("close", session=session)
+        finally:
+            client.close()
+            _stop(srv, thread)
+
+    def test_failed_blocking_connect_is_typed_and_stops_its_loop(self, tmp_path):
+        stale = str(tmp_path / "stale.sock")
+        dead = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        dead.bind(stale)
+        dead.close()  # the file stays; nobody listens on it
+        before = set(threading.enumerate())
+        with pytest.raises(FileNotFoundError):
+            PreferenceClient(str(tmp_path / "absent.sock"))
+        with pytest.raises(ConnectionRefusedError):
+            PreferenceClient(stale)
+        assert set(threading.enumerate()) <= before
 
 
 class TestSessionCheckpoint:

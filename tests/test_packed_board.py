@@ -18,7 +18,6 @@ from repro.perf import (
     PackedBits,
     bit_cover,
     pack_bits,
-    packed_gather_columns,
     packed_masked_majority,
     packed_scatter_columns,
     packed_unique_rows,
@@ -101,10 +100,7 @@ def test_random_posting_history_matches_dense_reference(n_players, n_objects):
             count = int(rng.integers(1, n_objects + 1))
             objects = np.sort(rng.choice(n_objects, size=count, replace=False))
             values = rng.integers(0, 2, size=(players.size, objects.size), dtype=np.uint8)
-            if rng.random() < 0.5:
-                board.post_report_block("ch", players, objects, values)
-            else:
-                board.post_report_block_packed("ch", players, objects, pack_bits(values))
+            board.post_report_block("ch", players, objects, values)
             reference.post_block(players, objects, values)
         got_values, got_posted = board.report_matrix("ch")
         np.testing.assert_array_equal(got_values, reference.values, err_msg=f"step {step}")
@@ -152,11 +148,6 @@ class TestOwnershipAndIntegrity:
             board.post_report_block(
                 "ch", np.asarray([0]), np.asarray([9]), np.zeros((1, 1), dtype=np.uint8)
             )
-        with pytest.raises(ConfigurationError):
-            board.post_report_block_packed(
-                "ch", np.asarray([7]), np.asarray([0]),
-                pack_bits(np.zeros((1, 1), dtype=np.uint8)),
-            )
 
     def test_non_binary_and_misaligned_rejected(self):
         board = BulletinBoard(4, 6)
@@ -165,11 +156,6 @@ class TestOwnershipAndIntegrity:
         with pytest.raises(ConfigurationError):
             board.post_report_block(
                 "ch", np.asarray([0, 1]), np.asarray([0]), np.zeros((1, 1), dtype=np.uint8)
-            )
-        with pytest.raises(ConfigurationError):
-            board.post_report_block_packed(
-                "ch", np.asarray([0]), np.asarray([0]),
-                np.zeros((1, 1), dtype=np.uint8),  # not PackedBits
             )
 
     def test_scalar_ownership_still_enforced(self):
@@ -265,8 +251,9 @@ class TestPackedKernels:
         bits = rng.integers(0, 2, size=(rows, columns.size), dtype=np.uint8)
         packed_scatter_columns(dest, columns, bits)
         dense[:, columns] = bits
-        np.testing.assert_array_equal(np.unpackbits(dest, axis=1, count=width), dense)
-        np.testing.assert_array_equal(packed_gather_columns(dest, columns), bits)
+        unpacked = np.unpackbits(dest, axis=1, count=width)
+        np.testing.assert_array_equal(unpacked, dense)
+        np.testing.assert_array_equal(unpacked[:, columns], bits)
 
     def test_scatter_row_subset(self):
         rng = np.random.default_rng(6)

@@ -20,6 +20,7 @@ The load-bearing properties from the serving acceptance criteria:
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 
@@ -318,6 +319,37 @@ class TestCliWiring:
             ["watch", SCENARIO, "--connect", "127.0.0.1:1", "--trials", "2"]
         )
         assert args.command == "watch" and args.trials == 2
+
+    def test_call_and_watch_print_every_round_result(self, capsys):
+        """With a slow publisher tick the run response beats most round
+        results; watch must keep streaming until each trial's arrived."""
+        from repro.scenarios.cli import main
+
+        srv = PreferenceServer(port=0, publish_interval_s=0.5)
+        thread = threading.Thread(target=srv.run, daemon=True)
+        thread.start()
+        assert srv.ready.wait(timeout=30)
+        try:
+            _, host, port = srv.address
+            address = f"{host}:{port}"
+            assert main(["call", "ping", "--connect", address]) == 0
+            assert json.loads(capsys.readouterr().out)["pong"] is True
+
+            assert main(["watch", SCENARIO, "--connect", address, "--trials", "3"]) == 0
+            captured = capsys.readouterr()
+            lines = [json.loads(line) for line in captured.out.splitlines()]
+            rounds = [line for line in lines if line.get("event") == "round-result"]
+            assert sorted(frame["row"]["trial"] for frame in rounds) == [0, 1, 2]
+            seqs = [line["seq"] for line in lines if "seq" in line]
+            assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
+            assert lines[-1]["completed"] == 3
+            assert captured.err == ""
+
+            assert main(["call", "sessions", "--connect", address]) == 0
+            assert json.loads(capsys.readouterr().out)["sessions"] == []
+        finally:
+            srv.request_shutdown()
+            thread.join(timeout=30)
 
 
 class TestRunnerStreaming:
