@@ -8,7 +8,10 @@ packed result is bit-for-bit equal to the reference before timing anything.
 
 from __future__ import annotations
 
+import importlib
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +31,14 @@ from repro.protocols.context import make_context
 from repro.protocols.rselect import rselect_collective
 from repro.simulation.board import BulletinBoard
 from repro.simulation.oracle import ProbeOracle
+
+# The player-major ``reduceat`` block-word builder lives with the test
+# references; the shift-or builder is private to SmallRadius (the package
+# re-exports the function under the module's name).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_loops import block_words_reduceat  # noqa: E402
+
+_block_words = importlib.import_module("repro.protocols.small_radius")._block_words
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -88,6 +99,9 @@ def _kernel_microbenchmark(
             "'packed' = collective path (probe memoisation reset per run).",
             "select-sample row: 138 subsets x 1024 players x 8 candidates, "
             "14-bit samples packed one 16-bit word per row; kernel call only.",
+            "block-words row: 1024 players x 1363 bits in 207 blocks of <= 17 "
+            "bits; 'unpacked' = np.add.reduceat over player-major rows, "
+            "'packed' = shift-or over object-major rows.",
         ],
     )
 
@@ -149,6 +163,35 @@ def _kernel_microbenchmark(
         lambda: np.array_equal(packed_hamming(candidate_words, row_words), unpacked_select()),
         n_value=select_players,
         width_value=select_bits,
+    )
+
+    # The base block of a top-level SmallRadius repetition on the honest
+    # benchmark workload: 1,363 objects split over 207 base subsets, every
+    # player's bits of each subset packed into one 16-bit word.
+    block_players, block_bits, n_blocks = 1024, 1363, 207
+    block_widths = 1 + np.bincount(
+        rng.integers(0, n_blocks, size=block_bits - n_blocks), minlength=n_blocks
+    )
+    assert block_widths.max() <= 17
+    player_rows = rng.integers(0, 2, size=(block_players, block_bits), dtype=np.uint8)
+    object_rows = np.ascontiguousarray(player_rows.T)
+
+    def block_words_equal() -> bool:
+        want, want_starts = block_words_reduceat(player_rows, block_widths)
+        got, got_starts = _block_words(object_rows, block_widths)
+        return (
+            got.dtype == want.dtype
+            and np.array_equal(got, want.T)
+            and np.array_equal(got_starts, want_starts)
+        )
+
+    add_row(
+        "block words (small_radius base block)",
+        lambda: block_words_reduceat(player_rows, block_widths),
+        lambda: _block_words(object_rows, block_widths),
+        block_words_equal,
+        n_value=block_players,
+        width_value=block_bits,
     )
 
     def unique_equal() -> bool:
@@ -373,7 +416,7 @@ def _kernel_microbenchmark(
 
 def test_e13_kernels(benchmark, report_table):
     table = report_table(benchmark, kernel_microbenchmark, "e13_kernels")
-    assert len(table.rows) == 12
+    assert len(table.rows) == 13
     for row in table.rows:
         assert row["packed_ms"] > 0.0
     by_kernel = {row["kernel"]: row for row in table.rows}

@@ -28,6 +28,16 @@ the shared randomness in exactly the per-subset order and charges the same
 probes, so its output is bit-identical to running ZeroRadius, publish and
 Select subset by subset (property-tested against that loop, kept in the
 tests as the reference).
+
+The base group is **object-major** from the probe to the result, the
+layout of the oracle's observed matrix and of the board: players sit on
+the contiguous axis, so one vector operation advances every player at once
+(the vertical layout of bit-sliced scans).  The probe block arrives as
+object rows; each subset's rows pack into one word per player by shift-or
+(:func:`_block_words`); the popular vectors are found and kept as those
+words; the deferred Select compares sample words cut from them against the
+players' sample words; and each player's chosen word unpacks straight into
+the subset's rows of the object-major repetition result.
 """
 
 from __future__ import annotations
@@ -48,90 +58,110 @@ from repro.protocols.zero_radius import popular_vectors, zero_radius
 __all__ = ["small_radius"]
 
 
-def _block_words(bits: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pack contiguous column blocks of a 0/1 matrix into unsigned words.
+def _block_words(rows: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pack contiguous row blocks of an object-major 0/1 matrix into words.
 
-    Block ``i`` is the next ``widths[i] >= 1`` columns of ``bits``; each of
-    its rows becomes ``ceil(widths[i] / 64)`` words holding the block's
-    columns in order, first column in the most significant bit.  A block of
-    at most 64 columns is thus one word, the row read as a binary number, so
-    numeric order on the words is lexicographic order on the rows; and the
-    XOR popcount of two rows' words is their Hamming distance on the block.
-    The words use the narrowest unsigned dtype holding ``min(64,
-    max(widths))`` bits, so the same width set always gives the same dtype.
-    Returns ``(words, starts)``: the ``(rows, n_words)`` word matrix and the
+    ``rows`` holds one bit position per row (an object) and one column per
+    player, the oracle's and the board's orientation; block ``i`` is the
+    next ``widths[i] >= 1`` rows.  Each column of a block becomes
+    ``ceil(widths[i] / 64)`` words holding the block's rows in order, first
+    row in the most significant bit.  A block of at most 64 rows is thus one
+    word per column, the column read as a binary number, so numeric order on
+    the words is lexicographic order on the block's columns; and the XOR
+    popcount of two columns' words is their Hamming distance on the block.
+    Wider blocks fill 64-bit words in turn, the last one left-aligned.  The
+    words use the narrowest unsigned dtype holding ``min(64, max(widths))``
+    bits, so the same width set always gives the same dtype.
+
+    The words are built by shift-or over in-block bit positions: step ``t``
+    shifts row ``t`` of every word that long into place and ORs it in, one
+    vector operation across every column of those words, so a call takes at
+    most 64 steps however many blocks and columns it packs.  Returns
+    ``(words, starts)``: the ``(n_words, columns)`` word matrix and the
     index of each block's first word.
     """
     widths = np.asarray(widths, dtype=np.int64)
     dtype = np.min_scalar_type((1 << min(64, int(widths.max()))) - 1)
-    offsets = np.concatenate(([0], np.cumsum(widths)))
-    col_block = np.repeat(np.arange(widths.size), widths)
-    position = np.arange(offsets[-1]) - offsets[col_block]
-    shifts = (np.minimum(64, widths[col_block]) - 1 - (position & 63)).astype(np.uint64)
-    weights = (np.uint64(1) << shifts).astype(dtype)
-    words = np.add.reduceat(
-        np.multiply(bits, weights, dtype=dtype),
-        np.flatnonzero((position & 63) == 0),
-        axis=1,
-        dtype=dtype,
-    )
-    starts = np.concatenate(([0], np.cumsum((widths + 63) // 64)[:-1]))
+    n_words = (widths + 63) // 64
+    starts = np.concatenate(([0], np.cumsum(n_words)[:-1]))
+    # Per word: its first row, its bit count and the shift of its first bit.
+    block = np.repeat(np.arange(widths.size), n_words)
+    bit_offset = 64 * (np.arange(block.size) - starts[block])
+    first = np.concatenate(([0], np.cumsum(widths)[:-1]))[block] + bit_offset
+    length = np.minimum(64, widths[block] - bit_offset)
+    top = np.minimum(64, widths[block]) - 1
+    # Longest words first, so the words still taking bits at step t are a
+    # prefix: ``active[t]`` of them are longer than t.
+    order = np.argsort(-length, kind="stable")
+    first, length, top = first[order], length[order], top[order]
+    active = np.searchsorted(-length, -np.arange(length[0]))
+    packed = np.zeros((block.size, rows.shape[1]), dtype=dtype)
+    for step, count in enumerate(active.tolist()):
+        shifts = (top[:count] - step).astype(dtype)[:, None]
+        packed[:count] |= np.left_shift(rows[first[:count] + step], shifts, dtype=dtype)
+    words = np.empty_like(packed)
+    words[order] = packed
     return words, starts
 
 
 def _popular_vectors_blocks(
     published: np.ndarray, widths: np.ndarray, min_support: int
-) -> list[np.ndarray]:
-    """Per-block :func:`popular_vectors` over contiguous column blocks.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block :func:`popular_vectors` over contiguous row blocks, as words.
 
-    ``published`` holds the concatenated base-subset columns; block ``i``
-    occupies ``widths[i]`` columns.  Returns, per block, exactly
-    ``popular_vectors(published[:, block], min_support)`` — same rows, same
-    ascending-lexicographic order — but blocks of ≤ 64 bits (the common
-    case: base subsets are small by construction) are resolved together:
-    each block row becomes one word key (:func:`_block_words`), one sort
-    orders every block's keys at once, and one run-length pass finds the
-    rows with enough support.  Only blocks wider than 64 bits fall back to
-    the per-block call.
+    ``published`` holds the concatenated base-subset rows, object-major (one
+    row per object, one column per player); block ``i`` occupies
+    ``widths[i]`` rows.  Block ``i``'s popular vectors are exactly
+    ``popular_vectors(published[block].T, min_support)`` — same vectors,
+    same ascending-lexicographic order — each encoded as its
+    :func:`_block_words` key of ``ceil(widths[i] / 64)`` words.  Returns
+    ``(keys, counts)``: every block's keys, flat in block, vector, word
+    order, and the number of popular vectors per block.  Blocks of ≤ 64 bits
+    (the common case: base subsets are small by construction) are resolved
+    together in word space: one sort orders every block's keys at once, and
+    one run-length pass finds the keys with enough support.  Only blocks
+    wider than 64 bits go through :func:`popular_vectors`.
     """
-    n_players = published.shape[0]
+    n_players = published.shape[1]
     widths = np.asarray(widths, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(widths)))
     min_support = max(1, int(min_support))
 
     words, word_starts = _block_words(published, widths)
-    # One key per block row: its first word, the whole row for blocks of
-    # ≤ 64 bits.  Block-major, so each block's keys sort as one contiguous row.
-    keys = words.T[word_starts]
-    keys.sort(axis=1)
+    # One key per (block, player): its first word, the whole column for
+    # blocks of ≤ 64 bits.  Block-major, so each block's keys sort as a row.
+    keys = words[word_starts]
+    # NumPy radix-sorts one-byte keys under kind="stable"; its default
+    # introsort is an order of magnitude slower on them.
+    keys.sort(axis=1, kind="stable" if keys.itemsize == 1 else None)
     flat = keys.ravel()
     is_start = np.empty(flat.size, dtype=bool)
     is_start[0] = True
     is_start[1:] = flat[1:] != flat[:-1]
     is_start[:: n_players] = True  # runs never cross block boundaries
     starts = np.flatnonzero(is_start)
-    counts = np.diff(np.append(starts, flat.size))
-    popular_starts = starts[counts >= min_support]
-    popular_keys = flat[popular_starts]
-    popular_block = popular_starts // n_players
-    first = np.searchsorted(popular_block, np.arange(widths.size))
-    last = np.searchsorted(popular_block, np.arange(widths.size), side="right")
+    run_lengths = np.diff(np.append(starts, flat.size))
+    popular = starts[run_lengths >= min_support]
+    popular_block = popular // n_players
+    narrow = widths[popular_block] <= 64
+    popular, popular_block = popular[narrow], popular_block[narrow]
+    counts = np.bincount(popular_block, minlength=widths.size)
+    wide = np.flatnonzero(widths > 64)
+    if not wide.size:
+        return flat[popular], counts
 
-    blocks: list[np.ndarray] = []
-    for index, width in enumerate(widths):
-        if width > 64:
-            blocks.append(
-                popular_vectors(
-                    published[:, offsets[index] : offsets[index + 1]], min_support
-                )
-            )
-            continue
-        block_keys = popular_keys[first[index] : last[index]]
-        bit_shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-        blocks.append(
-            ((block_keys[:, None] >> bit_shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-        )
-    return blocks
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+    wide_keys = []
+    for index in wide:
+        vectors = popular_vectors(published[offsets[index] : offsets[index + 1]].T, min_support)
+        counts[index] = vectors.shape[0]
+        wide_keys.append(_block_words(vectors.T, widths[index : index + 1])[0].T.ravel())
+    key_starts = np.concatenate(([0], np.cumsum(counts * ((widths + 63) // 64))))
+    out = np.empty(key_starts[-1], dtype=words.dtype)
+    rank = np.arange(popular.size) - np.searchsorted(popular_block, popular_block)
+    out[key_starts[popular_block] + rank] = flat[popular]
+    for index, block_keys in zip(wide, wide_keys):
+        out[key_starts[index] : key_starts[index + 1]] = block_keys
+    return out, counts
 
 
 def _first_argmin(distances: np.ndarray, max_distance: int) -> np.ndarray:
@@ -213,7 +243,8 @@ def small_radius(
             objects, constants.small_radius_partitions(diameter, objects.size)
         )
         partitions = [subset for subset in partitions if subset.size]
-        assembled = np.empty((players.size, objects.size), dtype=np.uint8)
+        # Object-major: row j holds every player's estimate for objects[j].
+        assembled = np.empty((objects.size, players.size), dtype=np.uint8)
         # Mixed recursion: subsets that would hit ZeroRadius' base case (the
         # common regime — the partition count is Θ(D^1.5), so subsets are
         # small) share one probe block, one post per channel and one probe
@@ -233,7 +264,7 @@ def small_radius(
             assembled,
             channel,
         )
-        repetition_candidates[:, rep, :] = assembled
+        repetition_candidates[:, rep, :] = assembled.T
 
     if repetitions == 1:
         return repetition_candidates[:, 0, :].copy()
@@ -254,7 +285,7 @@ def _batched_base_repetition(
     select_sample: int,
     assembled: np.ndarray,
     channel: str,
-) -> np.ndarray:
+) -> None:
     """One SmallRadius repetition with the base-case subsets batched.
 
     Performs the same probes, board writes, strategy calls and
@@ -274,7 +305,14 @@ def _batched_base_repetition(
     *run*) resolve together, before the next recursive subset draws, which
     keeps every shared-randomness draw in per-subset order (strategies never
     touch the shared randomness, so asking them before a run's draws is
-    safe).  Results are written into ``assembled`` in place.
+    safe).
+
+    The base group stays object-major from probe to result: the probe
+    block arrives as object rows, candidate sets are :func:`_block_words`
+    keys, and the deferred Select compares sample words, so each chosen key
+    unpacks straight into its subset's rows of ``assembled`` (object-major:
+    row ``j`` holds every player's estimate for ``objects[j]``), written in
+    place.
     """
     pool = ctx.pool
     base_subsets = [subset for subset, base in zip(partitions, is_base) if base]
@@ -282,24 +320,23 @@ def _batched_base_repetition(
     offsets = np.concatenate(([0], np.cumsum(widths)))
     if base_subsets:
         merged = np.concatenate(base_subsets)
-        # ZeroRadius base case for every base subset at once.
-        true_merged = ctx.oracle.probe_block(players, merged)
-        # One lookup resolves every base subset's assembled columns; the walk
-        # below only slices it.
-        merged_cols = object_order[np.searchsorted(sorted_objects, merged)]
+        # ZeroRadius base case for every base subset at once, as object rows.
+        true_rows = ctx.oracle.probe_block(players, merged).T
+        # One lookup resolves every base subset's rows of ``assembled``.
+        merged_rows = object_order[np.searchsorted(sorted_objects, merged)]
         # Read-only by contract: without strategies, reports and published
         # vectors are the true values verbatim.
-        reported = published = true_merged
+        reported = published = true_rows
         if pool.has_strategies:
-            reported = np.empty_like(true_merged)
-            published = np.empty_like(true_merged)
+            reported = np.empty_like(true_rows)
+            published = np.empty_like(true_rows)
 
-    # Walk the partition in order.  Resolved base columns/values accumulate
-    # and land in one scatter; base subsets whose Select needs probing
-    # defer the probe (``pending``) to one block at the end.
-    write_cols: list[np.ndarray] = []
-    write_vals: list[np.ndarray] = []
-    pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    # Walk the partition in order.  Each resolved run contributes its
+    # popular keys and per-subset counts; a Select whose sample is smaller
+    # than its subset draws its positions here, in partition order.
+    key_parts: list[np.ndarray] = []
+    count_parts: list[np.ndarray] = []
+    draws: dict[int, np.ndarray] = {}
     run_start = 0
 
     def resolve_run(run_stop: int) -> None:
@@ -308,34 +345,25 @@ def _batched_base_repetition(
         nonlocal run_start
         if run_stop == run_start:
             return
-        run = slice(offsets[run_start], offsets[run_stop])
-        run_candidates = _popular_vectors_blocks(
-            published[:, run], widths[run_start:run_stop], min_support
+        keys, counts = _popular_vectors_blocks(
+            published[offsets[run_start] : offsets[run_stop]],
+            widths[run_start:run_stop],
+            min_support,
         )
-        for index, candidates in zip(range(run_start, run_stop), run_candidates):
-            block = slice(offsets[index], offsets[index + 1])
-            cols = merged_cols[block]
-            if candidates.shape[0] == 0:
-                # Off-promise input: no vector has enough support, so each
-                # player keeps its own ZeroRadius estimate for this subset.
-                write_cols.append(cols)
-                write_vals.append(true_merged[:, block])
-                continue
-            if candidates.shape[0] == 1:
-                # select_collective's single-candidate shortcut: no sample drawn.
-                write_cols.append(cols)
-                write_vals.append(np.broadcast_to(candidates[0], (players.size, cols.size)))
-                continue
-            subset = base_subsets[index]
-            positions = draw_sample_positions(ctx, subset.size, select_sample)
-            pending.append((subset[positions], cols, candidates, positions))
+        key_parts.append(keys)
+        count_parts.append(counts)
+        # No candidates: the subset keeps its ZeroRadius estimate; one:
+        # select_collective's single-candidate shortcut.  Neither draws.
+        drawing = (counts >= 2) & (widths[run_start:run_stop] > select_sample)
+        for index in run_start + np.flatnonzero(drawing):
+            draws[int(index)] = draw_sample_positions(ctx, int(widths[index]), select_sample)
         run_start = run_stop
 
     base_index = 0
     for subset, base in zip(partitions, is_base):
         if not base:
             resolve_run(base_index)
-            cols = object_order[np.searchsorted(sorted_objects, subset)]
+            rows = object_order[np.searchsorted(sorted_objects, subset)]
             # Partitions cover disjoint objects and repetitions re-post over
             # a player's own cells, so a single pair of channels serves every
             # (repetition, partition) — keeping board memory independent of
@@ -348,71 +376,150 @@ def _batched_base_repetition(
             )
             candidates = popular_vectors(packed, min_support)
             if candidates.shape[0] == 0:
-                assembled[:, cols] = own_estimates
+                assembled[rows] = own_estimates.T
                 continue
             _, chosen = select_collective(
                 ctx, players, subset, candidates, sample_size=select_sample
             )
-            assembled[:, cols] = chosen
+            assembled[rows] = chosen.T
             continue
         if pool.has_strategies:
             block = slice(offsets[base_index], offsets[base_index + 1])
-            true_block = true_merged[:, block]
-            reported[:, block] = pool.reports_block(players, subset, true_block)
-            published[:, block] = pool.reports_block(players, subset, true_block)
+            true_block = true_rows[block].T
+            reported[block] = pool.reports_block(players, subset, true_block).T
+            published[block] = pool.reports_block(players, subset, true_block).T
         base_index += 1
     resolve_run(base_index)
-    if base_subsets:
-        # The base subsets' posts, on the channels the per-subset loop uses.
-        ctx.board.post_report_block(f"{channel}/zr/base", players, merged, reported)
-        ctx.board.post_report_block(f"{channel}/pub", players, merged, published)
+    if not base_subsets:
+        return
+    # The base subsets' posts, on the channels the per-subset loop uses.
+    ctx.board.post_report_block(f"{channel}/zr/base", players, merged, reported.T)
+    ctx.board.post_report_block(f"{channel}/pub", players, merged, published.T)
 
-    if pending:
-        # Final pass: one probe block over every deferred subset's sample.
-        # One builder packs each subset's sample into words, for every
-        # player row and every candidate row alike, and each (candidate
-        # count, word count) group of subsets stacks into one (k, P, S)
-        # packed argmin.
-        sample_widths = np.asarray([positions.size for *_, positions in pending])
-        counts = np.asarray([candidates.shape[0] for _, _, candidates, _ in pending])
-        true_samples = ctx.oracle.probe_block(
-            players, np.concatenate([sampled for sampled, *_ in pending])
+    keys = np.concatenate(key_parts)
+    counts = np.concatenate(count_parts)
+    key_words = (widths + 63) // 64
+    key_starts = np.concatenate(([0], np.cumsum(counts * key_words)[:-1]))
+    # Each player's candidate for every subset with candidates: the only
+    # one, or its Select choice.
+    resolved = np.flatnonzero(counts > 0)
+    choices = np.zeros((resolved.size, players.size), dtype=np.int64)
+    selecting = counts[resolved] >= 2
+    if selecting.any():
+        choices[selecting] = _deferred_select(
+            ctx, players, merged, offsets, resolved[selecting], draws, select_sample,
+            keys, key_starts, counts,
         )
-        true_words, true_starts = _block_words(true_samples, sample_widths)
-        # One block per candidate row, of its subset's sample width: the
-        # width set is the players', so the word dtype is too.
-        cand_words, cand_starts = _block_words(
-            np.concatenate(
-                [candidates[:, positions].ravel() for _, _, candidates, positions in pending]
-            )[None, :],
-            np.repeat(sample_widths, counts),
-        )
-        cand_starts = cand_starts[np.cumsum(counts) - counts]
-        groups: dict[tuple[int, int], list[int]] = {}
-        n_words = (sample_widths + 63) // 64
-        for index, key in enumerate(zip(counts.tolist(), n_words.tolist())):
-            groups.setdefault(key, []).append(index)
-        for (count, words), indices in groups.items():
-            true_block = np.take(
-                true_words, true_starts[indices][:, None] + np.arange(words), axis=1
-            )  # (P, S, words), C-contiguous so its bytes view in place
-            cand_block = cand_words[
-                0,
-                cand_starts[indices][None, :, None]
-                + words * np.arange(count)[:, None, None]
-                + np.arange(words),
-            ]  # (k, S, words)
-            disagreements = packed_hamming(
-                cand_block.view(np.uint8)[:, None, :, :],
-                true_block.view(np.uint8)[None, :, :, :],
-            )  # (k, P, S)
-            choices = _first_argmin(disagreements, int(sample_widths[indices].max()))
-            for row, i in enumerate(indices):
-                _, cols, candidates, _ = pending[i]
-                write_cols.append(cols)
-                write_vals.append(candidates[choices[:, row]])
-    if write_cols:
-        # All base-subset results land in one column scatter instead of one
-        # strided write per subset.
-        assembled[:, np.concatenate(write_cols)] = np.concatenate(write_vals, axis=1)
-    return assembled
+    # Row ``word_starts[i] + w`` of ``chosen`` is word w of every player's
+    # chosen key for base subset i.
+    word_starts = np.concatenate(([0], np.cumsum(key_words)[:-1]))
+    chosen = np.empty((int(key_words.sum()), players.size), dtype=keys.dtype)
+    words = key_words[resolved]
+    if words.max(initial=0) > 1:
+        choices *= words[:, None]
+    for word in range(int(words.max(initial=0))):
+        longer = np.flatnonzero(words > word)  # only keys wider than 64 bits
+        if longer.size < resolved.size:
+            resolved, words, choices = resolved[longer], words[longer], choices[longer]
+        chosen[word_starts[resolved] + word] = keys[
+            np.add(choices, (key_starts[resolved] + word)[:, None])
+        ]
+
+    # Every base subset's rows: its chosen key unpacked, or its ZeroRadius
+    # estimate when no vector had enough support (an off-promise input).
+    position = np.arange(offsets[-1]) - np.repeat(offsets[:-1], widths)
+    source = np.repeat(word_starts, widths) + (position >> 6)
+    shifts = np.repeat(np.minimum(64, widths), widths) - 1 - (position & 63)
+    has_candidates = np.repeat(counts > 0, widths)
+    if not has_candidates.all():
+        assembled[merged_rows[~has_candidates]] = true_rows[~has_candidates]
+        source, shifts = source[has_candidates], shifts[has_candidates]
+        merged_rows = merged_rows[has_candidates]
+    bits = chosen[source]
+    np.right_shift(bits, shifts.astype(bits.dtype)[:, None], out=bits)
+    bits &= 1
+    assembled[merged_rows] = bits
+
+
+def _deferred_select(
+    ctx: ProtocolContext,
+    players: np.ndarray,
+    merged: np.ndarray,
+    offsets: np.ndarray,
+    pending: np.ndarray,
+    draws: dict[int, np.ndarray],
+    select_sample: int,
+    keys: np.ndarray,
+    key_starts: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Select for every base subset with two or more candidates, at once.
+
+    ``pending`` lists those subsets (blocks of ``merged`` between
+    ``offsets``); ``draws`` holds the sample positions drawn for those whose
+    sample is smaller than the subset, and ``keys`` from ``key_starts`` the
+    ``counts`` candidate keys of each.  One probe block covers every pending
+    subset's sample.  The players' sample words come from
+    :func:`_block_words` on its object rows and the candidates' from their
+    keys, in the same dtype, so each (candidate count, sample word count)
+    group of subsets stacks into one ``(k, S, P)`` packed-Hamming call and
+    one :func:`_first_argmin`.  Returns each player's choice per pending
+    subset, ``(len(pending), P)``.
+    """
+    widths = np.diff(offsets)
+    key_words = (widths + 63) // 64
+    sample_widths = np.minimum(widths[pending], select_sample)
+    width = int(sample_widths.max())
+    positions = np.broadcast_to(np.arange(width), (pending.size, width)).copy()
+    if draws:
+        positions[np.searchsorted(pending, list(draws))] = np.stack(list(draws.values()))
+    in_sample = np.arange(width) < sample_widths[:, None]
+    sampled = merged[(offsets[pending][:, None] + positions)[in_sample]]
+    true_words, true_starts = _block_words(
+        ctx.oracle.probe_block(players, sampled).T, sample_widths
+    )
+
+    # Candidate c of pending subset i: bit ``positions[i, j]`` of its key
+    # goes to bit j of its sample words, in the players' word layout.
+    n_candidates = counts[pending]
+    cand_first = np.concatenate(([0], np.cumsum(n_candidates)[:-1]))
+    owner = np.repeat(np.arange(pending.size), n_candidates)
+    subset = pending[owner]
+    rank = np.arange(owner.size) - cand_first[owner]
+    cand_positions = positions[owner]
+    key_word = (key_starts[subset] + rank * key_words[subset])[:, None] + (cand_positions >> 6)
+    key_shift = np.minimum(64, widths[subset])[:, None] - 1 - (cand_positions & 63)
+    bits = (keys[key_word] >> key_shift.astype(keys.dtype)) & 1
+    sample_shift = np.minimum(64, sample_widths[owner])[:, None] - 1 - (np.arange(width) & 63)
+    bits[~in_sample[owner]] = 0
+    sample_shift[~in_sample[owner]] = 0
+    dtype = true_words.dtype
+    contributions = np.left_shift(bits.astype(dtype), sample_shift.astype(dtype))
+    n_words = (width + 63) // 64
+    if n_words > 1:
+        contributions = np.pad(contributions, ((0, 0), (0, 64 * n_words - width)))
+    cand_words = np.bitwise_or.reduce(contributions.reshape(owner.size, n_words, -1), axis=2)
+
+    sample_words = (sample_widths + 63) // 64
+    choices = np.empty((pending.size, players.size), dtype=np.int64)
+    groups, group_of = np.unique(
+        n_candidates * (n_words + 1) + sample_words, return_inverse=True
+    )
+    for group in range(groups.size):
+        rows = np.flatnonzero(group_of == group)
+        count, words = int(n_candidates[rows[0]]), int(sample_words[rows[0]])
+        if words == 1:
+            true_block = true_words[true_starts[rows]]  # (S, P)
+        else:
+            true_block = np.ascontiguousarray(
+                true_words[true_starts[rows][:, None] + np.arange(words)].transpose(0, 2, 1)
+            )  # (S, P, words)
+        cand_block = cand_words[
+            cand_first[rows][None, :] + np.arange(count)[:, None], :words
+        ]  # (k, S, words), C-contiguous so its bytes view in place
+        disagreements = packed_hamming(
+            cand_block.view(np.uint8)[:, :, None, :],
+            true_block.view(np.uint8).reshape(1, rows.size, players.size, -1),
+        )  # (k, S, P)
+        choices[rows] = _first_argmin(disagreements, int(sample_widths[rows].max()))
+    return choices

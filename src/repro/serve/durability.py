@@ -85,7 +85,10 @@ __all__ = [
 ]
 
 _JOURNAL_VERSION = 1
-_CHECKPOINT_VERSION = 1
+#: Version 2: the pickled oracle holds its observed matrix object-major.  A
+#: version-1 checkpoint (player-major) fails to load, and recovery replays
+#: the journal instead of restoring a matrix in the wrong orientation.
+_CHECKPOINT_VERSION = 2
 
 
 class DurabilityWarning(UserWarning):

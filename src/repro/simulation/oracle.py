@@ -23,13 +23,22 @@ preferences exclusively through :class:`ProbeOracle`, which
 
 All access paths are vectorised so that a "collective" protocol step — e.g.
 *every* player probing the same random sample of objects — costs one NumPy
-fancy-indexing operation rather than a Python loop.  The memoisation mask is
-stored **bit-packed** (one bit per cell, ``repro.perf.bitset`` words), so
-the block paths test and mark whole probe blocks with byte-wide traffic,
-and the block paths can return their answers as :class:`PackedBits` rows
-(``packed=True``) for consumers on the packed dataflow — the Select
-estimators and the collective tournament feed them straight into XOR+popcount
-kernels without a repack.
+fancy-indexing operation rather than a Python loop.
+
+Memory layout.  The matrix the probes read (the observed matrix: the truth,
+or the truth through the noisy channel) is held once, **object-major**: row
+``o`` holds every player's answer for object ``o``, contiguously, which is
+the bulletin board's orientation.  A collective probe of ``k`` objects thus
+gathers ``k`` contiguous rows, and :meth:`ProbeOracle.probe_block` hands the
+logical ``(players, objects)`` block back as a transposed view of them.  The
+ground truth used for scoring stays player-major.  The memoisation mask is
+player-major and **bit-packed** (one bit per cell, ``repro.perf.bitset``
+bytes): a probe block tests and marks the contiguous byte span its objects
+cover, so the block paths move byte-wide slices rather than fancy-indexed
+bytes.  The block paths can also return their answers as
+:class:`PackedBits` rows (``packed=True``) for consumers on the packed
+dataflow — the Select estimators and the collective tournament feed them
+straight into XOR+popcount kernels without a repack.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from repro._typing import CountVector, ObjectIndices, PreferenceMatrix, SeedLike
 from repro.errors import BudgetExceededError, ConfigurationError
 from repro.faults.runtime import oracle_fault_gate
 from repro.obs import runtime as obs
-from repro.perf import PackedBits, column_plan, popcount
+from repro.perf import PackedBits, popcount
 
 __all__ = ["ProbeOracle"]
 
@@ -119,13 +128,13 @@ class ProbeOracle:
         self._truth = truth.astype(np.uint8, copy=True)
         self._truth.setflags(write=False)
         self.noise_rate = float(noise_rate)
+        observed = self._truth
         if noise_rate > 0.0:
             flips = as_generator(noise_seed).random(self._truth.shape) < noise_rate
             observed = self._truth ^ flips.astype(np.uint8)
-            observed.setflags(write=False)
-            self._observed = observed
-        else:
-            self._observed = self._truth
+        # Object-major: row ``o`` is every player's answer for object ``o``.
+        self._observed = np.ascontiguousarray(observed.T)
+        self._observed.setflags(write=False)
         # Bit-packed memoisation mask: bit ``o`` of player ``p``'s row says
         # whether the (p, o) pair was already charged.
         self._object_bytes = (self._truth.shape[1] + 7) // 8
@@ -191,7 +200,7 @@ class ProbeOracle:
                 new_objects >> 3,
                 np.uint8(128) >> (new_objects & 7).astype(np.uint8),
             )
-        return self._observed[player, objects]
+        return self._observed[objects, player]
 
     @obs.traced("oracle.ragged")
     def probe_ragged(
@@ -255,8 +264,7 @@ class ProbeOracle:
         if objects.min() < 0 or objects.max() >= self.n_objects:
             raise ConfigurationError("object index out of range in probe_ragged")
 
-        players_rep = np.repeat(players, lengths)
-        flat = players_rep * self.n_objects + objects
+        flat = objects * self.n_players + np.repeat(players, lengths)
         # Distinct-probe charging without a sort: OR the requested cells into
         # a per-listed-player scratch mask (duplicates collapse for free),
         # AND out the already-probed bits, and popcount the remainder.
@@ -319,7 +327,7 @@ class ProbeOracle:
         # (the collective work-sharing shape) sweep the full mask — no sort
         # at all; smaller batches on big instances build the scratch over
         # the involved players' rows only, so the work stays O(batch).
-        flat = players * self.n_objects + objects
+        flat = objects * self.n_players + players
         weights = np.uint8(128) >> (objects & 7).astype(np.uint8)
         obs.add("oracle.requests", int(players.size))
         if players.size >= self.n_players:
@@ -357,13 +365,22 @@ class ProbeOracle:
     ) -> np.ndarray | PackedBits:
         """Every listed player probes every listed object (a dense block).
 
-        Returns the ``(len(players), len(objects))`` block of true values —
-        dense ``uint8`` by default, or a :class:`PackedBits` stack of
-        player-major rows with ``packed=True`` (what the Select estimators
-        feed straight into the XOR+popcount kernels).  This is the hot path
-        for collective steps such as "all players probe the RSelect sample";
-        it is fully vectorised, and the memoisation test/mark runs on the
-        packed probe mask (byte-wide traffic instead of a dense bool block).
+        Returns the ``(len(players), len(objects))`` block of true values.
+        Dense ``uint8`` by default: a **transposed view** of the object rows
+        gathered from the object-major observed matrix, so ``block.T`` is a
+        C-contiguous ``(len(objects), len(players))`` array.  With
+        ``packed=True`` it is a :class:`PackedBits` stack of player-major rows
+        (what the Select estimators feed straight into the XOR+popcount
+        kernels).  This is the hot path for collective steps such as "all
+        players probe the RSelect sample".
+
+        Equivalent to looping ``probe_objects(players[i], objects)`` in
+        order: a repeated object or player is charged its distinct pairs
+        once, and every requested cell counts as a request.  Like
+        :meth:`probe_pairs`, budget enforcement checks the whole batch
+        before charging anything.  The memoisation test and mark run on the
+        byte span of the packed probe mask the objects fall into, with a
+        cover mask that is zero on the untouched bytes.
         """
         oracle_fault_gate()
         players = np.asarray(players, dtype=np.int64)
@@ -376,42 +393,37 @@ class ProbeOracle:
         if objects.min() < 0 or objects.max() >= self.n_objects:
             raise ConfigurationError("object index out of range in probe_block")
 
-        # Fast paths: the common callers pass already-unique (usually sorted)
-        # object lists — skipping the dedup sort — and very often the *full*
-        # player range, where row-sliced indexing beats the open-mesh gather.
-        if objects.size == 1 or np.all(objects[1:] > objects[:-1]):
-            unique_objects = objects
-        else:
-            unique_objects = np.unique(objects)
-        touched, cover, _, _ = column_plan(unique_objects)
         if obs._AMBIENT.telemetry is not None:
             obs.add("oracle.requests", int(players.size) * int(objects.size))
+        # The byte span [low, high) of the mask rows the objects fall into,
+        # and its cover: the objects' bits, duplicates collapsed.
+        low = int(objects.min()) >> 3
+        high = (int(objects.max()) >> 3) + 1
+        marks = np.zeros(8 * (high - low), dtype=bool)
+        marks[objects - 8 * low] = True
+        cover = np.packbits(marks)
+        n_distinct = int(np.count_nonzero(marks))
+        # The full player range (the common collective case) slices mask
+        # rows and reads whole object rows; a repeated player is charged once.
         all_players = players.size == self.n_players and np.all(
             players == np.arange(self.n_players)
         )
+        distinct, repeats = players, 1
+        if not all_players and players.size > 1 and not np.all(players[1:] > players[:-1]):
+            distinct, repeats = np.unique(players, return_counts=True)
+        mask_rows = slice(None) if all_players else distinct
+        span = self._probed[mask_rows, low:high]
+        new_counts = n_distinct - popcount(span & cover).sum(axis=1, dtype=np.int64)
+        self._charge(distinct, new_counts, unique_players=True)
+        self._requests[mask_rows] += repeats * objects.size
+        self._probed[mask_rows, low:high] = span | cover
         if all_players:
-            block_probed = self._probed[:, touched] & cover
-            new_counts = unique_objects.size - popcount(block_probed).sum(
-                axis=1, dtype=np.int64
-            )
-            self._charge(players, new_counts, unique_players=True)
-            self._requests += objects.size
-            self._probed[:, touched] |= cover
-            block = self._observed[:, objects]
+            rows = self._observed[objects]
         else:
-            rows = players[:, None]
-            block_probed = self._probed[rows, touched[None, :]] & cover
-            new_counts = unique_objects.size - popcount(block_probed).sum(
-                axis=1, dtype=np.int64
-            )
-            unique_players = players.size <= 1 or bool(np.all(players[1:] > players[:-1]))
-            self._charge(players, new_counts, unique_players=unique_players)
-            self._requests[players] += objects.size
-            self._probed[rows, touched[None, :]] |= cover
-            block = self._observed[rows, objects[None, :]]
+            rows = self._observed[objects[:, None], players[None, :]]
         if packed:
-            return PackedBits(data=np.packbits(block, axis=1), n_bits=objects.size)
-        return block
+            return PackedBits(data=np.packbits(rows.T, axis=1), n_bits=objects.size)
+        return rows.T
 
     # ------------------------------------------------------------------
     # Accounting

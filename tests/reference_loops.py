@@ -6,7 +6,9 @@ cluster by cluster (one :func:`cluster_majority_vote` each).  They make the
 same probes, posts, strategy calls and shared-randomness draws in the order
 the protocol describes them, so a batched path is correct exactly when it
 matches its reference bit for bit (outputs, probe accounting, randomness
-state, strategy state and board contents).  Nothing in ``src/`` calls them.
+state, strategy state and board contents).  :func:`block_words_reduceat` is
+the player-major ``reduceat`` form of SmallRadius' block-word builder.
+Nothing in ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,39 @@ from repro.core.clustering import Clustering
 from repro.protocols.context import ProtocolContext
 from repro.protocols.select import select_collective, select_per_player
 from repro.protocols.zero_radius import popular_vectors, zero_radius
+
+
+def block_words_reduceat(
+    bits: np.ndarray, widths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack contiguous column blocks of a player-major 0/1 matrix into words.
+
+    Block ``i`` is the next ``widths[i] >= 1`` columns of ``bits``; each of
+    its rows becomes ``ceil(widths[i] / 64)`` words holding the block's
+    columns in order, first column in the most significant bit (a block of
+    at most 64 columns is one word, the row read as a binary number; wider
+    blocks fill 64-bit words in turn, the last one left-aligned).  The words
+    use the narrowest unsigned dtype holding ``min(64, max(widths))`` bits.
+    Every bit is weighted by its place value and each word's weighted bits
+    are summed by one ``np.add.reduceat`` along the rows.  Returns ``(words,
+    starts)``: the ``(rows, n_words)`` word matrix and the index of each
+    block's first word.
+    """
+    widths = np.asarray(widths, dtype=np.int64)
+    dtype = np.min_scalar_type((1 << min(64, int(widths.max()))) - 1)
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+    col_block = np.repeat(np.arange(widths.size), widths)
+    position = np.arange(offsets[-1]) - offsets[col_block]
+    shifts = (np.minimum(64, widths[col_block]) - 1 - (position & 63)).astype(np.uint64)
+    weights = (np.uint64(1) << shifts).astype(dtype)
+    words = np.add.reduceat(
+        np.multiply(bits, weights, dtype=dtype),
+        np.flatnonzero((position & 63) == 0),
+        axis=1,
+        dtype=dtype,
+    )
+    starts = np.concatenate(([0], np.cumsum((widths + 63) // 64)[:-1]))
+    return words, starts
 
 
 def small_radius_per_subset(

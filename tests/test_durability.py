@@ -937,6 +937,52 @@ class TestCheckpointedRecovery:
         recovered.close(remove_journal=True)
         reference.close()
 
+    def test_version_1_checkpoint_falls_back_to_full_replay(self, tmp_path):
+        """A version-1 checkpoint pickles the oracle's observed matrix
+        player-major; restoring it into the object-major layout would
+        answer probes from the wrong cells.  It is rejected, and the
+        session comes back by full replay, bit-identical to a never-crashed
+        twin — accounting, board and a full run's rows."""
+        journal = SessionJournal.create(
+            session_journal_path(tmp_path, "s1"), session="s1",
+            scenario=SCENARIO, overrides=None, seed=3, max_pending=32,
+        )
+        session = Session("s1", build_spec(SCENARIO), 3, journal=journal)
+        ops = OP_SCRIPT[:4]
+        _drive(session, ops)
+        _settle(session)
+        with _disk_fault("journal.fsync", "error"):  # keep the journal full
+            with pytest.warns(DurabilityWarning):
+                assert session.write_checkpoint() is True
+        session._executor.shutdown(wait=True)
+        ckpt = session_checkpoint_path(tmp_path, "s1")
+        raw = ckpt.read_bytes()
+        newline = raw.find(b"\n")
+        header = json.loads(raw[:newline])
+        assert header["version"] == 2
+        header["version"] = 1
+        ckpt.write_bytes(json.dumps(header).encode("utf-8") + raw[newline:])
+
+        with pytest.warns(DurabilityWarning, match="unsupported version 1.*full replay"):
+            server = self._recover(tmp_path)
+        stats = server.recovery_stats
+        assert stats["checkpoint_fallbacks"] == 1
+        assert stats["checkpoint_loads"] == 0
+        assert stats["ops_replayed"] == len(ops)
+        assert stats["sessions_recovered"] == 1
+        recovered = server.sessions["s1"]
+        reference = self._reference(ops)
+        assert _session_state(recovered) == _session_state(reference)
+        assert (
+            recovered.prepared.context.oracle.requests_used().tolist()
+            == reference.prepared.context.oracle.requests_used().tolist()
+        )
+        run_a = recovered.submit_op("run", {"trials": 2}).result()
+        run_b = reference.submit_op("run", {"trials": 2}).result()
+        assert run_a["rows"] == run_b["rows"]
+        recovered.close(remove_journal=True)
+        reference.close()
+
     def test_corrupt_checkpoint_with_compacted_journal_skips_session(self, tmp_path):
         """When the journal was compacted, a bad checkpoint means the
         early ops exist nowhere trustworthy: the session is skipped with

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BudgetExceededError, ConfigurationError
 from repro.simulation.oracle import ProbeOracle
@@ -135,3 +137,82 @@ class TestBudgetEnforcement:
         oracle = ProbeOracle(truth, budget=1)
         oracle.probe_objects(0, np.asarray([0, 1, 2]))
         assert oracle.probes_used()[0] == 3
+
+
+class TestRepeatedPlayersInABlock:
+    """A block that lists a player twice charges like the probe_objects
+    loop: its distinct pairs once, every requested cell as a request."""
+
+    def test_repeated_player_is_charged_like_the_loop(self):
+        oracle = ProbeOracle(np.eye(4))
+        oracle.probe_block([3, 3], [1, 2])
+        assert oracle.probes_used()[3] == 2
+        assert oracle.requests_used()[3] == 4
+
+    def test_budget_sees_distinct_pairs_and_charges_nothing_on_failure(self):
+        oracle = ProbeOracle(np.eye(4), budget=2, enforce_budget=True)
+        oracle.probe_block([3, 3], [1, 2])
+        assert oracle.probes_used()[3] == 2
+        with pytest.raises(BudgetExceededError) as excinfo:
+            oracle.probe_block([2, 3, 3], [0])
+        assert excinfo.value.player == 3
+        # The whole batch was checked first: player 2's new pair is not charged.
+        assert oracle.probes_used().tolist() == [0, 0, 0, 2]
+        assert oracle.requests_used().tolist() == [0, 0, 0, 4]
+
+
+@st.composite
+def _block_calls(draw):
+    """A truth matrix and two probe_block calls over it: players all, a
+    sorted subset, unsorted or repeated; objects a contiguous run (bytes
+    next to each other) or scattered across the row with repeats."""
+    n_players = draw(st.integers(1, 9))
+    n_objects = draw(st.integers(1, 70))
+    truth = np.asarray(
+        draw(st.lists(st.integers(0, 1), min_size=n_players * n_objects,
+                      max_size=n_players * n_objects)),
+        dtype=np.uint8,
+    ).reshape(n_players, n_objects)
+    calls = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["all", "subset", "unsorted", "repeated"]))
+        if kind == "all":
+            players = list(range(n_players))
+        elif kind == "subset":
+            players = sorted(draw(st.sets(st.integers(0, n_players - 1), min_size=1)))
+        elif kind == "unsorted":
+            players = draw(st.permutations(range(n_players)))
+        else:
+            players = draw(st.lists(st.integers(0, n_players - 1), min_size=2, max_size=10))
+        if draw(st.booleans()):
+            start = draw(st.integers(0, n_objects - 1))
+            stop = draw(st.integers(start + 1, min(n_objects, start + 12)))
+            objects = list(range(start, stop))
+        else:
+            objects = draw(st.lists(st.integers(0, n_objects - 1), min_size=1, max_size=24))
+        calls.append((np.asarray(players), np.asarray(objects)))
+    return truth, calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_block_calls(), noise=st.sampled_from([0.0, 0.3]), packed=st.booleans())
+def test_probe_block_matches_probe_objects_loop(batch, noise, packed):
+    """probe_block reads the object-major matrix and marks the memo on a
+    byte span; a probe_objects loop reads one player at a time.  They agree
+    on values, distinct probes, requests and the memo itself."""
+    truth, calls = batch
+    block_oracle = ProbeOracle(truth, noise_rate=noise, noise_seed=5)
+    loop_oracle = ProbeOracle(truth, noise_rate=noise, noise_seed=5)
+    for players, objects in calls:
+        got = block_oracle.probe_block(players, objects, packed=packed)
+        if packed:
+            got = got.unpack()
+        want = np.stack([loop_oracle.probe_objects(player, objects) for player in players])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(block_oracle.probes_used(), loop_oracle.probes_used())
+        np.testing.assert_array_equal(
+            block_oracle.requests_used(), loop_oracle.requests_used()
+        )
+        np.testing.assert_array_equal(
+            block_oracle.probe_state()[0], loop_oracle.probe_state()[0]
+        )

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
+from reference_loops import block_words_reduceat
 from repro import make_context, planted_clusters_instance, zero_radius_instance
 from repro.errors import ProtocolError
 from repro.players.adversaries import RandomReportStrategy
 from repro.preferences.metrics import prediction_errors
 from repro.protocols.small_radius import small_radius
+
+# The package re-exports the function under the module's name.
+_block_words = importlib.import_module("repro.protocols.small_radius")._block_words
 
 
 class TestSmallRadiusHonest:
@@ -81,3 +87,37 @@ class TestSmallRadiusDishonest:
         honest_mask[dishonest] = False
         errors = prediction_errors(estimates, instance.preferences)[honest_mask]
         assert errors.max() <= 5 * 6 + 6
+
+
+class TestBlockWords:
+    """The shift-or builder on object rows packs exactly the words of the
+    player-major ``reduceat`` reference: same values, dtype and starts."""
+
+    @staticmethod
+    def _check(bits, widths, order):
+        want, want_starts = block_words_reduceat(bits, widths)
+        rows = np.asarray(bits.T, order=order)
+        got, got_starts = _block_words(rows, widths)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want.T)
+        np.testing.assert_array_equal(got_starts, want_starts)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", ["blocks", "one-row", "one-block"])
+    def test_matches_reduceat_reference_for_widths_1_to_130(self, order, shape):
+        # Every widest-block width 1..130 crosses each dtype and word-count
+        # boundary: 8/9, 16/17, 32/33, 64/65 and 128/129.
+        rng = np.random.default_rng(41)
+        for widest in range(1, 131):
+            if shape == "one-block":
+                widths = np.asarray([widest])
+            else:
+                widths = rng.integers(1, widest + 1, size=int(rng.integers(1, 7)))
+                widths[rng.integers(0, widths.size)] = widest
+            n_rows = 1 if shape == "one-row" else int(rng.integers(2, 9))
+            bits = rng.integers(0, 2, size=(n_rows, int(widths.sum())), dtype=np.uint8)
+            self._check(bits, widths, order)
+
+    def test_all_ones_fill_every_word(self):
+        for width in (8, 16, 32, 64, 65, 128, 129):
+            self._check(np.ones((3, width), dtype=np.uint8), np.asarray([width]), "C")

@@ -243,6 +243,15 @@ def test_small_radius_mixed_recursion_matches_per_subset_loop(strategy, seed, mo
     assert_same_execution(batched_ctx, loop_ctx)
 
 
+def _decode_block_keys(keys: np.ndarray, width: int) -> np.ndarray:
+    """Rows of bits from ``(k, ceil(width / 64))`` block-word keys (first bit
+    most significant, the last word of a wide key left-aligned)."""
+    position = np.arange(width)
+    shifts = (min(64, width) - 1 - (position & 63)).astype(np.uint64)
+    words = keys[:, position >> 6].astype(np.uint64)
+    return ((words >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
 def test_popular_vectors_blocks_matches_per_block_reference():
     from repro.protocols.zero_radius import popular_vectors
 
@@ -253,15 +262,25 @@ def test_popular_vectors_blocks_matches_per_block_reference():
         published = rng.integers(0, 2, size=(n_players, widths.sum()), dtype=np.uint8)
         published = published[rng.integers(0, n_players, size=n_players)]
         min_support = int(rng.integers(1, max(2, n_players // 2)))
-        blocks = _SMALL_RADIUS_MODULE._popular_vectors_blocks(
-            published, widths, min_support
+        # The builder takes object rows and returns every block's popular
+        # vectors as flat word keys; decode each block's keys back to rows.
+        keys, counts = _SMALL_RADIUS_MODULE._popular_vectors_blocks(
+            np.ascontiguousarray(published.T), widths, min_support
         )
         offsets = np.concatenate(([0], np.cumsum(widths)))
+        key_words = (widths + 63) // 64
+        key_starts = np.concatenate(([0], np.cumsum(counts * key_words)))
+        assert key_starts[-1] == keys.size
         for index in range(widths.size):
             reference = popular_vectors(
                 published[:, offsets[index] : offsets[index + 1]], min_support
             )
-            np.testing.assert_array_equal(blocks[index], reference)
+            block_keys = keys[key_starts[index] : key_starts[index + 1]].reshape(
+                counts[index], key_words[index]
+            )
+            np.testing.assert_array_equal(
+                _decode_block_keys(block_keys, int(widths[index])), reference
+            )
 
 
 # ---------------------------------------------------------------------------
