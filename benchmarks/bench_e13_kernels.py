@@ -167,13 +167,15 @@ def _kernel_microbenchmark(
 
     # The base block of a top-level SmallRadius repetition on the honest
     # benchmark workload: 1,363 objects split over 207 base subsets, every
-    # player's bits of each subset packed into one 16-bit word.
+    # player's bits of each subset packed into one 16-bit word.  Its own
+    # generator leaves the other rows' inputs as they were before it.
+    block_rng = np.random.default_rng(seed + 1)
     block_players, block_bits, n_blocks = 1024, 1363, 207
     block_widths = 1 + np.bincount(
-        rng.integers(0, n_blocks, size=block_bits - n_blocks), minlength=n_blocks
+        block_rng.integers(0, n_blocks, size=block_bits - n_blocks), minlength=n_blocks
     )
     assert block_widths.max() <= 17
-    player_rows = rng.integers(0, 2, size=(block_players, block_bits), dtype=np.uint8)
+    player_rows = block_rng.integers(0, 2, size=(block_players, block_bits), dtype=np.uint8)
     object_rows = np.ascontiguousarray(player_rows.T)
 
     def block_words_equal() -> bool:

@@ -104,6 +104,16 @@ def _block_words(rows: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.n
     return words, starts
 
 
+def _bit_location(widths: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where :func:`_block_words` puts bit ``positions`` of blocks of ``widths`` bits.
+
+    Returns ``(word, shift)``: the index of the word within its block's
+    words, and the bit's left shift within that word (first bit most
+    significant, the last word of a wider block left-aligned).
+    """
+    return positions >> 6, np.minimum(64, widths) - 1 - (positions & 63)
+
+
 def _popular_vectors_blocks(
     published: np.ndarray, widths: np.ndarray, min_support: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -427,9 +437,10 @@ def _batched_base_repetition(
 
     # Every base subset's rows: its chosen key unpacked, or its ZeroRadius
     # estimate when no vector had enough support (an off-promise input).
-    position = np.arange(offsets[-1]) - np.repeat(offsets[:-1], widths)
-    source = np.repeat(word_starts, widths) + (position >> 6)
-    shifts = np.repeat(np.minimum(64, widths), widths) - 1 - (position & 63)
+    word, shifts = _bit_location(
+        np.repeat(widths, widths), np.arange(offsets[-1]) - np.repeat(offsets[:-1], widths)
+    )
+    source = np.repeat(word_starts, widths) + word
     has_candidates = np.repeat(counts > 0, widths)
     if not has_candidates.all():
         assembled[merged_rows[~has_candidates]] = true_rows[~has_candidates]
@@ -459,15 +470,15 @@ def _deferred_select(
     ``offsets``); ``draws`` holds the sample positions drawn for those whose
     sample is smaller than the subset, and ``keys`` from ``key_starts`` the
     ``counts`` candidate keys of each.  One probe block covers every pending
-    subset's sample.  The players' sample words come from
-    :func:`_block_words` on its object rows and the candidates' from their
-    keys, in the same dtype, so each (candidate count, sample word count)
-    group of subsets stacks into one ``(k, S, P)`` packed-Hamming call and
-    one :func:`_first_argmin`.  Returns each player's choice per pending
-    subset, ``(len(pending), P)``.
+    subset's sample.  One builder, :func:`_block_words`, packs each subset's
+    sample into words for the players (from the probe block's object rows)
+    and for the candidates (from the sampled bits of their keys), so both
+    sides share one word layout and dtype, and each (candidate count, sample
+    word count) group of subsets stacks into one ``(k, S, P)`` packed-Hamming
+    call and one :func:`_first_argmin`.  Returns each player's choice per
+    pending subset, ``(len(pending), P)``.
     """
     widths = np.diff(offsets)
-    key_words = (widths + 63) // 64
     sample_widths = np.minimum(widths[pending], select_sample)
     width = int(sample_widths.max())
     positions = np.broadcast_to(np.arange(width), (pending.size, width)).copy()
@@ -479,31 +490,26 @@ def _deferred_select(
         ctx.oracle.probe_block(players, sampled).T, sample_widths
     )
 
-    # Candidate c of pending subset i: bit ``positions[i, j]`` of its key
-    # goes to bit j of its sample words, in the players' word layout.
+    # Every candidate's sampled key bits, candidate after candidate: bit j
+    # of candidate c of pending subset i is bit ``positions[i, j]`` of its
+    # key, for the ``sample_widths[i]`` positions in the sample.
     n_candidates = counts[pending]
     cand_first = np.concatenate(([0], np.cumsum(n_candidates)[:-1]))
     owner = np.repeat(np.arange(pending.size), n_candidates)
     subset = pending[owner]
     rank = np.arange(owner.size) - cand_first[owner]
-    cand_positions = positions[owner]
-    key_word = (key_starts[subset] + rank * key_words[subset])[:, None] + (cand_positions >> 6)
-    key_shift = np.minimum(64, widths[subset])[:, None] - 1 - (cand_positions & 63)
-    bits = (keys[key_word] >> key_shift.astype(keys.dtype)) & 1
-    sample_shift = np.minimum(64, sample_widths[owner])[:, None] - 1 - (np.arange(width) & 63)
-    bits[~in_sample[owner]] = 0
-    sample_shift[~in_sample[owner]] = 0
-    dtype = true_words.dtype
-    contributions = np.left_shift(bits.astype(dtype), sample_shift.astype(dtype))
-    n_words = (width + 63) // 64
-    if n_words > 1:
-        contributions = np.pad(contributions, ((0, 0), (0, 64 * n_words - width)))
-    cand_words = np.bitwise_or.reduce(contributions.reshape(owner.size, n_words, -1), axis=2)
+    key_base = key_starts[subset] + rank * ((widths[subset] + 63) // 64)
+    cand_widths = sample_widths[owner]
+    word, shift = _bit_location(
+        np.repeat(widths[subset], cand_widths), positions[owner][in_sample[owner]]
+    )
+    bits = (keys[np.repeat(key_base, cand_widths) + word] >> shift.astype(keys.dtype)) & 1
+    cand_words, cand_starts = _block_words(bits.astype(np.uint8)[:, None], cand_widths)
 
     sample_words = (sample_widths + 63) // 64
     choices = np.empty((pending.size, players.size), dtype=np.int64)
     groups, group_of = np.unique(
-        n_candidates * (n_words + 1) + sample_words, return_inverse=True
+        n_candidates * (int(sample_words.max()) + 1) + sample_words, return_inverse=True
     )
     for group in range(groups.size):
         rows = np.flatnonzero(group_of == group)
@@ -515,7 +521,9 @@ def _deferred_select(
                 true_words[true_starts[rows][:, None] + np.arange(words)].transpose(0, 2, 1)
             )  # (S, P, words)
         cand_block = cand_words[
-            cand_first[rows][None, :] + np.arange(count)[:, None], :words
+            cand_starts[cand_first[rows][None, :] + np.arange(count)[:, None]][..., None]
+            + np.arange(words),
+            0,
         ]  # (k, S, words), C-contiguous so its bytes view in place
         disagreements = packed_hamming(
             cand_block.view(np.uint8)[:, :, None, :],

@@ -30,15 +30,17 @@ or the truth through the noisy channel) is held once, **object-major**: row
 ``o`` holds every player's answer for object ``o``, contiguously, which is
 the bulletin board's orientation.  A collective probe of ``k`` objects thus
 gathers ``k`` contiguous rows, and :meth:`ProbeOracle.probe_block` hands the
-logical ``(players, objects)`` block back as a transposed view of them.  The
-ground truth used for scoring stays player-major.  The memoisation mask is
-player-major and **bit-packed** (one bit per cell, ``repro.perf.bitset``
-bytes): a probe block tests and marks the contiguous byte span its objects
-cover, so the block paths move byte-wide slices rather than fancy-indexed
-bytes.  The block paths can also return their answers as
-:class:`PackedBits` rows (``packed=True``) for consumers on the packed
-dataflow — the Select estimators and the collective tournament feed them
-straight into XOR+popcount kernels without a repack.
+logical ``(players, objects)`` block back as a transposed view of them.
+Without noise the observed matrix *is* the ground truth, one array that a
+pickle stores once; with noise the ground truth is a second object-major
+matrix.  :meth:`ProbeOracle.ground_truth` returns it as a transposed view.
+The memoisation mask is player-major and **bit-packed** (one bit per cell,
+``repro.perf.bitset`` bytes): a probe block tests and marks the contiguous
+byte span its objects cover, so the block paths move byte-wide slices
+rather than fancy-indexed bytes.  The block paths can also return their
+answers as :class:`PackedBits` rows (``packed=True``) for consumers on the
+packed dataflow — the Select estimators and the collective tournament feed
+them straight into XOR+popcount kernels without a repack.
 """
 
 from __future__ import annotations
@@ -96,11 +98,12 @@ class ProbeOracle:
             )
         if truth.size == 0:
             raise ConfigurationError("truth matrix must be non-empty")
-        unique = np.unique(truth)
-        if not np.all(np.isin(unique, (0, 1))):
+        # Two comparisons instead of sorting every cell; the sort only names
+        # the offending values.
+        if not ((truth == 0) | (truth == 1)).all():
             raise ConfigurationError(
                 "truth matrix must be binary (0/1); found values "
-                f"{unique[:10].tolist()}"
+                f"{np.unique(truth)[:10].tolist()}"
             )
         if enforce_budget and budget is None:
             raise ConfigurationError("enforce_budget=True requires a budget")
@@ -125,26 +128,27 @@ class ProbeOracle:
                 f"noise_rate must lie in [0, 0.5), got {noise_rate}"
             )
 
-        self._truth = truth.astype(np.uint8, copy=True)
+        n_players, n_objects = truth.shape
+        # Object-major: row ``o`` is every player's value for object ``o``.
+        self._truth = truth.T.astype(np.uint8, order="C", copy=True)
         self._truth.setflags(write=False)
         self.noise_rate = float(noise_rate)
-        observed = self._truth
+        # The matrix the probes read: the truth itself unless noisy.
+        self._observed = self._truth
         if noise_rate > 0.0:
-            flips = as_generator(noise_seed).random(self._truth.shape) < noise_rate
-            observed = self._truth ^ flips.astype(np.uint8)
-        # Object-major: row ``o`` is every player's answer for object ``o``.
-        self._observed = np.ascontiguousarray(observed.T)
-        self._observed.setflags(write=False)
+            flips = as_generator(noise_seed).random((n_players, n_objects)) < noise_rate
+            self._observed = self._truth ^ np.ascontiguousarray(flips.T, dtype=np.uint8)
+            self._observed.setflags(write=False)
         # Bit-packed memoisation mask: bit ``o`` of player ``p``'s row says
         # whether the (p, o) pair was already charged.
-        self._object_bytes = (self._truth.shape[1] + 7) // 8
-        self._probed = np.zeros((self._truth.shape[0], self._object_bytes), dtype=np.uint8)
-        self._counts = np.zeros(self._truth.shape[0], dtype=np.int64)
+        self._object_bytes = (n_objects + 7) // 8
+        self._probed = np.zeros((n_players, self._object_bytes), dtype=np.uint8)
+        self._counts = np.zeros(n_players, dtype=np.int64)
         # Raw probe *requests*, counting repeats.  Distinct probes (above) are
         # what a player can ever learn (capped at n_objects); requests follow
         # the paper's round-by-round accounting and keep growing with the
         # algorithmic work, so both are reported.
-        self._requests = np.zeros(self._truth.shape[0], dtype=np.int64)
+        self._requests = np.zeros(n_players, dtype=np.int64)
         self.budget = budget
         self.enforce_budget = enforce_budget
 
@@ -154,12 +158,12 @@ class ProbeOracle:
     @property
     def n_players(self) -> int:
         """Number of players."""
-        return self._truth.shape[0]
+        return self._truth.shape[1]
 
     @property
     def n_objects(self) -> int:
         """Number of objects."""
-        return self._truth.shape[1]
+        return self._truth.shape[0]
 
     # ------------------------------------------------------------------
     # Probing
@@ -574,13 +578,15 @@ class ProbeOracle:
     # Ground-truth access for *evaluation only*
     # ------------------------------------------------------------------
     def ground_truth(self) -> PreferenceMatrix:
-        """Read-only view of the hidden matrix.
+        """Read-only ``(n_players, n_objects)`` view of the hidden matrix.
 
-        This is for scoring the protocol output after the fact (computing
-        ``|w(p) − v(p)|``) and for adversary strategies, which the model
-        allows to know everything.  Protocol code must never call it.
+        A transposed view of the object-major matrix the oracle holds, so it
+        is Fortran-ordered.  This is for scoring the protocol output after
+        the fact (computing ``|w(p) − v(p)|``) and for adversary strategies,
+        which the model allows to know everything.  Protocol code must never
+        call it.
         """
-        return self._truth
+        return self._truth.T
 
     def __repr__(self) -> str:
         return (

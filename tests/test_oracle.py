@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,11 @@ def oracle(truth):
 
 class TestConstruction:
     def test_rejects_non_binary(self):
-        with pytest.raises(ConfigurationError):
-            ProbeOracle(np.full((2, 2), 3))
+        for value in (3, -1, 0.5, np.nan):
+            truth = np.zeros((2, 2))
+            truth[1, 0] = value
+            with pytest.raises(ConfigurationError, match="binary"):
+                ProbeOracle(truth)
 
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ConfigurationError):
@@ -35,12 +40,20 @@ class TestConstruction:
             ProbeOracle(np.zeros((0, 0)))
 
     def test_truth_is_copied_and_readonly(self, truth):
-        oracle = ProbeOracle(truth)
-        original = int(truth[0, 0])
-        truth[0, 0] ^= 1  # mutate the caller's array after construction
-        assert int(oracle.ground_truth()[0, 0]) == original
-        with pytest.raises(ValueError):
-            oracle.ground_truth()[0, 0] = 1
+        # Either input layout: an F-ordered one transposes without a copy.
+        for caller in (truth.copy(), np.asfortranarray(truth)):
+            oracle = ProbeOracle(caller)
+            caller[0, 0] ^= 1  # mutate the caller's array after construction
+            np.testing.assert_array_equal(oracle.ground_truth(), truth)
+            with pytest.raises(ValueError):
+                oracle.ground_truth()[0, 0] = 1
+
+    def test_noise_free_oracle_pickles_one_matrix(self):
+        # Without noise the probes read the ground truth itself, so a
+        # checkpoint carries the n x m matrix once, not twice.
+        truth = np.random.default_rng(0).integers(0, 2, size=(64, 512), dtype=np.uint8)
+        assert len(pickle.dumps(ProbeOracle(truth))) < 1.5 * truth.size
+        assert len(pickle.dumps(ProbeOracle(truth, noise_rate=0.1, noise_seed=1))) > 2 * truth.size
 
     def test_enforce_budget_requires_budget(self, truth):
         with pytest.raises(ConfigurationError):

@@ -7,15 +7,16 @@ import importlib
 import numpy as np
 import pytest
 
-from reference_loops import block_words_reduceat
-from repro import make_context, planted_clusters_instance, zero_radius_instance
+from reference_loops import assert_same_execution, block_words_reduceat, small_radius_per_subset
+from repro import ProtocolConstants, make_context, planted_clusters_instance, zero_radius_instance
 from repro.errors import ProtocolError
 from repro.players.adversaries import RandomReportStrategy
 from repro.preferences.metrics import prediction_errors
 from repro.protocols.small_radius import small_radius
 
 # The package re-exports the function under the module's name.
-_block_words = importlib.import_module("repro.protocols.small_radius")._block_words
+_small_radius_module = importlib.import_module("repro.protocols.small_radius")
+_block_words = _small_radius_module._block_words
 
 
 class TestSmallRadiusHonest:
@@ -121,3 +122,38 @@ class TestBlockWords:
     def test_all_ones_fill_every_word(self):
         for width in (8, 16, 32, 64, 65, 128, 129):
             self._check(np.ones((3, width), dtype=np.uint8), np.asarray([width]), "C")
+
+
+@pytest.mark.parametrize("widths", [(80, 130, 60), (60, 130, 80)], ids=["narrow-last", "wide-last"])
+def test_deferred_select_mixes_one_and_two_word_samples(widths, monkeypatch):
+    # At n = 32 a sample factor of 32 gives a 111-bit Select sample, so the
+    # 60-bit subset's sample takes one 64-bit word while the 80-bit and the
+    # drawn 130-bit subsets' take two.  Every subset is a base case with
+    # four candidates, so all three Select in one deferred pass.
+    instance = zero_radius_instance(32, sum(widths), n_clusters=4, seed=5)
+    constants = ProtocolConstants.practical().with_overrides(rselect_sample_factor=32.0)
+    stops = np.cumsum(widths)
+    operand_bytes: list[int] = []
+    deferred_kernel = _small_radius_module.packed_hamming
+
+    def spy(a_data, b_data):
+        operand_bytes.append(a_data.shape[-1])
+        return deferred_kernel(a_data, b_data)
+
+    monkeypatch.setattr(_small_radius_module, "packed_hamming", spy)
+
+    def run(solver):
+        ctx = make_context(instance, budget=4, constants=constants, seed=3)
+        monkeypatch.setattr(
+            ctx.randomness,
+            "partition_objects",
+            lambda objects, parts: np.split(np.asarray(objects), stops[:-1]),
+        )
+        return solver(ctx, ctx.all_players(), ctx.all_objects(), 4), ctx
+
+    batched, batched_ctx = run(small_radius)
+    looped, looped_ctx = run(small_radius_per_subset)
+    np.testing.assert_array_equal(batched, looped)
+    assert_same_execution(batched_ctx, looped_ctx)
+    assert sorted(set(operand_bytes)) == [8, 16]
+    np.testing.assert_array_equal(batched, instance.preferences)
