@@ -226,8 +226,10 @@ def _fan_out_diameters(
     the replayed charging equals the serial charging).
 
     Three situations force the serial path regardless of ``n_workers``:
-    reporting strategies (they may draw from the pool's shared generator per
-    call, which fan-out would reorder), an enforcing oracle budget (a fork
+    reporting strategies (a strategy may keep state across calls — a random
+    reporter's own generator, an adaptive strategy's report count — which
+    each fork would advance from the same starting point instead of in
+    schedule order), an enforcing oracle budget (a fork
     cannot see the other iterations' probes, so the cap could misfire), and
     an ambient telemetry collection — each fork's oracle would charge
     against its own pre-fork memoisation state, so the forks' probe counters

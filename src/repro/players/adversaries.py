@@ -25,6 +25,12 @@ attacks motivated in the introduction and analysed in §7.2:
   that survives the clustering phase and only lies once its reports carry
   majority weight.
 
+All but the random and adaptive strategies are
+:attr:`~repro.players.base.ReportingStrategy.pointwise`: they keep no state
+and draw no randomness, so how a protocol groups its calls changes no value.
+The random reporter draws from its own generator and the adaptive strategy
+counts what it has reported, so both see a protocol's calls one by one.
+
 Every strategy constructor accepts a ``seed`` in any
 :data:`~repro._typing.SeedLike` form (``int``, ``SeedSequence``,
 ``numpy.random.Generator`` or ``None``) — strategies that do not randomise
@@ -118,6 +124,8 @@ class InvertingStrategy(ReportingStrategy):
     strategies but the attack itself is deterministic.
     """
 
+    pointwise = True
+
     def __init__(self, seed: SeedLike = None) -> None:
         pass
 
@@ -134,6 +142,8 @@ class InvertingStrategy(ReportingStrategy):
 class PromotionStrategy(ReportingStrategy):
     """Honest everywhere except on ``target_objects``, which always get
     ``promoted_value`` (1 = promote, 0 = smear)."""
+
+    pointwise = True
 
     def __init__(
         self,
@@ -173,6 +183,8 @@ class ClusterHijackStrategy(ReportingStrategy):
     wrong values for the targeted objects.
     """
 
+    pointwise = True
+
     def __init__(
         self, victim: int, target_objects: np.ndarray, seed: SeedLike = None
     ) -> None:
@@ -205,6 +217,8 @@ class StrangeObjectStrategy(ReportingStrategy):
     votes with the majority so that its reports do not expose it as an
     outlier during clustering.
     """
+
+    pointwise = True
 
     def __init__(
         self,

@@ -7,6 +7,10 @@ whatever their strategy computes.  The pool applies the right strategy per
 player and exposes vectorised bulk paths, because the collective protocol
 implementations move blocks of reports at a time.  The bulk paths cost
 O(rows with a strategy) on top of one copy: honest rows are never visited.
+A strategy that answers each object on its own declares itself
+:attr:`~ReportingStrategy.pointwise`, so a protocol may ask it for many
+blocks in one call.  Under telemetry the pool counts the strategy calls it
+makes (``players.strategy_calls``).
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro._typing import PreferenceMatrix, SeedLike, as_generator, check_binary
+from repro._typing import PreferenceMatrix, check_binary
 from repro.errors import ConfigurationError
+from repro.obs import runtime as obs
 
 __all__ = ["ReportingStrategy", "PlayerPool"]
 
@@ -26,6 +31,15 @@ class ReportingStrategy(ABC):
 
     #: Whether the strategy is honest (reports the truth verbatim).
     honest: bool = False
+
+    #: Whether the strategy answers every object on its own.  A pointwise
+    #: strategy's report for ``objects[j]`` depends only on ``player``,
+    #: ``objects[j]``, ``true_values[j]`` and the pool, and a call draws no
+    #: randomness and changes no state; so merging, splitting, repeating or
+    #: reordering calls changes no value, and protocols may ask it for many
+    #: blocks in one call.  A subclass that adds state or randomness must
+    #: set it back to ``False``.
+    pointwise: bool = False
 
     @abstractmethod
     def report(
@@ -54,23 +68,20 @@ class PlayerPool:
         allowed to know it; honest code paths never read it from here).
     strategies:
         Mapping from player index to strategy for every *dishonest* player.
-        Unlisted players are honest.
-    seed:
-        Seed for strategies that randomise their lies.
+        Unlisted players are honest.  A strategy that randomises its lies
+        owns its generator.
     """
 
     def __init__(
         self,
         truth: PreferenceMatrix,
         strategies: dict[int, ReportingStrategy] | None = None,
-        seed: SeedLike = None,
     ) -> None:
         truth = np.asarray(truth)
         if truth.ndim != 2:
             raise ConfigurationError(f"truth must be 2-D, got shape {truth.shape}")
         self._truth = truth.astype(np.uint8)
         self.n_players, self.n_objects = truth.shape
-        self.rng = as_generator(seed)
         strategies = dict(strategies or {})
         for player, strategy in strategies.items():
             if not 0 <= int(player) < self.n_players:
@@ -111,6 +122,16 @@ class PlayerPool:
         return bool(self._strategies)
 
     @property
+    def pointwise(self) -> bool:
+        """Whether every installed strategy is
+        :attr:`~ReportingStrategy.pointwise` (true with none installed).
+
+        Read from the strategies on each call rather than stored, so a pool
+        unpickled from an older checkpoint answers it too.
+        """
+        return all(strategy.pointwise for strategy in self._strategies.values())
+
+    @property
     def dishonest_players(self) -> np.ndarray:
         """Sorted indices of dishonest players."""
         dishonest = [
@@ -143,6 +164,8 @@ class PlayerPool:
             raise ConfigurationError("objects and true_values must align")
         if int(player) not in self._strategies:
             return true_values.copy()
+        if obs._AMBIENT.telemetry is not None:
+            obs.add("players.strategy_calls")
         return self._strategy_reports(int(player), objects, true_values).astype(np.uint8)
 
     def _strategy_reports(
@@ -185,7 +208,10 @@ class PlayerPool:
         reports = true_block.copy()
         if not self._strategies:
             return reports
-        for row in np.flatnonzero(self._has_strategy[players]):
+        rows = np.flatnonzero(self._has_strategy[players])
+        if obs._AMBIENT.telemetry is not None:
+            obs.add("players.strategy_calls", int(rows.size))
+        for row in rows:
             reports[row] = self._strategy_reports(int(players[row]), objects, true_block[row])
         return reports
 
@@ -215,6 +241,8 @@ class PlayerPool:
         rows = rows[np.argsort(players[rows], kind="stable")]
         owners = players[rows]
         starts = np.flatnonzero(np.diff(owners, prepend=-1))
+        if obs._AMBIENT.telemetry is not None:
+            obs.add("players.strategy_calls", int(starts.size))
         for group in np.split(rows, starts[1:]):
             reports[group] = self._strategy_reports(
                 int(players[group[0]]), objects[group], true_values[group]

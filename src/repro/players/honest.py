@@ -19,6 +19,7 @@ class HonestStrategy(ReportingStrategy):
     """Post the true probe results, unmodified."""
 
     honest = True
+    pointwise = True
 
     def report(
         self,

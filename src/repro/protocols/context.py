@@ -186,7 +186,7 @@ def make_context(
         Shared randomness source; defaults to an honest source seeded from
         ``seed``.
     seed:
-        Seed for the default randomness source and the player pool.
+        Seed for the default randomness source.
     noise_rate / noise_seed:
         Optional noisy-oracle channel (see :class:`ProbeOracle`): each probe
         answer is flipped with probability ``noise_rate``, consistently
@@ -207,7 +207,7 @@ def make_context(
         noise_seed=noise_seed,
     )
     board = BulletinBoard(instance.n_players, instance.n_objects)
-    pool = PlayerPool(instance.preferences, strategies=strategies, seed=seed)
+    pool = PlayerPool(instance.preferences, strategies=strategies)
     rng = randomness if randomness is not None else SharedRandomness(seed)
     return ProtocolContext(
         oracle=oracle,

@@ -21,10 +21,13 @@ case — *mixed recursion*: the base-case subsets collapse into one probe
 block over their union, one post per channel and one probe block over their
 Select samples, while the subsets large enough to recurse still run the
 full ZeroRadius at their position in the partition order.  Pools with
-dishonest players take the same path: their strategies are asked for each
-base subset's reports at that subset's position, so every strategy sees the
-calls of the per-subset loop in its order.  The batched repetition consumes
-the shared randomness in exactly the per-subset order and charges the same
+dishonest players take the same path.  A pool whose strategies are all
+pointwise (each object answered on its own, no state, no randomness) is
+asked once per repetition for every base subset's reports; a pool holding
+any other strategy is asked for each base subset's reports at that
+subset's position, so every strategy with per-call state sees the calls of
+the per-subset loop in its order.  The batched repetition consumes the
+shared randomness in exactly the per-subset order and charges the same
 probes, so its output is bit-identical to running ZeroRadius, publish and
 Select subset by subset (property-tested against that loop, kept in the
 tests as the reference).
@@ -298,8 +301,8 @@ def _batched_base_repetition(
 ) -> None:
     """One SmallRadius repetition with the base-case subsets batched.
 
-    Performs the same probes, board writes, strategy calls and
-    shared-randomness draws as running the per-subset loop, but bulks the
+    Performs the same probes, board writes and shared-randomness draws as
+    running the per-subset loop, and posts the same reports, but bulks the
     base group: base-case subsets are disjoint, so their dense probe blocks
     concatenate into one call up front (a ZeroRadius base case consumes no
     shared randomness, so hoisting it cannot shift any draw), their reports
@@ -307,15 +310,20 @@ def _batched_base_repetition(
     sample probes concatenate into one more call.  Subsets that recurse run
     the full ZeroRadius *inline at their partition position*.
 
-    A pool with strategies is asked for each base subset's two report
-    blocks (the ZeroRadius base report, then the publish) at that subset's
-    position too, so strategies with per-instance state see the loop's
-    calls in the loop's order.  A base subset's Select sample draw needs its
-    candidate set, and so its published block: consecutive base subsets (a
-    *run*) resolve together, before the next recursive subset draws, which
-    keeps every shared-randomness draw in per-subset order (strategies never
-    touch the shared randomness, so asking them before a run's draws is
-    safe).
+    A pool of :attr:`~repro.players.base.ReportingStrategy.pointwise`
+    strategies is asked once, before the walk, for the reports of every
+    base subset together: each such strategy answers every object on its
+    own, so the merged block holds the values it gives subset by subset,
+    and since it never touches the shared randomness the early call moves
+    no draw.  A pool holding any other strategy is asked for each base
+    subset's two report blocks (the ZeroRadius base report, then the
+    publish) at that subset's position, so strategies with per-call state
+    see the loop's calls in the loop's order.  A base subset's Select sample
+    draw needs its candidate set, and so its published block: consecutive
+    base subsets (a *run*) resolve together, before the next recursive
+    subset draws, which keeps every shared-randomness draw in per-subset
+    order (strategies never touch the shared randomness, so asking them
+    before a run's draws is safe).
 
     The base group stays object-major from probe to result: the probe
     block arrives as object rows, candidate sets are :func:`_block_words`
@@ -325,6 +333,7 @@ def _batched_base_repetition(
     place.
     """
     pool = ctx.pool
+    per_subset_reports = pool.has_strategies and not pool.pointwise
     base_subsets = [subset for subset, base in zip(partitions, is_base) if base]
     widths = np.asarray([subset.size for subset in base_subsets], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(widths)))
@@ -337,9 +346,16 @@ def _batched_base_repetition(
         # Read-only by contract: without strategies, reports and published
         # vectors are the true values verbatim.
         reported = published = true_rows
-        if pool.has_strategies:
+        if per_subset_reports:
             reported = np.empty_like(true_rows)
             published = np.empty_like(true_rows)
+        elif pool.has_strategies:
+            # One call answers every base subset; the base report and the
+            # publish pass the strategies the same true block, so they post
+            # the same values.
+            reported = published = np.ascontiguousarray(
+                pool.reports_block(players, merged, true_rows.T).T
+            )
 
     # Walk the partition in order.  Each resolved run contributes its
     # popular keys and per-subset counts; a Select whose sample is smaller
@@ -393,7 +409,7 @@ def _batched_base_repetition(
             )
             assembled[rows] = chosen.T
             continue
-        if pool.has_strategies:
+        if per_subset_reports:
             block = slice(offsets[base_index], offsets[base_index + 1])
             true_block = true_rows[block].T
             reported[block] = pool.reports_block(players, subset, true_block).T

@@ -29,6 +29,7 @@ import pytest
 from repro.analysis.reporting import ExperimentTable, table_json_payload
 from repro.analysis.runner import run_trials
 from repro.faults import fault_metrics
+from repro import calculate_preferences, make_context, planted_clusters_instance
 from repro.obs import (
     Telemetry,
     TraceReport,
@@ -37,6 +38,7 @@ from repro.obs import (
 )
 from repro.obs import runtime as obs_runtime
 from repro.obs.report import merge_span_dicts, render_span_tree
+from repro.players import PlayerPool, ReportingStrategy
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.engine import execute
 from repro.scenarios.registry import get_scenario
@@ -341,6 +343,53 @@ class TestOracleMemoCounters:
         text = repr(oracle)
         assert "memo_hits=1" in text
         assert "memo_hit_rate=0.333" in text
+
+
+# ----------------------------------------------------------------------
+# Strategy call counter
+# ----------------------------------------------------------------------
+
+
+class _CountingInverter(ReportingStrategy):
+    """Posts the complement of the truth and counts its calls (per-call
+    state, so not pointwise)."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def report(self, player, objects, true_values, pool):
+        self.calls += 1
+        return 1 - np.asarray(true_values, dtype=np.uint8)
+
+
+class TestStrategyCallCounter:
+    def test_counter_equals_the_strategies_calls(self):
+        instance = planted_clusters_instance(24, 48, n_clusters=3, diameter=4, seed=5)
+        strategies = {3: _CountingInverter(), 17: _CountingInverter()}
+        ctx = make_context(instance, budget=2, strategies=strategies, seed=5)
+        with collecting() as telemetry:
+            calculate_preferences(ctx)  # block reports and work-sharing pairs
+            ctx.pool.reports_for(3, np.arange(4), np.zeros(4, dtype=np.uint8))
+        calls = sum(strategy.calls for strategy in strategies.values())
+        assert calls > 0
+        assert telemetry.report().counters["players.strategy_calls"] == calls
+
+    def test_pool_touches_no_telemetry_when_off(self, monkeypatch):
+        calls = {"n": 0}
+        real_add = Telemetry.add
+
+        def spy(self, *args, **kwargs):
+            calls["n"] += 1
+            return real_add(self, *args, **kwargs)
+
+        monkeypatch.setattr(Telemetry, "add", spy)
+        pool = PlayerPool(np.zeros((4, 5), dtype=np.uint8), {1: _CountingInverter()})
+        players, objects = np.arange(4), np.arange(5)
+        pool.reports_block(players, objects, np.zeros((4, 5), dtype=np.uint8))
+        pool.reports_pairs(players, objects[:4], np.zeros(4, dtype=np.uint8))
+        pool.reports_for(1, objects, np.zeros(5, dtype=np.uint8))
+        assert pool.strategy_of(1).calls == 3
+        assert calls["n"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.players.adversaries import (
+    AdaptiveStrategy,
     ClusterHijackStrategy,
     InvertingStrategy,
     PromotionStrategy,
@@ -91,6 +96,8 @@ class TestPlayerPool:
         calls = []
 
         class Recording(InvertingStrategy):
+            pointwise = False  # its calls are what it records
+
             def report(self, player, objects, true_values, pool):
                 calls.append((player, objects.tolist()))
                 return super().report(player, objects, true_values, pool)
@@ -188,6 +195,84 @@ class TestStrategies:
     def test_strange_requires_nonempty_cluster(self):
         with pytest.raises(ConfigurationError):
             StrangeObjectStrategy(np.asarray([], dtype=np.int64))
+
+
+#: The built-in strategies that declare themselves pointwise.
+POINTWISE_STRATEGIES = ("honest", "invert", "promote", "smear", "hijack", "strange")
+
+
+class TestPointwise:
+    @pytest.mark.parametrize("name", POINTWISE_STRATEGIES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_declared_pointwise_strategies_are(self, name, data):
+        # One call equals its pieces over any split into consecutive runs, a
+        # repeated call answers the same, and no call changes the strategy.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n_players = data.draw(st.integers(3, 40), label="n_players")
+        n_objects = data.draw(st.integers(1, 40), label="n_objects")
+        # Biased columns, so a victim cluster has clear-cut objects as well
+        # as strange ones.
+        like_rate = rng.random(n_objects)
+        truth = (rng.random((n_players, n_objects)) < like_rate).astype(np.uint8)
+        objects = np.asarray(
+            data.draw(st.lists(st.integers(0, n_objects - 1), max_size=40), label="objects"),
+            dtype=np.int64,
+        )
+        true_values = rng.integers(0, 2, size=objects.size, dtype=np.uint8)
+        cuts = sorted(
+            data.draw(st.lists(st.integers(0, objects.size), max_size=4), label="cuts")
+        )
+        if name == "honest":
+            player, strategy = 0, HonestStrategy()
+        else:
+            strategies, _ = build_coalition(
+                truth, 1, name, victim_cluster=np.arange(n_players // 2), seed=rng
+            )
+            (player, strategy), = strategies.items()
+        assert type(strategy).pointwise is True
+        pool = PlayerPool(truth, strategies={player: strategy})
+        state = pickle.dumps(strategy)
+
+        whole = strategy.report(player, objects, true_values, pool)
+        pieces = [
+            strategy.report(player, part, values, pool)
+            for part, values in zip(np.split(objects, cuts), np.split(true_values, cuts))
+        ]
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+        np.testing.assert_array_equal(strategy.report(player, objects, true_values, pool), whole)
+        assert pickle.dumps(strategy) == state
+
+    @pytest.mark.parametrize(
+        ("make", "cut"),
+        [
+            (lambda: RandomReportStrategy(seed=3), 3),
+            (lambda: AdaptiveStrategy(switch_after=5), 5),
+        ],
+        ids=["random", "adaptive"],
+    )
+    def test_stateful_strategies_are_not_pointwise(self, truth, make, cut):
+        # Each answers a split differently from the whole: a random
+        # reporter's generator and an adaptive strategy's count carry over.
+        assert type(make()).pointwise is False
+        pool = PlayerPool(truth)
+        objects = np.arange(10)
+        values = truth[0, objects]
+        whole = make().report(0, objects, values, pool)
+        split = make()
+        pieces = np.concatenate(
+            [
+                split.report(0, objects[:cut], values[:cut], pool),
+                split.report(0, objects[cut:], values[cut:], pool),
+            ]
+        )
+        assert not np.array_equal(pieces, whole)
+
+    def test_pool_is_pointwise_when_every_strategy_is(self, truth):
+        assert PlayerPool(truth).pointwise
+        assert PlayerPool(truth, strategies={0: InvertingStrategy(), 3: HonestStrategy()}).pointwise
+        mixed = {0: InvertingStrategy(), 3: RandomReportStrategy(seed=1)}
+        assert not PlayerPool(truth, strategies=mixed).pointwise
 
 
 class TestBuildCoalition:

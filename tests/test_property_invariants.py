@@ -74,7 +74,7 @@ def test_reports_stay_binary_and_honest_rows_untouched(instance, coalition_size,
     strategies, plan = build_coalition(
         instance.preferences, coalition_size, strategy=strategy, victim_cluster=victim, seed=seed
     )
-    pool = PlayerPool(instance.preferences, strategies=strategies, seed=seed)
+    pool = PlayerPool(instance.preferences, strategies=strategies)
     players = np.arange(instance.n_players)
     objects = np.arange(instance.n_objects)
     true_block = instance.preferences.copy()
