@@ -21,7 +21,6 @@ from repro.obs import collecting
 from repro.perf import (
     pack_bits,
     packed_hamming,
-    packed_majority_tall,
     packed_scatter_columns,
     packed_unique_rows,
     pairwise_hamming,
@@ -32,11 +31,15 @@ from repro.protocols.rselect import rselect_collective
 from repro.simulation.board import BulletinBoard
 from repro.simulation.oracle import ProbeOracle
 
-# The player-major ``reduceat`` block-word builder lives with the test
-# references; the shift-or builder is private to SmallRadius (the package
-# re-exports the function under the module's name).
+# The reference sides of the block-word, tournament and board-post rows live
+# with the test references; the shift-or builder is private to SmallRadius
+# (the package re-exports the function under the module's name).
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from reference_loops import block_words_reduceat  # noqa: E402
+from reference_loops import (  # noqa: E402
+    block_words_reduceat,
+    board_reports,
+    rselect_collective_serial,
+)
 
 _block_words = importlib.import_module("repro.protocols.small_radius")._block_words
 
@@ -233,21 +236,6 @@ def _kernel_microbenchmark(
         ),
     )
 
-    # Tall-stack majority: the bit-sliced vertical counter vs unpack-and-sum.
-    tall = rng.integers(0, 2, size=(2 * n, width), dtype=np.uint8)
-    tall_packed = pack_bits(tall)
-
-    def unpacked_majority():
-        bits = np.unpackbits(tall_packed.data, axis=-1, count=tall_packed.n_bits)
-        return (2 * bits.sum(axis=0, dtype=np.int64) >= tall.shape[0]).astype(np.uint8)
-
-    add_row(
-        "majority-tall (vertical counter)",
-        unpacked_majority,
-        lambda: packed_majority_tall(tall_packed),
-        lambda: np.array_equal(packed_majority_tall(tall_packed), unpacked_majority()),
-    )
-
     # --- Tournament layer (PR 3): serial vs vectorised, loop vs ragged ----
     # For these two rows "unpacked" means the serial/per-player reference and
     # "packed" the collective path; both sides rebuild their state per run
@@ -262,15 +250,17 @@ def _kernel_microbenchmark(
     players = np.arange(tournament_n)
     objects = np.arange(tournament_width)
 
-    def run_tournament(vectorised: bool) -> np.ndarray:
+    def run_tournament(tournament) -> np.ndarray:
         ctx = make_context(instance, budget=8, seed=seed)
-        return rselect_collective(ctx, players, objects, stack, vectorised=vectorised)
+        return tournament(ctx, players, objects, stack)
 
     add_row(
         "rselect tournament (serial vs collective)",
-        lambda: run_tournament(False),
-        lambda: run_tournament(True),
-        lambda: np.array_equal(run_tournament(False), run_tournament(True)),
+        lambda: run_tournament(rselect_collective_serial),
+        lambda: run_tournament(rselect_collective),
+        lambda: np.array_equal(
+            run_tournament(rselect_collective_serial), run_tournament(rselect_collective)
+        ),
         n_value=tournament_n,
         width_value=tournament_width,
     )
@@ -302,7 +292,7 @@ def _kernel_microbenchmark(
     def scatter_equal() -> bool:
         dense_scatter()
         packed_scatter()
-        got_values, got_posted = packed_board.report_matrix("bench")
+        got_values, got_posted = board_reports(packed_board, "bench")
         return np.array_equal(got_values, dense_matrix) and np.array_equal(
             got_posted, dense_posted
         )
@@ -330,34 +320,6 @@ def _kernel_microbenchmark(
         ),
         n_value=board_players,
         width_value=board_objects_total,
-    )
-
-    # Packed report round-trip: full-player post + dense readback, packed
-    # board vs the dense reference semantics.
-    def dense_roundtrip():
-        dense_matrix[:, board_objects] = board_values
-        dense_posted[:, board_objects] = True
-        return dense_matrix.copy(), dense_posted.copy()
-
-    def packed_roundtrip():
-        board = BulletinBoard(board_players, board_objects_total)
-        board.post_report_block("rt", all_players, board_objects, board_values)
-        return board.report_matrix("rt", copy=False)
-
-    def roundtrip_equal() -> bool:
-        got_values, got_posted = packed_roundtrip()
-        want_values, want_posted = dense_roundtrip()
-        return np.array_equal(got_values, want_values) and np.array_equal(
-            got_posted, want_posted
-        )
-
-    add_row(
-        "board report round-trip (post + read)",
-        dense_roundtrip,
-        packed_roundtrip,
-        roundtrip_equal,
-        n_value=board_players,
-        width_value=board_objects.size,
     )
 
     # The raw column-scatter kernel against the maintenance it replaces:
@@ -418,7 +380,7 @@ def _kernel_microbenchmark(
 
 def test_e13_kernels(benchmark, report_table):
     table = report_table(benchmark, kernel_microbenchmark, "e13_kernels")
-    assert len(table.rows) == 13
+    assert len(table.rows) == 11
     for row in table.rows:
         assert row["packed_ms"] > 0.0
     by_kernel = {row["kernel"]: row for row in table.rows}

@@ -63,11 +63,7 @@ from repro.scenarios import (
 from repro.protocols.select import select_collective, select_per_player
 from repro.protocols.small_radius import small_radius
 from repro.protocols.zero_radius import zero_radius
-from repro.simulation.config import (
-    ExperimentConfig,
-    ProtocolConstants,
-    SimulationParameters,
-)
+from repro.simulation.config import ProtocolConstants
 from repro.simulation.metrics import ProtocolReport, protocol_report
 from repro.simulation.oracle import ProbeOracle
 from repro.simulation.randomness import AdversarialRandomness, SharedRandomness
@@ -82,7 +78,6 @@ __all__ = [
     "CoalitionSpec",
     "DynamicsSpec",
     "ElectionResult",
-    "ExperimentConfig",
     "PlantedInstance",
     "PlayerPool",
     "PopulationSpec",
@@ -96,7 +91,6 @@ __all__ = [
     "ScenarioRun",
     "ScenarioSpec",
     "SharedRandomness",
-    "SimulationParameters",
     "build_coalition",
     "build_neighbor_graph",
     "calculate_preferences",

@@ -82,5 +82,5 @@ def global_majority(ctx: ProtocolContext, seed: SeedLike = None) -> np.ndarray:
     # draws without replacement and posts once), so the vote multiset equals
     # the board's distinct-cell state and the consensus *is* the board's
     # masked majority — one packed reduction over the posted channel.
-    consensus, _ = ctx.board.masked_majority("baseline/global-majority", default=1)
+    consensus, _ = ctx.board.masked_majority("baseline/global-majority")
     return np.tile(consensus, (ctx.n_players, 1))

@@ -46,7 +46,6 @@ from repro.faults.plan import (
 from repro.faults.runtime import (
     FaultEvent,
     FaultInjector,
-    active_injector,
     board_fault_gate,
     disk_fault_gate,
     installed,
@@ -63,7 +62,6 @@ __all__ = [
     "FaultPlan",
     "PlannedFault",
     "TrialJournal",
-    "active_injector",
     "board_fault_gate",
     "degraded_payload",
     "disk_fault_gate",

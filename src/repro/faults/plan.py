@@ -161,10 +161,6 @@ class FaultPlan:
             or ("worker.stall", int(point), int(attempt), 0) in index
         )
 
-    def for_point(self, point: int) -> tuple[PlannedFault, ...]:
-        """All faults planned against one trial point, in plan order."""
-        return tuple(f for f in self.faults if f.point == int(point))
-
     @property
     def n_faults(self) -> int:
         return len(self.faults)

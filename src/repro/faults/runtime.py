@@ -28,7 +28,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "installed",
-    "active_injector",
     "oracle_fault_gate",
     "board_fault_gate",
     "disk_fault_gate",
@@ -92,11 +91,6 @@ class FaultInjector:
 #: from the test thread), so concurrent sessions under one plan share its
 #: occurrence counters: install a disk plan around one session's work only.
 _ACTIVE: FaultInjector | None = None
-
-
-def active_injector() -> FaultInjector | None:
-    """The currently installed injector (``None`` outside chaos runs)."""
-    return _ACTIVE
 
 
 @contextmanager

@@ -3,8 +3,7 @@
 ``repro.perf`` hosts representation-level optimisations that are invisible
 at the protocol layer: :mod:`repro.perf.bitset` packs binary vectors eight
 positions per byte and computes Hamming-shaped reductions as XOR+popcount
-on machine words, or, for all-pairs distances, from an exact ``float32``
-Gram matrix.
+on machine words, all-pairs distances (:func:`pairwise_hamming`) included.
 The consumers are the Select distance estimators
 (:mod:`repro.protocols.select`), the collective RSelect tournament
 (:mod:`repro.protocols.rselect`, via :func:`packed_pair_vote`), the
@@ -25,8 +24,8 @@ installed each call feeds a ``perf.<kernel>`` calls/cumulative-time timer
 ``is None`` gate.  ``popcount``/``bit_cover``/``column_plan`` stay bare —
 they are tiny, extremely frequent helpers whose timings would be noise —
 and calls *between* kernels inside :mod:`repro.perf.bitset` bypass the
-wrappers, so a dispatching kernel (e.g. :func:`packed_majority` handing
-tall inputs to its carry-save path) is accounted once, at the public entry.
+wrappers, so a kernel built on another (:func:`packed_pair_vote` on
+``packed_hamming``) is accounted once, at the public entry.
 """
 
 from repro.obs.runtime import timed_kernel
@@ -35,8 +34,6 @@ from repro.perf.bitset import PackedBits, bit_cover, column_plan, popcount
 
 pack_bits = timed_kernel(_bitset.pack_bits)
 packed_hamming = timed_kernel(_bitset.packed_hamming)
-packed_majority = timed_kernel(_bitset.packed_majority)
-packed_majority_tall = timed_kernel(_bitset.packed_majority_tall)
 packed_masked_majority = timed_kernel(_bitset.packed_masked_majority)
 packed_pair_vote = timed_kernel(_bitset.packed_pair_vote)
 packed_scatter_columns = timed_kernel(_bitset.packed_scatter_columns)
@@ -49,8 +46,6 @@ __all__ = [
     "column_plan",
     "pack_bits",
     "packed_hamming",
-    "packed_majority",
-    "packed_majority_tall",
     "packed_masked_majority",
     "packed_pair_vote",
     "packed_scatter_columns",

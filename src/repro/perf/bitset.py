@@ -41,8 +41,6 @@ __all__ = [
     "column_plan",
     "packed_hamming",
     "pairwise_hamming",
-    "packed_majority",
-    "packed_majority_tall",
     "packed_masked_majority",
     "packed_pair_vote",
     "packed_scatter_columns",
@@ -61,10 +59,6 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 #: pairwise kernel: about a core's L2 cache, so the XOR, popcount and
 #: accumulate passes over a chunk stay cache-resident.
 _CHUNK_BYTES = 1 << 20
-
-#: Row count above which ``packed_majority`` switches to the vertical-counter
-#: kernel (below it, one bulk unpack + column sum wins on call overhead).
-_TALL_MAJORITY_ROWS = 256
 
 
 def popcount(values: np.ndarray) -> np.ndarray:
@@ -244,17 +238,17 @@ def packed_scatter_columns(
 
 
 def packed_masked_majority(
-    values: PackedBits, posted: PackedBits, default: int = 1
+    values: PackedBits, posted: PackedBits
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row majority of value bits over the posted cells (ties go to 1).
 
     ``values`` and ``posted`` are packed stacks of the same logical shape;
     row ``r``'s majority counts only the positions whose ``posted`` bit is
     set (a bulletin-board row where not every player reported).  Returns
-    ``(majority, support)``: the ``uint8`` majority per row (rows with zero
-    posted cells fall back to ``default``) and the ``int64`` count of posted
-    cells per row.  Everything is XOR/AND + popcount on the packed words —
-    the dense equivalent is two full-size masked reductions.
+    ``(majority, support)``: the ``uint8`` majority per row (a row with no
+    posted cell is a 0-0 tie and reads as 1) and the ``int64`` count of
+    posted cells per row.  Everything is XOR/AND + popcount on the packed
+    words — the dense equivalent is two full-size masked reductions.
     """
     if values.data.shape != posted.data.shape or values.n_bits != posted.n_bits:
         raise ProtocolError(
@@ -263,7 +257,7 @@ def packed_masked_majority(
         )
     support = popcount(posted.data).sum(axis=-1, dtype=np.int64)
     likes = popcount(values.data & posted.data).sum(axis=-1, dtype=np.int64)
-    majority = np.where(support > 0, (2 * likes >= support), bool(default)).astype(np.uint8)
+    majority = (2 * likes >= support).astype(np.uint8)
     return majority, support
 
 
@@ -331,101 +325,6 @@ def pairwise_hamming(packed: PackedBits) -> np.ndarray:
         out[start:stop, start:] = block
         out[start:, start:stop] = block.T
     return out
-
-
-def packed_majority(packed: PackedBits) -> np.ndarray:
-    """Column-wise majority of a packed stack of binary rows (ties go to 1).
-
-    ``packed`` holds ``k >= 1`` rows of width ``n_bits``; returns the
-    ``uint8`` majority vector.  Short stacks are unpacked in a single C call
-    before the column reduction; tall stacks (``k`` in the hundreds and up)
-    dispatch to the bit-sliced :func:`packed_majority_tall`, which never
-    materialises the ``(k, n_bits)`` matrix.  Both paths are bit-identical.
-    """
-    if packed.data.ndim != 2:
-        raise ProtocolError(
-            f"packed_majority requires 2-D rows, got shape {packed.data.shape}"
-        )
-    k = packed.data.shape[0]
-    if k == 0:
-        raise ProtocolError("cannot take the majority of zero vectors")
-    if packed.n_bits == 0:
-        return np.zeros(0, dtype=np.uint8)
-    if k >= _TALL_MAJORITY_ROWS:
-        return packed_majority_tall(packed)
-    bits = np.unpackbits(packed.data, axis=-1, count=packed.n_bits)
-    sums = bits.sum(axis=0, dtype=np.int64)
-    return (2 * sums >= k).astype(np.uint8)
-
-
-def _carry_save_add(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full adder on bit-plane rows: returns (sum, carry) planes."""
-    a_xor_b = a ^ b
-    return a_xor_b ^ c, (a & b) | (a_xor_b & c)
-
-
-def packed_majority_tall(packed: PackedBits) -> np.ndarray:
-    """Column-wise majority via bit-sliced vertical counters (ties go to 1).
-
-    Bit-identical to the unpack-and-sum reference, but per-position counts
-    are accumulated as ``O(log k)`` packed counter planes: rows are reduced
-    three-at-a-time with a carry-save adder (one XOR/AND pass handles a third
-    of the remaining rows at once), carries cascade to the next plane, and
-    the final count-vs-``ceil(k/2)`` comparison is done bitwise from the most
-    significant plane down.  Total work is ``O(k log k)`` byte-ops on
-    ``n_bits/8``-wide rows with no ``(k, n_bits)`` unpacked scratch, which is
-    what makes very tall vote stacks (k ≫ 8·log n) cheap.
-    """
-    if packed.data.ndim != 2:
-        raise ProtocolError(
-            f"packed_majority_tall requires 2-D rows, got shape {packed.data.shape}"
-        )
-    k = packed.data.shape[0]
-    if k == 0:
-        raise ProtocolError("cannot take the majority of zero vectors")
-    if packed.n_bits == 0:
-        return np.zeros(0, dtype=np.uint8)
-
-    # levels[j] holds rows each of whose set bits is worth 2^j; reduce every
-    # level to a single plane, cascading carries upward.
-    levels: list[np.ndarray] = [np.ascontiguousarray(packed.data)]
-    planes: list[np.ndarray] = []
-    level = 0
-    while level < len(levels):
-        rows = levels[level]
-        while rows.shape[0] > 1:
-            full = 3 * (rows.shape[0] // 3)
-            if full:
-                sums, carries = _carry_save_add(
-                    rows[0:full:3], rows[1:full:3], rows[2:full:3]
-                )
-                rows = np.concatenate([sums, rows[full:]], axis=0)
-            else:  # two rows left: half adder
-                sums, carries = rows[0] ^ rows[1], rows[0] & rows[1]
-                rows = sums[None, :]
-            if carries.ndim == 1:
-                carries = carries[None, :]
-            if level + 1 == len(levels):
-                levels.append(carries)
-            else:
-                levels[level + 1] = np.concatenate(
-                    [levels[level + 1], carries], axis=0
-                )
-        planes.append(rows[0] if rows.shape[0] else np.zeros(packed.n_bytes, np.uint8))
-        level += 1
-
-    # count >= ceil(k/2) per position, compared bitwise MSB-plane down.
-    threshold = (k + 1) // 2
-    n_planes = max(len(planes), threshold.bit_length())
-    greater = np.zeros(packed.n_bytes, dtype=np.uint8)
-    equal = np.full(packed.n_bytes, 0xFF, dtype=np.uint8)
-    for bit in range(n_planes - 1, -1, -1):
-        plane = planes[bit] if bit < len(planes) else np.zeros(packed.n_bytes, np.uint8)
-        if (threshold >> bit) & 1:
-            equal &= plane
-        else:
-            greater |= equal & plane
-    return np.unpackbits(greater | equal, count=packed.n_bits)
 
 
 def packed_pair_vote(

@@ -10,8 +10,7 @@ survivor is within a constant factor of the best candidate's distance, using
 Two entry points are provided:
 
 * :func:`rselect` — the per-player tournament exactly as in Figure 1; used
-  where one player holds its *own* candidate list (the E1 driver) and as the
-  serial reference the collective path is property-tested against.
+  where one player holds its *own* candidate list (the E1 driver).
 * :func:`rselect_collective` — runs the tournament for every player at once.
   The pair schedule is shared (all players walk the same ``(a, b)`` nested
   order, skipping pairs they already eliminated), so each round vectorises:
@@ -20,9 +19,8 @@ Two entry points are provided:
   :meth:`~repro.simulation.oracle.ProbeOracle.probe_ragged` call, and the
   votes are counted by :func:`repro.perf.packed_pair_vote`.
 
-Randomness contract (the reason the serial and vectorised paths are
-bit-identical): ``rselect_collective`` first draws **one 63-bit seed per
-player from the shared randomness, in player order** (a single batched
+Randomness contract: ``rselect_collective`` first draws **one 63-bit seed
+per player from the shared randomness, in player order** (a single batched
 ``integers`` call — the documented "player-major" draw), and every player's
 tournament consumes only its own derived substream.  Within a tournament,
 each pair round whose differing-position count exceeds the sample size
@@ -31,16 +29,18 @@ substream and probes the ``sample_size`` smallest-keyed positions in
 increasing key order (a weighted-shuffle draw: batchable across players,
 unlike ``Generator.choice``).  A player's sequence of draws therefore does
 not depend on how the tournaments are interleaved, so running the players
-one by one (``vectorised=False``, i.e. ``rselect`` per player) and running
-them round-by-round produce the same samples, the same probes and the same
-winners — tested bit-for-bit in ``tests/test_tournament_vectorised.py``.
+one by one (``rselect`` per player on its substream) and running them
+round-by-round produce the same samples, the same probes and the same
+winners.  The one-by-one loop lives in ``tests/reference_loops.py`` as
+``rselect_collective_serial``, and ``tests/test_tournament_vectorised.py``
+checks the collective path against it bit for bit.
 
 Survivor tie-break: with a majority threshold strictly above 1/2 the alive
 set can never empty (each processed pair eliminates at most the loser), but
 for threshold ≤ 1/2 — reachable only by bypassing the constants validation —
-mutual elimination can kill both members of the final pair.  Both paths then
-fall back to the **most recently eliminated** candidate (``a`` of the final
-pair, which was killed after ``b``) rather than unconditionally
+mutual elimination can kill both members of the final pair.  Both functions
+then fall back to the **most recently eliminated** candidate (``a`` of the
+final pair, which was killed after ``b``) rather than unconditionally
 ``candidates[0]``: the last candidate standing in the tournament order is
 the one that survived the most comparisons.
 """
@@ -61,8 +61,9 @@ def _player_rngs(ctx: ProtocolContext, n_players: int) -> list[np.random.Generat
     """Derive one independent substream per player, in player-major order.
 
     One batched draw of ``n_players`` 63-bit seeds from the shared
-    randomness; both the serial and the vectorised collective paths consume
-    exactly this call, so they advance the shared stream identically.
+    randomness: the collective tournament and its per-player reference loop
+    both consume exactly this call, so they advance the shared stream
+    identically.
     """
     seeds = ctx.randomness.generator.integers(0, 2**63 - 1, size=n_players)
     return [np.random.default_rng(int(seed)) for seed in seeds]
@@ -130,8 +131,9 @@ def rselect(
         Per-pair sample size; defaults to ``Θ(log n)`` from the constants.
     rng:
         Source of the per-pair sample draws.  Defaults to the shared
-        randomness; :func:`rselect_collective` passes each player's derived
-        substream instead (see the module docstring's randomness contract).
+        randomness; the per-player reference of :func:`rselect_collective`
+        passes each player's derived substream instead (see the module
+        docstring's randomness contract).
 
     Returns
     -------
@@ -196,18 +198,12 @@ def rselect_collective(
     objects: np.ndarray,
     candidates_per_player: np.ndarray,
     sample_size: int | None = None,
-    vectorised: bool = True,
 ) -> np.ndarray:
     """Run RSelect independently for every listed player.
 
     ``candidates_per_player`` has shape ``(len(players), k, len(objects))``:
     player ``players[i]`` chooses among ``candidates_per_player[i]``.
     Returns the chosen vectors, shape ``(len(players), len(objects))``.
-
-    ``vectorised=False`` runs the per-player serial tournaments instead of
-    the round-batched collective one; both consume the same player-major
-    randomness and are bit-identical (the flag exists for the property tests
-    and the E13 microbenchmark, not for callers).
     """
     players = np.asarray(players, dtype=np.int64)
     objects = np.asarray(objects, dtype=np.int64)
@@ -225,7 +221,7 @@ def rselect_collective(
     if k == 0:
         raise ProtocolError("rselect requires at least one candidate")
     if k == 1 or n_players == 0:
-        return candidates_per_player[:, 0, :].copy() if k else candidates_per_player
+        return candidates_per_player[:, 0, :].copy()
     sample_size = int(
         sample_size
         if sample_size is not None
@@ -234,20 +230,6 @@ def rselect_collective(
     if sample_size <= 0:
         raise ProtocolError(f"sample_size must be positive, got {sample_size}")
     rngs = _player_rngs(ctx, n_players)
-
-    if not vectorised:
-        chosen = np.empty((n_players, n_objects), dtype=np.uint8)
-        for i, player in enumerate(players):
-            _, chosen[i] = rselect(
-                ctx,
-                int(player),
-                objects,
-                candidates_per_player[i],
-                sample_size=sample_size,
-                rng=rngs[i],
-            )
-        return chosen
-
     majority = ctx.constants.rselect_majority
     packed = pack_bits(candidates_per_player)  # (P, k, n_bytes)
     alive = np.ones((n_players, k), dtype=bool)
@@ -261,7 +243,7 @@ def rselect_collective(
             # packed candidate rows, then unpack only the XOR (an eighth of
             # two dense != broadcasts).  Flatnonzero of the raveled bits
             # walks row-major, i.e. player-major with ascending positions —
-            # the exact order np.flatnonzero yields in the serial path.
+            # the exact order np.flatnonzero yields in rselect's pair vote.
             xor = packed.data[active, a, :] ^ packed.data[active, b, :]
             diff_counts = popcount(xor).sum(axis=-1, dtype=np.int64)
             diff_bits = np.unpackbits(xor, axis=-1, count=n_objects)
@@ -320,7 +302,7 @@ def rselect_collective(
             agree_a, agree_b = packed_pair_vote(true_packed, pad_a, pad_b, lengths)
 
             # Every sampled position distinguishes the pair, so the vote
-            # total is the sample length; eliminations mirror the serial
+            # total is the sample length; eliminations mirror rselect's
             # order (b first, then a) so `last_eliminated` ties break alike.
             kill_b = agree_a >= majority * lengths
             kill_a = agree_b >= majority * lengths

@@ -70,8 +70,7 @@ def _column_majority(vectors: np.ndarray) -> np.ndarray:
     """Column-wise majority of a stack of binary vectors (ties broken to 1)."""
     if vectors.shape[0] == 0:
         raise ProtocolError("cannot take the majority of zero vectors")
-    # Callers hold unpacked rows here, so a direct column sum beats packing
-    # (repro.perf.packed_majority serves callers that already hold PackedBits).
+    # Callers hold unpacked rows here, so a direct column sum beats packing.
     sums = vectors.sum(axis=0, dtype=np.int64)
     return (2 * sums >= vectors.shape[0]).astype(np.uint8)
 

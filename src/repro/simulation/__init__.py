@@ -16,27 +16,19 @@ the simulator rather than assumed.
 """
 
 from repro.simulation.board import BoardEntry, BulletinBoard
-from repro.simulation.config import (
-    ExperimentConfig,
-    ProtocolConstants,
-    SimulationParameters,
-)
+from repro.simulation.config import ProtocolConstants
 from repro.simulation.metrics import ErrorReport, ProbeReport, protocol_report
 from repro.simulation.oracle import ProbeOracle
 from repro.simulation.randomness import AdversarialRandomness, SharedRandomness
-from repro.simulation.rounds import RoundLedger
 
 __all__ = [
     "AdversarialRandomness",
     "BoardEntry",
     "BulletinBoard",
     "ErrorReport",
-    "ExperimentConfig",
     "ProbeOracle",
     "ProbeReport",
     "ProtocolConstants",
-    "RoundLedger",
     "SharedRandomness",
-    "SimulationParameters",
     "protocol_report",
 ]

@@ -18,15 +18,18 @@ Report channels are stored **bit-packed**: one packed row per *object*,
 eight players per byte (``repro.perf.bitset`` words), with a parallel packed
 posted-mask.  The object-major orientation matches the write pattern of the
 collective protocols — a phase posts a full-player block over a column
-subset, which lands as contiguous packed rows — and the read pattern of the
-board-side reductions (``reporters_of``, ``support_counts``,
-``masked_majority`` are per-object row reductions over packed words).  A
-post therefore costs one ``packbits`` plus a row scatter of ``m/8``-byte
-rows instead of two dense ``(n_players, m)`` strided writes, and the posted
-mask costs one eighth of a bool matrix.  The dense
-``(n_players, n_objects)`` view survives as a compatibility accessor
-(:meth:`report_matrix`), bit-identical to the pre-packed board and cached
-per channel between posts.
+subset, which lands as contiguous packed rows — and the one board-side
+reduction, :meth:`BulletinBoard.masked_majority`, is a per-object row
+reduction over packed words.  A post therefore costs one ``packbits`` plus a
+row scatter of ``m/8``-byte rows instead of two dense ``(n_players, m)``
+strided writes, and the posted mask costs one eighth of a bool matrix.
+
+The readers are :meth:`~BulletinBoard.masked_majority`,
+:meth:`~BulletinBoard.channel_stats` (posting counters, which the preference
+server publishes), :meth:`~BulletinBoard.export_channels` /
+:meth:`~BulletinBoard.absorb_channels` (channel snapshots, which the
+parallel diameter search ships between processes) and the scalar
+:meth:`~BulletinBoard.read` / :meth:`~BulletinBoard.entries`.
 """
 
 from __future__ import annotations
@@ -50,13 +53,6 @@ from repro.perf import (
 )
 
 __all__ = ["BoardEntry", "BulletinBoard"]
-
-
-def _readonly_view(array: np.ndarray) -> np.ndarray:
-    """A zero-copy view of ``array`` that cannot be written through."""
-    view = array.view()
-    view.flags.writeable = False
-    return view
 
 
 def _keep_last(keys: np.ndarray) -> np.ndarray:
@@ -107,9 +103,6 @@ class BulletinBoard:
         self._scalar: dict[str, dict[Any, BoardEntry]] = {}
         # channel -> (values, posted); packed (n_objects, player_bytes) each.
         self._reports: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        # channel -> (dense values, dense posted) read-only compatibility
-        # views, rebuilt lazily after a post.
-        self._dense_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Scalar posts (leader announcements, published vectors, ...)
@@ -146,9 +139,6 @@ class BulletinBoard:
             posted = np.zeros((self.n_objects, self._player_bytes), dtype=np.uint8)
             self._reports[channel] = (values, posted)
         return self._reports[channel]
-
-    def _touch(self, channel: str) -> None:
-        self._dense_cache.pop(channel, None)
 
     def post_reports(
         self,
@@ -197,7 +187,6 @@ class BulletinBoard:
         for _ in range(2 if faulted == "duplicate" else 1):
             matrix[objects, byte] = (matrix[objects, byte] & ~weight) | (values * weight)
             posted[objects, byte] |= weight
-        self._touch(channel)
 
     def post_report_pairs(
         self,
@@ -265,7 +254,6 @@ class BulletinBoard:
             np.bitwise_and.at(matrix.reshape(-1), byte_pos, ~weights)
             np.bitwise_or.at(matrix.reshape(-1), byte_pos, weights * values)
             np.bitwise_or.at(posted.reshape(-1), byte_pos, weights)
-        self._touch(channel)
 
     def _prepare_block(
         self,
@@ -369,101 +357,31 @@ class BulletinBoard:
             posted[objects[:, None], touched[None, :]] |= cover
             if obs._AMBIENT.telemetry is not None:
                 obs.add("board.packed_bytes", int(objects.size) * int(touched.size))
-        self._touch(channel)
 
     # ------------------------------------------------------------------
     # Report readers
     # ------------------------------------------------------------------
-    def _dense_views(self, channel: str) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._dense_cache.get(channel)
-        if cached is None:
-            matrix, posted = self._report_channel(channel)
-            values = np.ascontiguousarray(
-                np.unpackbits(matrix, axis=1, count=self.n_players).T
-            )
-            mask = np.ascontiguousarray(
-                np.unpackbits(posted, axis=1, count=self.n_players).T
-            ).view(np.bool_)
-            values.flags.writeable = False
-            mask.flags.writeable = False
-            cached = (values, mask)
-            self._dense_cache[channel] = cached
-        return cached
-
-    def report_matrix(
-        self, channel: str, copy: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Return the dense ``(values, posted)`` view of a report channel.
-
-        ``values`` is an ``(n_players, n_objects)`` uint8 matrix; ``posted``
-        is a boolean mask saying which cells were actually reported.  Cells
-        never posted read as 0 in ``values`` — always consult the mask.
-
-        With ``copy=False`` the returned arrays are **read-only**
-        (``writeable=False``) and shared with the board's per-channel cache:
-        repeat reads between posts cost nothing.  The default ``copy=True``
-        hands back private mutable copies, matching the historical contract.
-        """
-        obs.add("board.reads")
-        values, posted = self._dense_views(channel)
-        if copy:
-            return values.copy(), posted.copy()
-        return values, posted
-
-    def report_matrix_packed(self, channel: str) -> tuple[PackedBits, PackedBits]:
-        """Zero-copy packed view of a report channel: ``(values, posted)``.
-
-        Rows are **objects**, bits are players (the board's native packed
-        orientation); both are read-only views of the live storage, so they
-        reflect later posts.  ``unpack()`` yields the transpose of
-        :meth:`report_matrix`'s dense arrays.
-        """
-        obs.add("board.reads")
-        matrix, posted = self._report_channel(channel)
-        return (
-            PackedBits(data=_readonly_view(matrix), n_bits=self.n_players),
-            PackedBits(data=_readonly_view(posted), n_bits=self.n_players),
-        )
-
-    def reporters_of(self, channel: str, obj: int) -> np.ndarray:
-        """Indices of players that posted a report for ``obj`` on ``channel``."""
-        obs.add("board.reads")
-        _, posted = self._report_channel(channel)
-        row = np.unpackbits(posted[int(obj)], count=self.n_players)
-        return np.flatnonzero(row)
-
-    def support_counts(self, channel: str, objects: np.ndarray | None = None) -> np.ndarray:
-        """Number of *distinct* players that reported each object.
-
-        One popcount reduction over the packed posted rows — the packed
-        replacement for ``report_matrix()[1].sum(axis=0)``.  ``objects``
-        restricts the count to a subset (default: all objects).
-        """
-        obs.add("board.reads")
-        _, posted = self._report_channel(channel)
-        rows = posted if objects is None else posted[np.asarray(objects, dtype=np.int64)]
-        return popcount(rows).sum(axis=1, dtype=np.int64)
-
-    def masked_majority(
-        self, channel: str, objects: np.ndarray | None = None, default: int = 1
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def masked_majority(self, channel: str) -> tuple[np.ndarray, np.ndarray]:
         """Per-object majority of the posted reports (ties go to 1).
 
-        Counts only cells actually posted; objects nobody reported fall back
-        to ``default``.  Returns ``(majority, support)`` — the board-side
-        packed kernel behind consensus-style readers (one AND + two popcount
-        passes over the packed rows; see
-        :func:`repro.perf.packed_masked_majority`).
+        Counts only cells actually posted; objects nobody reported read as 1.
+        Returns ``(majority, support)`` — the board-side packed kernel behind
+        consensus-style readers (one AND + two popcount passes over the
+        packed rows; see :func:`repro.perf.packed_masked_majority`).  A
+        channel nobody posted to reads as all 1 with zero support, and
+        reading it does not create it.
         """
         obs.add("board.reads")
-        matrix, posted = self._report_channel(channel)
-        if objects is not None:
-            rows = np.asarray(objects, dtype=np.int64)
-            matrix, posted = matrix[rows], posted[rows]
+        stored = self._reports.get(channel)
+        if stored is None:
+            return (
+                np.ones(self.n_objects, dtype=np.uint8),
+                np.zeros(self.n_objects, dtype=np.int64),
+            )
+        matrix, posted = stored
         return packed_masked_majority(
             PackedBits(data=matrix, n_bits=self.n_players),
             PackedBits(data=posted, n_bits=self.n_players),
-            default=default,
         )
 
     # ------------------------------------------------------------------
@@ -500,7 +418,6 @@ class BulletinBoard:
                     f"expected {(self.n_objects, self._player_bytes)}"
                 )
             self._reports[channel] = (matrix.copy(), posted.copy())
-            self._touch(channel)
 
     # ------------------------------------------------------------------
     # Helpers

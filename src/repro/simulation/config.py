@@ -1,4 +1,4 @@
-"""Configuration objects: protocol constants and experiment parameters.
+"""Protocol constants: the paper's literal values and a practical profile.
 
 The paper states every bound with explicit-but-asymptotic constants
 (``10 ln n / D`` sampling probability, ``220 ln n`` neighbour threshold,
@@ -16,17 +16,22 @@ for every ``n`` a laptop can simulate.  We therefore expose every constant in
   edge threshold < separation threshold, vote redundancy logarithmic, ...)
   while remaining meaningful at ``n ∈ [64, 4096]``.  Benchmarks use this
   profile and record that fact.
+
+Instance sizes, adversaries and the choice of profile belong to a workload,
+not to the constants: a :class:`~repro.scenarios.spec.ScenarioSpec` names
+them (its ``protocol.constants_profile`` and ``constants_overrides`` select
+and adjust the profile).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ProtocolConstants", "SimulationParameters", "ExperimentConfig"]
+__all__ = ["ProtocolConstants"]
 
 
 @dataclass(frozen=True)
@@ -236,86 +241,3 @@ class ProtocolConstants:
     def with_overrides(self, **overrides: Any) -> "ProtocolConstants":
         """Return a copy with selected fields replaced (ablation helper)."""
         return replace(self, **overrides)
-
-
-@dataclass(frozen=True)
-class SimulationParameters:
-    """Size and adversary parameters of one simulated instance."""
-
-    n_players: int
-    n_objects: int
-    budget: int
-    n_dishonest: int = 0
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_players <= 0:
-            raise ConfigurationError(f"n_players must be positive, got {self.n_players}")
-        if self.n_objects <= 0:
-            raise ConfigurationError(f"n_objects must be positive, got {self.n_objects}")
-        if self.budget <= 0:
-            raise ConfigurationError(f"budget must be positive, got {self.budget}")
-        if self.n_dishonest < 0:
-            raise ConfigurationError(
-                f"n_dishonest must be non-negative, got {self.n_dishonest}"
-            )
-        if self.n_dishonest >= self.n_players:
-            raise ConfigurationError(
-                "n_dishonest must be strictly smaller than n_players "
-                f"({self.n_dishonest} >= {self.n_players})"
-            )
-
-    @property
-    def honest_players(self) -> int:
-        """Number of honest players."""
-        return self.n_players - self.n_dishonest
-
-    @property
-    def dishonest_fraction(self) -> float:
-        """Fraction of dishonest players."""
-        return self.n_dishonest / self.n_players
-
-    def within_tolerance(self, constants: ProtocolConstants) -> bool:
-        """Whether ``n_dishonest`` is within the paper's ``n/(3B)`` bound."""
-        return self.n_dishonest <= constants.max_dishonest(self.n_players, self.budget)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Bundle of everything an experiment driver needs.
-
-    ``constants_profile`` is recorded so that EXPERIMENTS.md can state which
-    constant profile produced each table.
-    """
-
-    parameters: SimulationParameters
-    constants: ProtocolConstants = field(default_factory=ProtocolConstants.practical)
-    constants_profile: str = "practical"
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.constants_profile not in {"practical", "paper", "custom"}:
-            raise ConfigurationError(
-                "constants_profile must be one of 'practical', 'paper', 'custom'; "
-                f"got {self.constants_profile!r}"
-            )
-
-    @classmethod
-    def practical(
-        cls,
-        n_players: int,
-        n_objects: int | None = None,
-        budget: int = 8,
-        n_dishonest: int = 0,
-        seed: int | None = 0,
-        label: str = "",
-    ) -> "ExperimentConfig":
-        """Convenience constructor using the practical constant profile."""
-        params = SimulationParameters(
-            n_players=n_players,
-            n_objects=n_objects if n_objects is not None else n_players,
-            budget=budget,
-            n_dishonest=n_dishonest,
-            seed=seed,
-        )
-        return cls(parameters=params, constants=ProtocolConstants.practical(), label=label)

@@ -531,12 +531,6 @@ class ProbeOracle:
         total = int(self._requests.sum())
         return self.memo_hits() / total if total else 0.0
 
-    def reset_counts(self) -> None:
-        """Forget probe history (counts, requests *and* memoisation)."""
-        self._counts[:] = 0
-        self._requests[:] = 0
-        self._probed[:] = 0
-
     # ------------------------------------------------------------------
     # State transfer (parallel diameter search)
     # ------------------------------------------------------------------

@@ -1,108 +1,23 @@
-"""Round accounting: reconstructing a synchronous schedule from probe counts.
+"""Player churn between protocol repetitions.
 
-The paper's model is synchronous — each player probes at most one object per
-round, so the number of rounds a protocol needs equals the maximum number of
-probes any player performs (plus free bulletin-board accesses).  The
-simulator charges probes directly (see :mod:`repro.simulation.oracle`); this
-module keeps a per-phase ledger so experiments can report both per-phase and
-end-to-end round counts, mirroring how the paper decomposes probe complexity
-across phases in Lemma 11.
-
-It also hosts :class:`ChurnTimeline`, the player arrival/departure schedule
-used by the scenario engine's dynamics hooks: a protocol repetition runs over
-the currently active players, then the timeline steps — some active players
+:class:`ChurnTimeline` is the player arrival/departure schedule behind the
+scenario engine's dynamics hooks: a protocol repetition runs over the
+currently active players, then the timeline steps — some active players
 depart, some inactive players (re-)join — before the next repetition.
+
+Per-phase probe counts are not kept here: the telemetry spans attribute
+``oracle.probes`` to each protocol phase, and ``python -m repro trace``
+reconciles those counts with the oracle's own accounting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro._typing import CountVector, SeedLike, as_generator
+from repro._typing import SeedLike, as_generator
 from repro.errors import ConfigurationError
-from repro.simulation.oracle import ProbeOracle
 
-__all__ = ["PhaseRecord", "RoundLedger", "ChurnTimeline"]
-
-
-@dataclass(frozen=True)
-class PhaseRecord:
-    """Probe usage attributable to one named protocol phase."""
-
-    name: str
-    probes_per_player: CountVector
-
-    @property
-    def rounds(self) -> int:
-        """Synchronous rounds needed by this phase (max probes per player)."""
-        return int(self.probes_per_player.max(initial=0))
-
-    @property
-    def total_probes(self) -> int:
-        """Total probes across all players in this phase."""
-        return int(self.probes_per_player.sum())
-
-    @property
-    def mean_probes(self) -> float:
-        """Average probes per player in this phase."""
-        size = self.probes_per_player.size
-        return float(self.probes_per_player.mean()) if size else 0.0
-
-
-@dataclass
-class RoundLedger:
-    """Accumulates per-phase probe deltas against a :class:`ProbeOracle`.
-
-    Usage::
-
-        ledger = RoundLedger(oracle)
-        with ledger.phase("sample-probing"):
-            ...  # protocol steps that probe
-        with ledger.phase("work-sharing"):
-            ...
-        ledger.total_rounds()
-    """
-
-    oracle: ProbeOracle
-    phases: list[PhaseRecord] = field(default_factory=list)
-
-    def phase(self, name: str) -> "_PhaseContext":
-        """Context manager recording the probes consumed while it is open."""
-        if not name:
-            raise ConfigurationError("phase name must be non-empty")
-        return _PhaseContext(self, name)
-
-    def record_phase(self, name: str, before: CountVector, after: CountVector) -> PhaseRecord:
-        """Record a phase given explicit before/after probe snapshots."""
-        delta = np.asarray(after, dtype=np.int64) - np.asarray(before, dtype=np.int64)
-        if np.any(delta < 0):
-            raise ConfigurationError(
-                "probe counts decreased within a phase; snapshots are inconsistent"
-            )
-        record = PhaseRecord(name=name, probes_per_player=delta)
-        self.phases.append(record)
-        return record
-
-    def total_rounds(self) -> int:
-        """Synchronous rounds of the whole execution: phases run sequentially,
-        so their per-phase round counts add up."""
-        return int(sum(phase.rounds for phase in self.phases))
-
-    def rounds_by_phase(self) -> dict[str, int]:
-        """Mapping of phase name to rounds; repeated phase names accumulate."""
-        out: dict[str, int] = {}
-        for phase in self.phases:
-            out[phase.name] = out.get(phase.name, 0) + phase.rounds
-        return out
-
-    def probes_by_phase(self) -> dict[str, int]:
-        """Mapping of phase name to total probes; repeated names accumulate."""
-        out: dict[str, int] = {}
-        for phase in self.phases:
-            out[phase.name] = out.get(phase.name, 0) + phase.total_probes
-        return out
+__all__ = ["ChurnTimeline"]
 
 
 class ChurnTimeline:
@@ -179,19 +94,3 @@ class ChurnTimeline:
             joiners = self._rng.choice(inactive, size=n_join, replace=False)
             self._active[joiners] = True
         return self.active_players()
-
-
-class _PhaseContext:
-    def __init__(self, ledger: RoundLedger, name: str) -> None:
-        self._ledger = ledger
-        self._name = name
-        self._before: CountVector | None = None
-
-    def __enter__(self) -> "_PhaseContext":
-        self._before = self._ledger.oracle.probes_used()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None and self._before is not None:
-            after = self._ledger.oracle.probes_used()
-            self._ledger.record_phase(self._name, self._before, after)

@@ -1,14 +1,15 @@
 """Reference loops the batched protocol paths are tested against.
 
 Each function here is the plain, one-step-at-a-time form of a batched
-production path: SmallRadius run subset by subset, and work sharing run
-cluster by cluster (one :func:`cluster_majority_vote` each).  They make the
-same probes, posts, strategy calls and shared-randomness draws in the order
-the protocol describes them, so a batched path is correct exactly when it
-matches its reference bit for bit (outputs, probe accounting, randomness
-state, strategy state and board contents).  :func:`block_words_reduceat` is
-the player-major ``reduceat`` form of SmallRadius' block-word builder.
-Nothing in ``src/`` calls them.
+production path: SmallRadius run subset by subset, work sharing run cluster
+by cluster (one :func:`cluster_majority_vote` each), and the collective
+RSelect run player by player.  They make the same probes, posts, strategy
+calls and shared-randomness draws in the order the protocol describes them,
+so a batched path is correct exactly when it matches its reference bit for
+bit (outputs, probe accounting, randomness state, strategy state and board
+contents).  :func:`block_words_reduceat` is the player-major ``reduceat``
+form of SmallRadius' block-word builder, and :func:`board_reports` reads a
+report channel back as dense matrices.  Nothing in ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -19,8 +20,25 @@ import numpy as np
 
 from repro.core.clustering import Clustering
 from repro.protocols.context import ProtocolContext
+from repro.protocols.rselect import _player_rngs, rselect
 from repro.protocols.select import select_collective, select_per_player
 from repro.protocols.zero_radius import popular_vectors, zero_radius
+from repro.simulation.board import BulletinBoard
+
+
+def board_reports(board: BulletinBoard, channel: str) -> tuple[np.ndarray, np.ndarray]:
+    """A report channel as dense ``(values, posted)`` ``(n_players,
+    n_objects)`` matrices (``uint8`` values, ``bool`` mask), unpacked from
+    the board's own snapshot, :meth:`BulletinBoard.export_channels`.  A
+    channel nobody posted to reads as all zeros."""
+    packed = board.export_channels(channel)["reports"].get(channel)
+    if packed is None:
+        shape = (board.n_players, board.n_objects)
+        return np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=bool)
+    values, posted = (
+        np.unpackbits(rows, axis=1, count=board.n_players).T for rows in packed
+    )
+    return values, posted.view(bool)
 
 
 def block_words_reduceat(
@@ -152,10 +170,49 @@ def share_work_per_cluster(
     return predictions
 
 
+def rselect_collective_serial(
+    ctx: ProtocolContext,
+    players: np.ndarray,
+    objects: np.ndarray,
+    candidates_per_player: np.ndarray,
+    sample_size: int | None = None,
+) -> np.ndarray:
+    """The collective RSelect run player by player: one :func:`rselect` per
+    player, each on the substream :func:`rselect_collective` derives for it
+    (one batched player-major seed draw from the shared randomness)."""
+    players = np.asarray(players, dtype=np.int64)
+    objects = np.asarray(objects, dtype=np.int64)
+    candidates_per_player = np.asarray(candidates_per_player, dtype=np.uint8)
+    n_players, k, n_objects = candidates_per_player.shape
+    if k == 1 or n_players == 0:
+        return candidates_per_player[:, 0, :].copy()
+    if sample_size is None:
+        sample_size = ctx.constants.rselect_sample_size(ctx.n_players)
+    rngs = _player_rngs(ctx, n_players)
+    chosen = np.empty((n_players, n_objects), dtype=np.uint8)
+    for i, player in enumerate(players):
+        _, chosen[i] = rselect(
+            ctx, int(player), objects, candidates_per_player[i],
+            sample_size=sample_size, rng=rngs[i],
+        )
+    return chosen
+
+
+def assert_same_board(board: BulletinBoard, reference: BulletinBoard) -> None:
+    """Assert two boards hold the same channels with the same contents:
+    their whole :meth:`BulletinBoard.export_channels` snapshots agree."""
+    got, want = board.export_channels(""), reference.export_channels("")
+    assert got["scalar"] == want["scalar"]
+    assert got["reports"].keys() == want["reports"].keys()
+    for channel, arrays in got["reports"].items():
+        for got_rows, want_rows in zip(arrays, want["reports"][channel]):
+            np.testing.assert_array_equal(got_rows, want_rows)
+
+
 def assert_same_execution(ctx: ProtocolContext, reference: ProtocolContext) -> None:
     """Assert two executions left identical state behind: probe accounting,
-    shared-randomness state, every strategy's internal state and the board's
-    report channels."""
+    shared-randomness state, every strategy's internal state and the whole
+    board."""
     np.testing.assert_array_equal(ctx.oracle.probes_used(), reference.oracle.probes_used())
     np.testing.assert_array_equal(
         ctx.oracle.requests_used(), reference.oracle.requests_used()
@@ -169,10 +226,4 @@ def assert_same_execution(ctx: ProtocolContext, reference: ProtocolContext) -> N
     for player in range(ctx.n_players):
         strategy = ctx.pool.strategy_of(player)
         assert pickle.dumps(strategy) == pickle.dumps(reference.pool.strategy_of(player))
-    assert ctx.board.channels() == reference.board.channels()
-    for channel in ctx.board.channels():
-        for got, want in zip(
-            ctx.board.report_matrix_packed(channel),
-            reference.board.report_matrix_packed(channel),
-        ):
-            np.testing.assert_array_equal(got.data, want.data)
+    assert_same_board(ctx.board, reference.board)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import BoardOwnershipError, ConfigurationError
 from repro.simulation.board import BulletinBoard
+from reference_loops import board_reports
 
 
 @pytest.fixture
@@ -47,22 +48,17 @@ class TestScalarPosts:
 class TestReportChannels:
     def test_post_and_read_reports(self, board):
         board.post_reports("probes", player=3, objects=np.asarray([1, 4]), values=np.asarray([1, 0]))
-        values, posted = board.report_matrix("probes")
+        values, posted = board_reports(board, "probes")
         assert values[3, 1] == 1 and values[3, 4] == 0
         assert posted[3, 1] and posted[3, 4]
         assert not posted[3, 2]
-
-    def test_reporters_of(self, board):
-        board.post_reports("probes", 0, np.asarray([2]), np.asarray([1]))
-        board.post_reports("probes", 5, np.asarray([2]), np.asarray([0]))
-        np.testing.assert_array_equal(board.reporters_of("probes", 2), [0, 5])
 
     def test_block_post(self, board):
         players = np.asarray([0, 1])
         objects = np.asarray([3, 4, 5])
         values = np.asarray([[1, 0, 1], [0, 0, 1]], dtype=np.uint8)
         board.post_report_block("blk", players, objects, values)
-        got, posted = board.report_matrix("blk")
+        got, posted = board_reports(board, "blk")
         np.testing.assert_array_equal(got[np.ix_(players, objects)], values)
         assert posted[np.ix_(players, objects)].all()
 
@@ -84,7 +80,7 @@ class TestReportChannels:
 
     def test_empty_post_is_noop(self, board):
         board.post_reports("c", 0, np.asarray([], dtype=np.int64), np.asarray([], dtype=np.uint8))
-        _, posted = board.report_matrix("c")
+        _, posted = board_reports(board, "c")
         assert not posted.any()
 
 

@@ -1,4 +1,4 @@
-"""Tests for protocol constants and experiment configuration objects."""
+"""Tests for the protocol constants and their two profiles."""
 
 from __future__ import annotations
 
@@ -7,11 +7,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.simulation.config import (
-    ExperimentConfig,
-    ProtocolConstants,
-    SimulationParameters,
-)
+from repro.simulation.config import ProtocolConstants
 
 
 class TestProtocolConstantsProfiles:
@@ -106,44 +102,3 @@ class TestDerivedQuantities:
 
     def test_robust_iterations_at_least_two(self):
         assert ProtocolConstants.practical().robust_iterations(4) >= 2
-
-
-class TestSimulationParameters:
-    def test_valid(self):
-        params = SimulationParameters(n_players=10, n_objects=20, budget=2, n_dishonest=3)
-        assert params.honest_players == 7
-        assert params.dishonest_fraction == pytest.approx(0.3)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(n_players=0, n_objects=1, budget=1),
-            dict(n_players=1, n_objects=0, budget=1),
-            dict(n_players=1, n_objects=1, budget=0),
-            dict(n_players=1, n_objects=1, budget=1, n_dishonest=-1),
-            dict(n_players=4, n_objects=4, budget=1, n_dishonest=4),
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            SimulationParameters(**kwargs)
-
-    def test_within_tolerance(self):
-        constants = ProtocolConstants.practical()
-        ok = SimulationParameters(n_players=90, n_objects=90, budget=3, n_dishonest=10)
-        too_many = SimulationParameters(n_players=90, n_objects=90, budget=3, n_dishonest=11)
-        assert ok.within_tolerance(constants)
-        assert not too_many.within_tolerance(constants)
-
-
-class TestExperimentConfig:
-    def test_practical_constructor(self):
-        config = ExperimentConfig.practical(n_players=32, budget=4, label="x")
-        assert config.parameters.n_objects == 32
-        assert config.constants_profile == "practical"
-        assert config.label == "x"
-
-    def test_invalid_profile_rejected(self):
-        params = SimulationParameters(n_players=4, n_objects=4, budget=2)
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(parameters=params, constants_profile="bogus")

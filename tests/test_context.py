@@ -18,6 +18,7 @@ from repro.players.base import PlayerPool
 from repro.protocols.context import ProtocolContext
 from repro.simulation.board import BulletinBoard
 from repro.simulation.oracle import ProbeOracle
+from reference_loops import board_reports
 
 
 @pytest.fixture
@@ -76,7 +77,7 @@ class TestContextOperations:
         np.testing.assert_array_equal(reported[1], true_block[1])       # honest row
         np.testing.assert_array_equal(reported[0], 1 - true_block[0])   # liar row
         # The board saw the *reported* values, not the truth.
-        values, posted = ctx.board.report_matrix("chan")
+        values, posted = board_reports(ctx.board, "chan")
         np.testing.assert_array_equal(values[0, objects], 1 - true_block[0])
         assert posted[np.ix_(players, objects)].all()
         # Probes were charged for both players.

@@ -50,6 +50,7 @@ from repro.scenarios import FaultsSpec, apply_override, get_scenario, scenario_n
 from repro.scenarios.engine import run_scenario
 from repro.simulation.board import BulletinBoard
 from repro.simulation.oracle import ProbeOracle
+from reference_loops import assert_same_board, board_reports
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +173,7 @@ class TestRuntimeGates:
         ))
         with installed(FaultInjector(plan, point=0, attempt=0)):
             chaotic.post_reports("c", 2, objects, values)
-        for board_pair in zip(clean.report_matrix("c"), chaotic.report_matrix("c")):
-            assert np.array_equal(*board_pair)
+        assert_same_board(chaotic, clean)
 
     def test_board_drop_silently_discards_the_post(self):
         board = BulletinBoard(n_players=6, n_objects=10)
@@ -182,7 +182,7 @@ class TestRuntimeGates:
         ))
         with installed(FaultInjector(plan, point=0, attempt=0)):
             board.post_reports("c", 2, np.array([1]), np.array([1], dtype=np.uint8))
-        values, posted = board.report_matrix("c")
+        values, posted = board_reports(board, "c")
         assert posted.sum() == 0 and values.sum() == 0
 
     def test_gates_are_inert_without_an_installed_injector(self):
@@ -191,7 +191,7 @@ class TestRuntimeGates:
         oracle.probe_objects(0, np.arange(3))
         board.post_reports("c", 0, np.array([0]), np.array([1], dtype=np.uint8))
         assert oracle.probes_used()[0] == 3
-        assert board.report_matrix("c")[1].sum() == 1
+        assert board_reports(board, "c")[1].sum() == 1
 
     def test_injector_events_record_fired_faults(self):
         plan = FaultPlan(faults=(

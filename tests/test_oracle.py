@@ -128,14 +128,6 @@ class TestAccounting:
         assert oracle.mean_probes() == pytest.approx(0.5)
         assert oracle.max_requests() == 2
 
-    def test_reset(self, oracle):
-        oracle.probe(0, 0)
-        oracle.reset_counts()
-        assert oracle.total_probes() == 0
-        assert oracle.requests_used().sum() == 0
-        oracle.probe(0, 0)
-        assert oracle.probes_used()[0] == 1  # memoisation also reset
-
 
 class TestBudgetEnforcement:
     def test_budget_exceeded_raises(self, truth):

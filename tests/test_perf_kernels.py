@@ -24,7 +24,6 @@ from repro.perf import (
     PackedBits,
     pack_bits,
     packed_hamming,
-    packed_majority,
     packed_unique_rows,
     pairwise_hamming,
     popcount,
@@ -35,7 +34,7 @@ from repro.protocols.context import make_context
 from repro.protocols.small_radius import small_radius
 from repro.simulation.board import BulletinBoard
 from repro.simulation.oracle import ProbeOracle
-from reference_loops import assert_same_execution, small_radius_per_subset
+from reference_loops import assert_same_execution, board_reports, small_radius_per_subset
 
 # Widths straddling byte boundaries, including non-multiples of 8.
 WIDTHS = [1, 3, 7, 8, 9, 13, 16, 17, 31, 64, 65, 100, 130]
@@ -205,21 +204,8 @@ def test_pairwise_hamming_under_both_popcounts(lookup_table, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Majority and unique rows
+# Unique rows
 # ---------------------------------------------------------------------------
-def test_packed_majority_matches_reference_and_tie_break():
-    rng = np.random.default_rng(6)
-    for width in WIDTHS:
-        for k in (1, 2, 5, 8):
-            vectors = _random_binary(rng, (k, width))
-            sums = vectors.astype(np.int64).sum(axis=0)
-            reference = (2 * sums >= k).astype(np.uint8)  # ties to 1
-            assert np.array_equal(packed_majority(pack_bits(vectors)), reference)
-    # Explicit tie: two rows disagreeing everywhere -> all ones.
-    tie = np.stack([np.zeros(10, dtype=np.uint8), np.ones(10, dtype=np.uint8)])
-    assert np.array_equal(packed_majority(pack_bits(tie)), np.ones(10, dtype=np.uint8))
-
-
 def test_packed_unique_rows_matches_np_unique():
     rng = np.random.default_rng(7)
     for width in WIDTHS:
@@ -342,8 +328,8 @@ def test_post_report_pairs_matches_per_player_loop():
     order = np.argsort(players, kind="stable")
     bulk_board.post_report_pairs("ch", players[order], objects[order], values[order])
 
-    loop_matrix, loop_posted = loop_board.report_matrix("ch")
-    bulk_matrix, bulk_posted = bulk_board.report_matrix("ch")
+    loop_matrix, loop_posted = board_reports(loop_board, "ch")
+    bulk_matrix, bulk_posted = board_reports(bulk_board, "ch")
     assert np.array_equal(loop_posted, bulk_posted)
     assert np.array_equal(loop_matrix[loop_posted], bulk_matrix[bulk_posted])
 
@@ -389,7 +375,7 @@ def test_share_work_bulk_posting_attribution():
     assert predictions.shape == (24, 16)
     # Every posted report cell is attributed to a member of the right cluster.
     for cluster_id in range(3):
-        _, posted = ctx.board.report_matrix(f"ws/c{cluster_id}")
+        _, posted = board_reports(ctx.board, f"ws/c{cluster_id}")
         posters = np.flatnonzero(posted.any(axis=1))
         assert np.all(assignment[posters] == cluster_id)
 

@@ -1,4 +1,4 @@
-"""Tests for the round ledger and the probe/error report dataclasses."""
+"""Tests for the probe/error report dataclasses."""
 
 from __future__ import annotations
 
@@ -13,41 +13,11 @@ from repro.simulation.metrics import (
     protocol_report,
 )
 from repro.simulation.oracle import ProbeOracle
-from repro.simulation.rounds import RoundLedger
 
 
 @pytest.fixture
 def oracle(rng):
     return ProbeOracle(rng.integers(0, 2, size=(5, 16), dtype=np.uint8))
-
-
-class TestRoundLedger:
-    def test_phase_records_probe_delta(self, oracle):
-        ledger = RoundLedger(oracle)
-        with ledger.phase("first"):
-            oracle.probe_block(np.asarray([0, 1]), np.asarray([0, 1, 2]))
-        with ledger.phase("second"):
-            oracle.probe(0, 5)
-        assert ledger.rounds_by_phase() == {"first": 3, "second": 1}
-        assert ledger.probes_by_phase() == {"first": 6, "second": 1}
-        assert ledger.total_rounds() == 4
-
-    def test_repeated_phase_names_accumulate(self, oracle):
-        ledger = RoundLedger(oracle)
-        for _ in range(2):
-            with ledger.phase("loop"):
-                oracle.probe_objects(2, np.asarray([np.random.default_rng(0).integers(0, 16)]))
-        assert ledger.rounds_by_phase()["loop"] >= 1
-
-    def test_empty_phase_name_rejected(self, oracle):
-        ledger = RoundLedger(oracle)
-        with pytest.raises(ConfigurationError):
-            ledger.phase("")
-
-    def test_inconsistent_snapshots_rejected(self, oracle):
-        ledger = RoundLedger(oracle)
-        with pytest.raises(ConfigurationError):
-            ledger.record_phase("x", np.asarray([5] * 5), np.asarray([0] * 5))
 
 
 class TestProbeReport:

@@ -4,17 +4,16 @@ Three bulk paths must be *bit-for-bit* equal to their serial references —
 same outputs, same probe accounting, same shared-randomness consumption —
 on random instances including dishonest reporters and the noisy oracle:
 
-* ``rselect_collective(vectorised=True)`` vs the per-player serial
-  tournaments (``vectorised=False``);
+* ``rselect_collective`` vs the per-player serial tournaments
+  (``rselect_collective_serial`` in ``tests/reference_loops.py``);
 * ``ProbeOracle.probe_ragged`` vs a loop of ``probe_objects``;
 * mixed base/recursive SmallRadius batching vs the per-subset loop
   (``tests/reference_loops.py``), for honest pools, every coalition
   strategy and a pool mixing pointwise and stateful strategies; a spy pins
   how often the batched repetition asks each kind of pool.
 
-Plus the two new perf kernels (``packed_pair_vote``,
-``packed_majority_tall``) against unpacked references, and the RSelect
-survivor-fallback regression.
+Plus the ``packed_pair_vote`` kernel against an unpacked reference, and the
+RSelect survivor-fallback regression.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import pytest
 import repro.protocols.small_radius  # noqa: F401 - registers the submodule
 from repro import ProtocolConstants, make_context
 from repro.errors import ConfigurationError, ProtocolError
-from repro.perf import pack_bits, packed_majority, packed_majority_tall, packed_pair_vote
+from repro.perf import packed_pair_vote
 from repro.players import PlayerPool
 from repro.players.adversaries import (
     COALITION_STRATEGIES,
@@ -40,11 +39,13 @@ from repro.preferences.generators import PlantedInstance, planted_clusters_insta
 from repro.protocols.rselect import rselect, rselect_collective
 from repro.protocols.small_radius import small_radius
 from repro.simulation.oracle import ProbeOracle
-from reference_loops import assert_same_execution, small_radius_per_subset
+from reference_loops import (
+    assert_same_execution,
+    rselect_collective_serial,
+    small_radius_per_subset,
+)
 
 _SMALL_RADIUS_MODULE = sys.modules["repro.protocols.small_radius"]
-
-WIDTHS = [1, 3, 7, 8, 9, 13, 16, 17, 31, 64, 65, 100, 130]
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +80,8 @@ def test_rselect_collective_vectorised_matches_serial(seed):
     ctx_vec, ctx_ser, stack = _paired_contexts(seed)
     players = ctx_vec.all_players()
     objects = ctx_vec.all_objects()
-    vectorised = rselect_collective(ctx_vec, players, objects, stack, vectorised=True)
-    serial = rselect_collective(ctx_ser, players, objects, stack, vectorised=False)
+    vectorised = rselect_collective(ctx_vec, players, objects, stack)
+    serial = rselect_collective_serial(ctx_ser, players, objects, stack)
     np.testing.assert_array_equal(vectorised, serial)
     np.testing.assert_array_equal(
         ctx_vec.oracle.probes_used(), ctx_ser.oracle.probes_used()
@@ -131,16 +132,11 @@ def test_rselect_survivor_fallback_keeps_last_eliminated():
     winner, vector = rselect(ctx, 0, np.arange(8), candidates, sample_size=8)
     assert winner == 1
     np.testing.assert_array_equal(vector, candidates[1])
-    # The vectorised collective path applies the identical tie-break.
-    for vectorised in (True, False):
+    # The collective path and its serial reference apply the same tie-break.
+    for tournament in (rselect_collective, rselect_collective_serial):
         ctx = make_context(instance, budget=4, constants=constants, seed=0)
-        chosen = rselect_collective(
-            ctx,
-            np.asarray([0]),
-            np.arange(8),
-            candidates[None, :, :],
-            sample_size=8,
-            vectorised=vectorised,
+        chosen = tournament(
+            ctx, np.asarray([0]), np.arange(8), candidates[None, :, :], sample_size=8
         )
         np.testing.assert_array_equal(chosen[0], candidates[1])
 
@@ -411,22 +407,3 @@ def test_packed_pair_vote_validates():
         packed_pair_vote(ones, ones, ones, np.asarray([4]))
     with pytest.raises(ProtocolError):
         packed_pair_vote(ones, ones, ones, np.asarray([4, 5]))
-
-
-def test_packed_majority_tall_matches_unpack_and_sum():
-    rng = np.random.default_rng(37)
-    for width in WIDTHS:
-        for k in (1, 2, 3, 5, 8, 64, 255, 256, 300):
-            rows = rng.integers(0, 2, size=(k, width), dtype=np.uint8)
-            reference = (2 * rows.sum(axis=0, dtype=np.int64) >= k).astype(np.uint8)
-            packed = pack_bits(rows)
-            np.testing.assert_array_equal(packed_majority_tall(packed), reference)
-            # packed_majority dispatches to the tall kernel above the
-            # threshold; both must stay bit-identical to the reference.
-            np.testing.assert_array_equal(packed_majority(packed), reference)
-
-
-def test_packed_majority_tall_validates():
-    with pytest.raises(ProtocolError):
-        packed_majority_tall(pack_bits(np.zeros((0, 4), dtype=np.uint8)))
-    assert packed_majority_tall(pack_bits(np.zeros((3, 0), dtype=np.uint8))).size == 0
