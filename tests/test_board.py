@@ -53,6 +53,12 @@ class TestReportChannels:
         assert posted[3, 1] and posted[3, 4]
         assert not posted[3, 2]
 
+    def test_reporters_of(self, board):
+        board.post_reports("probes", 0, np.asarray([2]), np.asarray([1]))
+        board.post_reports("probes", 5, np.asarray([2]), np.asarray([0]))
+        _, posted = board_reports(board, "probes")
+        np.testing.assert_array_equal(np.flatnonzero(posted[:, 2]), [0, 5])
+
     def test_block_post(self, board):
         players = np.asarray([0, 1])
         objects = np.asarray([3, 4, 5])

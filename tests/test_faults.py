@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import run_trials, resume_trials
+from repro.baselines.naive import global_majority
 from repro.core.robust import robust_calculate_preferences
 from repro.errors import (
     BudgetExceededError,
@@ -184,6 +185,22 @@ class TestRuntimeGates:
             board.post_reports("c", 2, np.array([1]), np.array([1], dtype=np.uint8))
         values, posted = board_reports(board, "c")
         assert posted.sum() == 0 and values.sum() == 0
+
+    def test_dropping_every_baseline_post_leaves_no_channel(self):
+        # The global-majority baseline reads its channel after posting; with
+        # every post dropped, that read must not create the channel.
+        instance = planted_clusters_instance(8, 12, seed=5, n_clusters=2, diameter=2)
+        ctx = make_context(instance, budget=3, seed=9)
+        plan = FaultPlan(faults=tuple(
+            PlannedFault(site="board.post", point=0, occurrence=i, action="drop")
+            for i in range(8)
+        ))
+        with installed(FaultInjector(plan, point=0, attempt=0)):
+            predictions = global_majority(ctx, seed=1)
+        np.testing.assert_array_equal(predictions, np.ones((8, 12), dtype=np.uint8))
+        assert ctx.oracle.total_probes() == 8 * 3
+        assert ctx.board.channels() == []
+        assert ctx.board.channel_stats() == {}
 
     def test_gates_are_inert_without_an_installed_injector(self):
         oracle = ProbeOracle(self._truth())

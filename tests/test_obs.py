@@ -162,6 +162,30 @@ class TestSpanTree:
         assert root["children"][0]["n_calls"] == 5
         assert root["children"][0]["counts"]["hits"] == 5
 
+    def test_phase_spans_attribute_oracle_probes(self):
+        oracle = ProbeOracle(np.zeros((5, 16), dtype=np.uint8))
+        with collecting() as telemetry:
+            with obs_runtime.span("first"):
+                oracle.probe_block(np.asarray([0, 1]), np.asarray([0, 1, 2]))
+            with obs_runtime.span("second"):
+                oracle.probe(0, 5)
+        report = telemetry.report()
+        phases = {c["name"]: c["counts"] for c in report.spans["children"]}
+        assert phases["first"]["oracle.probes"] == 6
+        assert phases["second"]["oracle.probes"] == 1
+        assert report.counters["oracle.probes"] == oracle.total_probes() == 7
+
+    def test_repeated_phase_spans_accumulate_probes(self):
+        oracle = ProbeOracle(np.zeros((5, 16), dtype=np.uint8))
+        with collecting() as telemetry:
+            for obj in (3, 4, 3):  # the repeat of object 3 is memoised
+                with obs_runtime.span("loop"):
+                    oracle.probe_objects(2, np.asarray([obj]))
+        (loop,) = telemetry.report().spans["children"]
+        assert loop["n_calls"] == 3
+        assert loop["counts"]["oracle.probes"] == 2
+        assert loop["counts"]["oracle.requests"] == 3
+
     def test_recursion_nests_per_parent(self):
         @obs_runtime.traced("recurse")
         def descend(depth):

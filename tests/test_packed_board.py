@@ -198,7 +198,79 @@ class TestBoardReads:
             board.post_report_block("ch", players[:4], objects[1:], second[:4, 1:])
         assert_same_board(restored, fresh)
 
-    def test_masked_majority_matches_dense(self):
+
+class TestBoardSnapshots:
+    def test_export_is_a_private_copy(self):
+        board = BulletinBoard(5, 9)
+        board.post_reports("ch", 0, np.asarray([2]), np.asarray([1]))
+        values, posted = board.export_channels("ch")["reports"]["ch"]
+        values[:] = 0
+        posted[:] = 0
+        got_values, got_posted = board_reports(board, "ch")
+        assert got_values[0, 2] == 1 and got_posted[0, 2]
+
+    def test_snapshots_follow_later_posts(self):
+        board = BulletinBoard(5, 9)
+        board.post_reports("ch", 0, np.asarray([2]), np.asarray([1]))
+        before_values, _ = board_reports(board, "ch")
+        board.post_reports("ch", 0, np.asarray([2]), np.asarray([0]))
+        after_values, after_posted = board_reports(board, "ch")
+        assert before_values[0, 2] == 1 and after_values[0, 2] == 0
+        assert after_posted[0, 2]
+
+    def test_export_selects_channels_by_prefix(self):
+        board = BulletinBoard(6, 8)
+        board.post("ws/leader", owner=1, key="seed", value=7)
+        board.post_reports("ws/c0", 2, np.asarray([3]), np.asarray([1]))
+        board.post_reports("sr/base", 4, np.asarray([5]), np.asarray([0]))
+        payload = board.export_channels("ws/")
+        assert list(payload["scalar"]) == ["ws/leader"]
+        assert list(payload["reports"]) == ["ws/c0"]
+        assert sorted(board.export_channels("")["reports"]) == ["sr/base", "ws/c0"]
+
+    def test_absorb_round_trips_an_export(self):
+        from repro.errors import BoardOwnershipError
+
+        rng = np.random.default_rng(11)
+        source, target = BulletinBoard(13, 21), BulletinBoard(13, 21)
+        for channel in ("d1/a", "d1/b"):
+            players = rng.integers(0, 13, size=40)
+            objects = rng.integers(0, 21, size=40)
+            values = rng.integers(0, 2, size=40, dtype=np.uint8)
+            source.post_report_pairs(channel, players, objects, values)
+        source.post("d1/leader", owner=3, key="seed", value=99)
+        target.absorb_channels(source.export_channels("d1/"))
+        assert_same_board(target, source)
+        assert target.channel_stats() == source.channel_stats()
+        for channel in ("d1/a", "d1/b"):
+            for got, want in zip(
+                target.masked_majority(channel), source.masked_majority(channel)
+            ):
+                np.testing.assert_array_equal(got, want)
+        # Attribution travels with the snapshot.
+        with pytest.raises(BoardOwnershipError):
+            target.post("d1/leader", owner=4, key="seed", value=1)
+
+    @pytest.mark.parametrize("shape", [(17, 9), (6, 10)])
+    def test_absorb_rejects_a_channel_of_another_shape(self, shape):
+        source, target = BulletinBoard(*shape), BulletinBoard(6, 9)
+        source.post_reports("ch", 0, np.asarray([1]), np.asarray([1]))
+        with pytest.raises(ConfigurationError):
+            target.absorb_channels(source.export_channels("ch"))
+        assert target.channels() == []
+
+    def test_absorbed_channels_do_not_alias_the_payload(self):
+        source, target = BulletinBoard(6, 9), BulletinBoard(6, 9)
+        source.post_reports("ch", 2, np.asarray([0, 4]), np.asarray([1, 1]))
+        payload = source.export_channels("ch")
+        target.absorb_channels(payload)
+        for rows in payload["reports"]["ch"]:
+            rows[:] = 0
+        assert_same_board(target, source)
+
+
+class TestBoardReductions:
+    def test_reporters_support_and_masked_majority_match_dense(self):
         rng = np.random.default_rng(3)
         n_players, n_objects = 21, 33
         board = BulletinBoard(n_players, n_objects)
@@ -210,6 +282,11 @@ class TestBoardReads:
             values = rng.integers(0, 2, size=m, dtype=np.uint8)
             board.post_report_pairs("ch", players, objects, values)
             reference.post_pairs(players, objects, values)
+        _, posted = board_reports(board, "ch")
+        for obj in range(n_objects):
+            np.testing.assert_array_equal(
+                np.flatnonzero(posted[:, obj]), np.flatnonzero(reference.posted[:, obj])
+            )
         majority, support = board.masked_majority("ch")
         likes = (reference.values * reference.posted).sum(axis=0)
         votes = reference.posted.sum(axis=0)

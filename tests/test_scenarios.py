@@ -64,6 +64,40 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             CoalitionSpec(strategy="bogus", size=2)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: PopulationSpec(n_players=0), id="no-players"),
+            pytest.param(lambda: PopulationSpec(n_objects=0), id="no-objects"),
+            pytest.param(lambda: ProtocolSpec(budget=0), id="zero-budget"),
+            pytest.param(lambda: ProtocolSpec(constants_profile="bogus"), id="profile"),
+            pytest.param(lambda: ProtocolSpec(robust_iterations=0), id="robust-iterations"),
+            pytest.param(lambda: CoalitionSpec(size=-1), id="negative-size"),
+            pytest.param(
+                lambda: CoalitionSpec(fraction_of_tolerance=-0.5), id="negative-fraction"
+            ),
+            pytest.param(lambda: CoalitionSpec(size=2, target_fraction=0.0), id="no-targets"),
+            pytest.param(
+                lambda: CoalitionSpec(size=2, target_fraction=1.5), id="targets-over-one"
+            ),
+            pytest.param(lambda: DynamicsSpec(repetitions=0), id="no-repetitions"),
+            pytest.param(lambda: DynamicsSpec(departures=-1), id="negative-departures"),
+            pytest.param(lambda: ScenarioSpec(name="", description="x"), id="unnamed"),
+            pytest.param(
+                lambda: ScenarioSpec(
+                    name="bad",
+                    description="oracle clustering with liars",
+                    protocol=ProtocolSpec(name="oracle-clustering"),
+                    coalitions=(CoalitionSpec(size=2),),
+                ),
+                id="oracle-clustering-with-coalition",
+            ),
+        ],
+    )
+    def test_invalid_values_rejected(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
+
     def test_coalition_needs_exactly_one_sizing(self):
         with pytest.raises(ConfigurationError):
             CoalitionSpec(strategy="random")
