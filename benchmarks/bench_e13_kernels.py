@@ -44,13 +44,25 @@ from reference_loops import (  # noqa: E402
 _block_words = importlib.import_module("repro.protocols.small_radius")._block_words
 
 
-def _best_of(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+#: Timed samples per side of a row, taken alternately.
+SAMPLES = 9
+
+
+def _alternating_samples(reference_fn, packed_fn) -> tuple[np.ndarray, np.ndarray]:
+    """``SAMPLES`` wall times (s) of each side, reference and packed in
+    turn, so drift in the host's speed reaches both sides alike."""
+    times = np.empty((SAMPLES, 2))
+    for sample in range(SAMPLES):
+        for side, fn in enumerate((reference_fn, packed_fn)):
+            start = time.perf_counter()
+            fn()
+            times[sample, side] = time.perf_counter() - start
+    return times[:, 0], times[:, 1]
+
+
+def _median_iqr_ms(times: np.ndarray) -> tuple[float, float]:
+    q1, median, q3 = np.percentile(1e3 * times, [25, 50, 75])
+    return float(median), float(q3 - q1)
 
 
 def _unpacked_pairwise(matrix: np.ndarray) -> np.ndarray:
@@ -94,10 +106,24 @@ def _kernel_microbenchmark(
     table = ExperimentTable(
         experiment_id="E13",
         title="Bit-packed kernels vs unpacked references (microbenchmark)",
-        columns=["kernel", "n", "width", "unpacked_ms", "packed_ms", "speedup"],
+        columns=[
+            "kernel",
+            "n",
+            "width",
+            "unpacked_ms",
+            "unpacked_iqr_ms",
+            "packed_ms",
+            "packed_iqr_ms",
+            "speedup",
+        ],
         notes=[
-            f"n={n}, width={width}, k={n_candidates}; best of 3 runs; packed results "
-            "asserted bit-for-bit equal to the references before timing.",
+            f"n={n}, width={width}, k={n_candidates}; packed results asserted "
+            "bit-for-bit equal to the references before timing.",
+            f"each row times {SAMPLES} alternating reference/packed samples; "
+            "*_ms is a side's median, *_iqr_ms its interquartile range, and "
+            "speedup the ratio of the medians.",
+            f"pairwise row: the neighbour test at max_distance={width // 2}, "
+            "against Gram-matrix distances compared with the same threshold.",
             "tournament-layer rows: 'unpacked' = serial/per-player reference, "
             "'packed' = collective path (probe memoisation reset per run).",
             "select-sample row: 138 subsets x 1024 players x 8 candidates, "
@@ -112,22 +138,29 @@ def _kernel_microbenchmark(
         kernel: str, reference_fn, packed_fn, equal_fn, n_value=None, width_value=None
     ) -> None:
         assert equal_fn(), f"packed kernel {kernel!r} diverged from the reference"
-        unpacked_s = _best_of(reference_fn)
-        packed_s = _best_of(packed_fn)
+        reference_s, packed_s = _alternating_samples(reference_fn, packed_fn)
+        unpacked_ms, unpacked_iqr_ms = _median_iqr_ms(reference_s)
+        packed_ms, packed_iqr_ms = _median_iqr_ms(packed_s)
         table.add_row(
             kernel=kernel,
             n=n if n_value is None else n_value,
             width=width if width_value is None else width_value,
-            unpacked_ms=1e3 * unpacked_s,
-            packed_ms=1e3 * packed_s,
-            speedup=unpacked_s / max(1e-9, packed_s),
+            unpacked_ms=unpacked_ms,
+            unpacked_iqr_ms=unpacked_iqr_ms,
+            packed_ms=packed_ms,
+            packed_iqr_ms=packed_iqr_ms,
+            speedup=unpacked_ms / max(1e-6, packed_ms),
         )
 
+    max_distance = width // 2
     add_row(
         "pairwise-hamming",
-        lambda: _unpacked_pairwise(rows),
-        lambda: pairwise_hamming(pack_bits(rows)),
-        lambda: np.array_equal(pairwise_hamming(pack_bits(rows)), _unpacked_pairwise(rows)),
+        lambda: _unpacked_pairwise(rows) <= max_distance,
+        lambda: pairwise_hamming(pack_bits(rows), max_distance),
+        lambda: np.array_equal(
+            pairwise_hamming(pack_bits(rows), max_distance),
+            _unpacked_pairwise(rows) <= max_distance,
+        ),
     )
 
     def packed_cross():
@@ -363,9 +396,12 @@ def _kernel_microbenchmark(
             [oracle.probe_objects(p, objs) for p, objs in enumerate(ragged_lists)]
         )
 
+    ragged_objects = np.concatenate(ragged_lists)
+    ragged_lengths = np.full(tournament_n, 18)
+
     def probe_bulk():
         oracle = ProbeOracle(instance.preferences)
-        return oracle.probe_ragged(players, ragged_lists)
+        return oracle.probe_ragged(players, ragged_objects, ragged_lengths)
 
     add_row(
         "oracle probe (loop vs ragged)",
@@ -384,7 +420,8 @@ def test_e13_kernels(benchmark, report_table):
     for row in table.rows:
         assert row["packed_ms"] > 0.0
     by_kernel = {row["kernel"]: row for row in table.rows}
-    # PR-3 acceptance: the collective tournament is >= 2x the serial loop.
+    # The collective tournament is at least 2x the serial loop (a ratio of
+    # medians).
     assert by_kernel["rselect tournament (serial vs collective)"]["speedup"] >= 2.0
     # Observability tie-in: the run's kernel-timer telemetry rides along.
     timers = table.metrics["telemetry"]["timers"]

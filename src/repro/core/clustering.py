@@ -66,8 +66,9 @@ def build_neighbor_graph(
     without a repack); an edge joins two players whose estimates differ on
     at most ``threshold`` sampled objects.  Self-loops are excluded.  The
     distances are exact integers (:func:`repro.perf.pairwise_hamming`
-    counts them in integer arithmetic), compared with ``threshold`` as it
-    is given, so a threshold that lands on a distance keeps that edge.
+    counts them in integer arithmetic and compares them with ``threshold``
+    inside the kernel), so a threshold that lands on a distance keeps that
+    edge.
     """
     if isinstance(published_estimates, PackedBits):
         packed = published_estimates
@@ -82,8 +83,7 @@ def build_neighbor_graph(
         raise ProtocolError(
             f"published_estimates must be 2-D, got shape {packed.data.shape}"
         )
-    distances = pairwise_hamming(packed)  # (n, n) int64
-    adjacency = distances <= threshold
+    adjacency = pairwise_hamming(packed, threshold)
     np.fill_diagonal(adjacency, False)
     return adjacency
 
@@ -135,7 +135,8 @@ def cluster_players(
 
     # Phase 1: seed clusters around high-degree players.  Degrees over the
     # remaining graph are maintained incrementally — removing a cluster
-    # subtracts its members' adjacency columns — so seeding costs
+    # subtracts its members' adjacency columns from the players still
+    # remaining (no other degree is read again) — so seeding costs
     # O(n · removed) per cluster (O(n²) total) instead of recomputing the
     # full (adjacency & remaining) sum each round.
     degrees = adjacency.sum(axis=1, dtype=np.int64)
@@ -151,7 +152,8 @@ def cluster_players(
         clusters.append(members.astype(np.int64))
         assignment[members] = cluster_id
         remaining[members] = False
-        degrees -= adjacency[:, members].sum(axis=1, dtype=np.int64)
+        rest = np.flatnonzero(remaining)
+        degrees[rest] -= adjacency[rest][:, members].sum(axis=1, dtype=np.int64)
 
     # Phase 2: attach leftovers to a cluster containing a former neighbour.
     leftovers = np.flatnonzero(remaining)

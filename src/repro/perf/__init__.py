@@ -3,7 +3,8 @@
 ``repro.perf`` hosts representation-level optimisations that are invisible
 at the protocol layer: :mod:`repro.perf.bitset` packs binary vectors eight
 positions per byte and computes Hamming-shaped reductions as XOR+popcount
-on machine words, all-pairs distances (:func:`pairwise_hamming`) included.
+on machine words, the all-pairs neighbour test (:func:`pairwise_hamming`)
+included.
 The consumers are the Select distance estimators
 (:mod:`repro.protocols.select`), the collective RSelect tournament
 (:mod:`repro.protocols.rselect`, via :func:`packed_pair_vote`), the

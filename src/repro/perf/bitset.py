@@ -14,9 +14,10 @@ the packed bytes as the narrowest unsigned word that holds them (8, 16, 32
 or 64 bits) and accumulates per word, so no reduction runs over a short byte
 axis.  The popcount uses :func:`numpy.bitwise_count` when the installed
 NumPy provides it (>= 2.0) and a 256-entry lookup table otherwise, so the
-kernels run everywhere the rest of the package does.  All-pairs distances
-(:func:`pairwise_hamming`) accumulate per word the same way, over a
-word-major layout, in pure integer arithmetic.
+kernels run everywhere the rest of the package does.  The all-pairs
+neighbour test (:func:`pairwise_hamming`) accumulates per word the same way,
+over a word-major layout, in pure integer arithmetic, and compares each
+block of distances with its threshold in that narrow integer dtype.
 
 All kernels are *bit-for-bit* equivalent to their unpacked references —
 ``tests/test_perf_kernels.py`` asserts exact equality on random instances,
@@ -290,29 +291,40 @@ def packed_hamming(a_data: np.ndarray, b_data: np.ndarray) -> np.ndarray:
     return distance
 
 
-def pairwise_hamming(packed: PackedBits) -> np.ndarray:
-    """All-pairs Hamming distance matrix of a stack of packed rows.
+def pairwise_hamming(packed: PackedBits, max_distance: float) -> np.ndarray:
+    """Which pairs of a stack of packed rows differ in at most
+    ``max_distance`` positions.
 
-    ``packed`` holds ``n`` rows; returns the symmetric ``(n, n)`` ``int64``
-    distance matrix.  Rows are viewed as machine words (see
-    :func:`_as_words`) and laid out word-major, so each word of a chunk of
-    rows XORs against the same word of every later row in one contiguous
-    outer operation.  The per-word popcounts accumulate in the narrowest
-    unsigned integer holding the row width, so no reduction runs over the
-    short word axis and the counts are exact at any width.  Only the upper
-    block triangle is computed — each chunk compares against the rows at or
-    after its own start and the transpose fills the mirror half — and the
-    chunk height keeps one word's XOR scratch within a fixed byte budget.
+    ``packed`` holds ``n`` rows; returns the symmetric ``(n, n)`` boolean
+    matrix whose ``[i, j]`` entry says whether rows ``i`` and ``j`` differ
+    in at most ``max_distance`` positions (the diagonal included).
+    Distances are exact integers, so a threshold that lands on a distance
+    keeps that pair, a negative or NaN one keeps none, and one at or above
+    the row width keeps every pair without counting.
+
+    Rows are viewed as machine words (see :func:`_as_words`) and laid out
+    word-major, so each word of a chunk of rows XORs against the same word
+    of every later row in one contiguous outer operation.  The per-word
+    popcounts accumulate in the narrowest unsigned integer holding the row
+    width, and each chunk is compared with the threshold in that dtype, so
+    no distance is ever widened.  Only the upper block triangle is computed
+    — each chunk compares against the rows at or after its own start and
+    the transpose fills the mirror half — and the chunk height keeps one
+    word's XOR scratch within a fixed byte budget.
     """
     data = np.ascontiguousarray(packed.data)
     if data.ndim != 2:
         raise ProtocolError(f"pairwise_hamming requires 2-D rows, got shape {data.shape}")
     n, n_bytes = data.shape
-    out = np.zeros((n, n), dtype=np.int64)
-    if n_bytes == 0 or n == 0:
-        return out
+    limit = np.floor(max_distance)
+    if not limit >= 0:  # negative or NaN: no pair is that close
+        return np.zeros((n, n), dtype=bool)
+    if limit >= packed.n_bits:  # no pair differs in more positions than that
+        return np.ones((n, n), dtype=bool)
+    out = np.empty((n, n), dtype=bool)
     words = np.ascontiguousarray(_as_words(data).T)  # (n_words, n)
     counts = np.min_scalar_type(8 * n_bytes)  # holds the largest distance
+    bound = counts.type(limit)
     chunk = max(1, _CHUNK_BYTES // (n * words.itemsize))
     # Small chunks are what make the triangle trick pay: the wasted corner of
     # each chunk's [start:, :] slab shrinks with the chunk height.
@@ -322,8 +334,9 @@ def pairwise_hamming(packed: PackedBits) -> np.ndarray:
         block = np.zeros((stop - start, n - start), dtype=counts)
         for row in words:
             block += _popcount_words(row[start:stop, None] ^ row[None, start:])
-        out[start:stop, start:] = block
-        out[start:, start:stop] = block.T
+        close = block <= bound
+        out[start:stop, start:] = close
+        out[start:, start:stop] = close.T
     return out
 
 

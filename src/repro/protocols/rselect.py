@@ -14,10 +14,17 @@ Two entry points are provided:
 * :func:`rselect_collective` — runs the tournament for every player at once.
   The pair schedule is shared (all players walk the same ``(a, b)`` nested
   order, skipping pairs they already eliminated), so each round vectorises:
-  per-player differing positions come from one packed XOR + unpack over the
-  candidate stack, every player's sample probes are charged through a single
-  :meth:`~repro.simulation.oracle.ProbeOracle.probe_ragged` call, and the
-  votes are counted by :func:`repro.perf.packed_pair_vote`.
+  one XOR of the packed candidate words gives every player's differing-bit
+  count as a popcount; the drawing players' keys land in one flat buffer,
+  whose ``sample_size`` smallest per player are selected exactly (a fixed
+  key prefilter, then one small padded argsort); a rank-select over the
+  XOR's word popcounts turns each sampled rank into its object position
+  without unpacking the XOR; every player's sample probes are charged
+  through a single flat
+  :meth:`~repro.simulation.oracle.ProbeOracle.probe_ragged` call; and the
+  votes are counted by :func:`repro.perf.packed_pair_vote`.  The only step
+  that walks the players in Python is one ``random`` call per drawing
+  player.
 
 Randomness contract: ``rselect_collective`` first draws **one 63-bit seed
 per player from the shared randomness, in player order** (a single batched
@@ -52,9 +59,32 @@ import numpy as np
 from repro.errors import ProtocolError
 from repro.obs.runtime import traced
 from repro.perf import pack_bits, packed_pair_vote, popcount
+from repro.perf.bitset import _as_words, _popcount_words
 from repro.protocols.context import ProtocolContext
 
 __all__ = ["rselect", "rselect_collective"]
+
+#: Oversampling of the collective path's key prefilter: a row of ``w`` keys
+#: keeps those below ``_PREFILTER · s / w``, about ``_PREFILTER · s`` of
+#: them.  Fewer than ``s`` pass, and the row falls back to a selection over
+#: all of its keys, with probability below 2e-7 at ``s = 14`` (the
+#: practical profile at 1,024 players) and 3e-3 at the minimum ``s = 4``
+#: (the Poisson tail of the passing count).
+_PREFILTER = 3.0
+
+
+def _select_bit_table() -> np.ndarray:
+    """``table[byte, r]``: the bit position (most significant first, the
+    ``packbits`` order) of the ``r``-th set bit of ``byte``."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    rank = np.cumsum(bits, axis=1) - 1
+    byte, position = np.nonzero(bits)
+    table = np.zeros((256, 8), dtype=np.uint8)
+    table[byte, rank[byte, position]] = position
+    return table
+
+
+_SELECT_BIT = _select_bit_table()
 
 
 def _player_rngs(ctx: ProtocolContext, n_players: int) -> list[np.random.Generator]:
@@ -80,6 +110,65 @@ def _sample_differing(
     keys = rng.random(differing.size)
     smallest = np.argpartition(keys, sample_size - 1)[:sample_size]
     return differing[smallest[np.argsort(keys[smallest])]]
+
+
+def _smallest_keys(keys: np.ndarray, widths: np.ndarray, sample_size: int) -> np.ndarray:
+    """:func:`_sample_differing`'s selection for many rows of keys at once.
+
+    ``keys`` concatenates rows of ``widths`` keys, every row wider than
+    ``sample_size``.  Returns ``(rows, sample_size)``: the in-row indices of
+    each row's ``sample_size`` smallest keys, in increasing key order —
+    what ``argpartition`` + ``argsort`` on the row's own keys give.  When at
+    least ``sample_size`` of a row's keys lie below ``_PREFILTER ·
+    sample_size / width``, its smallest ``sample_size`` are among them, so
+    only the passing keys are sorted, in one padded argsort; a row with
+    fewer passing keys selects from all of its own.
+    """
+    bounds = np.concatenate(([0], np.cumsum(widths)))
+    starts = bounds[:-1]
+    limits = np.minimum(1.0, _PREFILTER * sample_size / widths)
+    kept = np.flatnonzero(keys < np.repeat(limits, widths))
+    per_row = np.diff(np.searchsorted(kept, bounds))
+    row = np.repeat(np.arange(widths.size), per_row)
+    column = np.arange(kept.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    width = max(int(per_row.max()), sample_size)
+    padded = np.full((widths.size, width), np.inf)
+    padded[row, column] = keys[kept]
+    in_row = np.zeros((widths.size, width), dtype=np.int64)
+    in_row[row, column] = kept - starts[row]
+    chosen = np.take_along_axis(in_row, np.argsort(padded, axis=1)[:, :sample_size], axis=1)
+    for short in np.flatnonzero(per_row < sample_size):
+        row_keys = keys[starts[short] : bounds[short + 1]]
+        smallest = np.argpartition(row_keys, sample_size - 1)[:sample_size]
+        chosen[short] = smallest[np.argsort(row_keys[smallest])]
+    return chosen
+
+
+def _set_bit_positions(
+    words: np.ndarray, word_counts: np.ndarray, ranks: np.ndarray
+) -> np.ndarray:
+    """In-row positions of set bits of packed rows, named by their rank.
+
+    ``words`` holds C-contiguous packed rows viewed as unsigned words (see
+    :func:`repro.perf.bitset._as_words`) and ``word_counts`` their
+    popcounts; ``ranks`` counts set bits across the raveled rows (row after
+    row, positions ascending).  Returns the bit position, within its row, of
+    each ranked set bit: one ``searchsorted`` over the running word
+    popcounts finds its word, the running popcounts of that word's bytes
+    its byte, and a 256 × 8 select table its bit within the byte.
+    """
+    running = np.cumsum(word_counts, axis=None, dtype=np.int64)
+    word = np.searchsorted(running, ranks, side="right")
+    within = ranks - running[word] + word_counts.reshape(-1)[word]
+    # The ranked bit's word as bytes, in memory (packbits) order.
+    word_bytes = words.reshape(-1)[word].view(np.uint8).reshape(word.size, -1)
+    byte_counts = popcount(word_bytes)
+    ends = np.cumsum(byte_counts, axis=1, dtype=np.int64)
+    byte = (ends <= within[:, None]).sum(axis=1)
+    pick = np.arange(word.size)
+    within -= ends[pick, byte] - byte_counts[pick, byte]
+    bit = _SELECT_BIT[word_bytes[pick, byte], within]
+    return ((word % words.shape[-1]) * words.itemsize + byte) * 8 + bit
 
 
 def _pair_vote(
@@ -217,7 +306,7 @@ def rselect_collective(
             "candidates_per_player must have shape (n_players, k, n_objects); got "
             f"{candidates_per_player.shape}"
         )
-    n_players, k, n_objects = candidates_per_player.shape
+    n_players, k, _ = candidates_per_player.shape
     if k == 0:
         raise ProtocolError("rselect requires at least one candidate")
     if k == 1 or n_players == 0:
@@ -231,7 +320,7 @@ def rselect_collective(
         raise ProtocolError(f"sample_size must be positive, got {sample_size}")
     rngs = _player_rngs(ctx, n_players)
     majority = ctx.constants.rselect_majority
-    packed = pack_bits(candidates_per_player)  # (P, k, n_bytes)
+    words = _as_words(pack_bits(candidates_per_player).data)  # (P, k, n_words)
     alive = np.ones((n_players, k), dtype=bool)
     last_eliminated = np.full(n_players, -1, dtype=np.int64)
     for a in range(k):
@@ -239,66 +328,58 @@ def rselect_collective(
             active = np.flatnonzero(alive[:, a] & alive[:, b])
             if active.size == 0:
                 continue
-            # Differing positions for every active player at once: XOR the
-            # packed candidate rows, then unpack only the XOR (an eighth of
-            # two dense != broadcasts).  Flatnonzero of the raveled bits
-            # walks row-major, i.e. player-major with ascending positions —
-            # the exact order np.flatnonzero yields in rselect's pair vote.
-            xor = packed.data[active, a, :] ^ packed.data[active, b, :]
-            diff_counts = popcount(xor).sum(axis=-1, dtype=np.int64)
-            diff_bits = np.unpackbits(xor, axis=-1, count=n_objects)
-            flat = np.flatnonzero(diff_bits.view(bool).ravel())
-            diff_positions = flat % n_objects
-            offsets = np.concatenate(([0], np.cumsum(diff_counts)))
-
-            # Draw the sampling keys player-by-player (each from its own
-            # substream, ascending player order), then select every sampled
-            # player's smallest keys in one padded argpartition + argsort.
-            needs_draw = np.flatnonzero(diff_counts > sample_size)
-            selections: np.ndarray | None = None
-            if needs_draw.size:
-                widths = diff_counts[needs_draw]
-                keys = np.full((needs_draw.size, int(widths.max())), np.inf)
-                for row, j in enumerate(needs_draw):
-                    keys[row, : diff_counts[j]] = rngs[active[j]].random(diff_counts[j])
-                smallest = np.argpartition(keys, sample_size - 1, axis=1)[:, :sample_size]
-                rows = np.arange(needs_draw.size)[:, None]
-                order = np.argsort(keys[rows, smallest], axis=1)
-                selections = smallest[rows, order]
-
-            voters: list[int] = []
-            picked_lists: list[np.ndarray] = []
-            draw_row = 0
-            for j, i in enumerate(active):
-                differing = diff_positions[offsets[j] : offsets[j + 1]]
-                if differing.size == 0:
-                    continue  # identical candidates: (0, 0) tie, no draw
-                if differing.size > sample_size:
-                    picked = differing[selections[draw_row]]
-                    draw_row += 1
-                else:
-                    picked = differing
-                voters.append(int(i))
-                picked_lists.append(picked)
-            if not voters:
+            # Differing-bit counts for every active player at once: one XOR
+            # of the packed candidate words and its popcounts.  A player
+            # whose candidates are identical has a (0, 0) tie: no draw, no
+            # probe.
+            xor = words[active, a] ^ words[active, b]
+            word_counts = _popcount_words(xor)
+            diff_counts = word_counts.sum(axis=-1, dtype=np.int64)
+            voting = np.flatnonzero(diff_counts)
+            if voting.size == 0:
                 continue
-            voter_rows = np.asarray(voters, dtype=np.int64)
-            lengths = np.asarray([p.size for p in picked_lists], dtype=np.int64)
+            voter_rows = active[voting]
+            lengths = np.minimum(diff_counts[voting], sample_size)
+            starts = np.cumsum(lengths) - lengths
+
+            # Each voter's sample as ranks among its differing positions:
+            # all of them (ascending) when they fit, else the smallest keys
+            # of one draw from its own substream — one `random` call per
+            # drawing player, in ascending player order, written in place
+            # into one flat key buffer.
+            ranks = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+            drawing = np.flatnonzero(diff_counts[voting] > sample_size)
+            if drawing.size:
+                widths = diff_counts[voting[drawing]]
+                keys = np.empty(int(widths.sum()))
+                stops = np.cumsum(widths).tolist()
+                for row, start, stop in zip(voter_rows[drawing].tolist(), [0, *stops], stops):
+                    rngs[row].random(out=keys[start:stop])
+                ranks[starts[drawing][:, None] + np.arange(sample_size)] = _smallest_keys(
+                    keys, widths, sample_size
+                )
+            # Ranks among all the XOR's set bits -> object positions, in the
+            # order rselect's pair vote probes them.
+            diff_starts = np.cumsum(diff_counts) - diff_counts
+            picked = _set_bit_positions(
+                xor, word_counts, np.repeat(diff_starts[voting], lengths) + ranks
+            )
             # The oracle answers the whole ragged batch as zero-padded packed
             # rows — the vote kernel's operand shape — so the probed values
             # never pass through a dense block on this side.
             true_packed = ctx.oracle.probe_ragged(
-                players[voter_rows], [objects[p] for p in picked_lists], packed=True
+                players[voter_rows], objects[picked], lengths, packed=True
             )
 
-            # Candidate rows → zero-padded operands for the packed vote kernel.
-            concat_positions = np.concatenate(picked_lists)
-            concat_rows = np.repeat(voter_rows, lengths)
+            # Candidate rows -> zero-padded operands for the packed vote
+            # kernel; every sampled position distinguishes the pair, so
+            # candidate b holds the complement of candidate a there.
+            values_a = candidates_per_player[np.repeat(voter_rows, lengths), a, picked]
             pad_mask = np.arange(int(lengths.max()))[None, :] < lengths[:, None]
             pad_a = np.zeros(pad_mask.shape, dtype=np.uint8)
             pad_b = np.zeros(pad_mask.shape, dtype=np.uint8)
-            pad_a[pad_mask] = candidates_per_player[concat_rows, a, concat_positions]
-            pad_b[pad_mask] = candidates_per_player[concat_rows, b, concat_positions]
+            pad_a[pad_mask] = values_a
+            pad_b[pad_mask] = values_a ^ 1
             agree_a, agree_b = packed_pair_vote(true_packed, pad_a, pad_b, lengths)
 
             # Every sampled position distinguishes the pair, so the vote
@@ -317,4 +398,4 @@ def rselect_collective(
         alive.argmax(axis=1),
         np.where(last_eliminated >= 0, last_eliminated, 0),
     )
-    return candidates_per_player[np.arange(n_players), winner, :].copy()
+    return candidates_per_player[np.arange(n_players), winner, :]

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.errors import ProtocolError
 from repro.obs.runtime import traced
-from repro.perf import packed_hamming
+from repro.perf.bitset import _popcount_words
 from repro.protocols.context import ProtocolContext
 from repro.protocols.select import (
     draw_sample_positions,
@@ -175,6 +175,25 @@ def _popular_vectors_blocks(
     for index, block_keys in zip(wide, wide_keys):
         out[key_starts[index] : key_starts[index + 1]] = block_keys
     return out, counts
+
+
+def _sample_distances(
+    cand_block: np.ndarray, true_block: np.ndarray, max_distance: int
+) -> np.ndarray:
+    """``(k, S, P)`` disagreement counts between sample words.
+
+    ``cand_block`` holds ``(k, S, W)`` candidate words and ``true_block``
+    ``(S, W, P)`` player words of one unsigned dtype.  Each word's XOR
+    popcount adds into the narrowest unsigned dtype holding
+    ``max_distance`` (the widest sample), the range :func:`_first_argmin`
+    works in, so no ``int64`` count is written only to be narrowed again.
+    """
+    distances = _popcount_words(
+        cand_block[:, :, 0, None] ^ true_block[None, :, 0, :]
+    ).astype(np.min_scalar_type(max_distance), copy=False)
+    for word in range(1, cand_block.shape[-1]):
+        distances += _popcount_words(cand_block[:, :, word, None] ^ true_block[None, :, word, :])
+    return distances
 
 
 def _first_argmin(distances: np.ndarray, max_distance: int) -> np.ndarray:
@@ -490,9 +509,10 @@ def _deferred_select(
     sample into words for the players (from the probe block's object rows)
     and for the candidates (from the sampled bits of their keys), so both
     sides share one word layout and dtype, and each (candidate count, sample
-    word count) group of subsets stacks into one ``(k, S, P)`` packed-Hamming
-    call and one :func:`_first_argmin`.  Returns each player's choice per
-    pending subset, ``(len(pending), P)``.
+    word count) group of subsets stacks into one ``(k, S, P)``
+    :func:`_sample_distances` pass, counted in the narrow dtype
+    :func:`_first_argmin` keys in, and one :func:`_first_argmin`.  Returns
+    each player's choice per pending subset, ``(len(pending), P)``.
     """
     widths = np.diff(offsets)
     sample_widths = np.minimum(widths[pending], select_sample)
@@ -530,20 +550,14 @@ def _deferred_select(
     for group in range(groups.size):
         rows = np.flatnonzero(group_of == group)
         count, words = int(n_candidates[rows[0]]), int(sample_words[rows[0]])
-        if words == 1:
-            true_block = true_words[true_starts[rows]]  # (S, P)
-        else:
-            true_block = np.ascontiguousarray(
-                true_words[true_starts[rows][:, None] + np.arange(words)].transpose(0, 2, 1)
-            )  # (S, P, words)
+        true_block = true_words[true_starts[rows][:, None] + np.arange(words)]  # (S, words, P)
         cand_block = cand_words[
             cand_starts[cand_first[rows][None, :] + np.arange(count)[:, None]][..., None]
             + np.arange(words),
             0,
-        ]  # (k, S, words), C-contiguous so its bytes view in place
-        disagreements = packed_hamming(
-            cand_block.view(np.uint8)[:, :, None, :],
-            true_block.view(np.uint8).reshape(1, rows.size, players.size, -1),
-        )  # (k, S, P)
-        choices[rows] = _first_argmin(disagreements, int(sample_widths[rows].max()))
+        ]  # (k, S, words)
+        max_distance = int(sample_widths[rows].max())
+        choices[rows] = _first_argmin(
+            _sample_distances(cand_block, true_block, max_distance), max_distance
+        )
     return choices

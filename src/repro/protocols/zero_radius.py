@@ -66,61 +66,35 @@ def popular_vectors(
     return uniques[counts >= max(1, int(min_support))]
 
 
-def _column_majority(vectors: np.ndarray) -> np.ndarray:
-    """Column-wise majority of a stack of binary vectors (ties broken to 1)."""
-    if vectors.shape[0] == 0:
-        raise ProtocolError("cannot take the majority of zero vectors")
-    # Callers hold unpacked rows here, so a direct column sum beats packing.
-    sums = vectors.sum(axis=0, dtype=np.int64)
-    return (2 * sums >= vectors.shape[0]).astype(np.uint8)
-
-
 def _resolve_by_probing(
     ctx: ProtocolContext,
     player: int,
     global_objects: np.ndarray,
     candidates: np.ndarray,
 ) -> np.ndarray:
-    """Figure 1, ZeroRadius step 5: probe disputed objects until one candidate
-    survives (or until the survivors agree everywhere).
+    """Figure 1, ZeroRadius step 5: probe disputed objects until the
+    surviving candidates agree, then return the first survivor.
 
     ``candidates`` has shape ``(k, len(global_objects))`` with ``k ≥ 1``.
-    Each probe eliminates every candidate disagreeing with the probed value;
-    if that would eliminate all candidates the player keeps the probed value
-    for that object and continues with the previous survivor set (its true
-    vector is not among the candidates — possible only off the Theorem-4
-    promise — so it patches what it can and majority-fills the rest).
+    Each probe reads the first column on which the survivors differ and
+    eliminates every survivor disagreeing with the answer.  The survivors
+    hold both values there, so a binary answer always keeps some of them:
+    the survivor set never empties.  Off the Theorem-4 promise (the
+    player's true vector is none of the candidates) the result is the
+    candidate that agrees with every probed answer.
     """
     candidates = np.asarray(candidates, dtype=np.uint8)
-    k = candidates.shape[0]
-    if k == 0:
+    if candidates.shape[0] == 0:
         raise ProtocolError("_resolve_by_probing requires at least one candidate")
-    if k == 1:
-        return candidates[0].copy()
-
-    alive = np.ones(k, dtype=bool)
-    overrides: dict[int, int] = {}
+    alive = np.ones(candidates.shape[0], dtype=bool)
     while True:
         survivors = candidates[alive]
-        if survivors.shape[0] <= 1:
-            break
         disputed = np.flatnonzero(np.any(survivors != survivors[0], axis=0))
-        disputed = np.asarray(
-            [c for c in disputed if int(c) not in overrides], dtype=np.int64
-        )
         if disputed.size == 0:
-            break
+            return survivors[0].copy()
         column = int(disputed[0])
         value = ctx.oracle.probe(int(player), int(global_objects[column]))
-        agrees = candidates[:, column] == value
-        if np.any(alive & agrees):
-            alive &= agrees
-        else:
-            overrides[column] = int(value)
-    result = candidates[alive][0].copy() if np.any(alive) else _column_majority(candidates)
-    for column, value in overrides.items():
-        result[column] = value
-    return result
+        alive &= candidates[:, column] == value
 
 
 def _cross_learn(

@@ -38,6 +38,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from repro.serve.server import PreferenceServer
+    from repro.serve.session import DEFAULT_MAX_PENDING
 
     server = PreferenceServer(
         host=args.host,
@@ -45,7 +46,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         run_workers=args.run_workers,
         idle_timeout_s=args.idle_timeout_s,
-        max_pending=args.max_pending,
+        max_pending=DEFAULT_MAX_PENDING if args.max_pending is None else args.max_pending,
         publish_interval_s=args.publish_interval_s,
         state_dir=args.state_dir,
         max_sessions=args.max_sessions,
@@ -188,8 +189,9 @@ def add_serve_commands(sub: argparse._SubParsersAction) -> None:
         help="evict sessions idle longer than this (default: never)",
     )
     p_serve.add_argument(
-        "--max-pending", type=int, default=32,
-        help="per-session backpressure limit on queued ops",
+        "--max-pending", type=int, default=None,
+        help="per-session backpressure limit on queued ops (default: "
+        "repro.serve.session.DEFAULT_MAX_PENDING, 512)",
     )
     p_serve.add_argument(
         "--publish-interval-s", type=float, default=0.25,

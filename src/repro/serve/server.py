@@ -77,7 +77,7 @@ from repro.serve.protocol import (
     error_frame,
     ok_frame,
 )
-from repro.serve.session import Session, build_spec
+from repro.serve.session import DEFAULT_MAX_PENDING, Session, build_spec
 
 __all__ = ["PreferenceServer"]
 
@@ -97,7 +97,7 @@ class PreferenceServer:
         socket_path: str | Path | None = None,
         run_workers: int = 1,
         idle_timeout_s: float | None = None,
-        max_pending: int = 32,
+        max_pending: int = DEFAULT_MAX_PENDING,
         publish_interval_s: float = 0.25,
         state_dir: str | Path | None = None,
         ring_size: int = 1024,

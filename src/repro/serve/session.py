@@ -64,7 +64,18 @@ from repro.serve.protocol import (
     encode_array,
 )
 
-__all__ = ["Session", "build_spec", "run_point_with_predictions"]
+__all__ = ["DEFAULT_MAX_PENDING", "Session", "build_spec", "run_point_with_predictions"]
+
+#: Ops one session may hold queued or running before a further request is
+#: shed with ``overloaded``: the default of :class:`Session`,
+#: :class:`~repro.serve.server.PreferenceServer` and ``serve --max-pending``.
+#: The cap bounds what a flooding client can queue; it is not meant to shed
+#: the bursts a host stall builds up in an open-loop stream.  It is the
+#: smallest power of two at least twice the most ops seen in flight: 132,
+#: over five runs of the ``serve-durable`` benchmark workload (300
+#: requests/s per session at its peak) with two busy loops competing for
+#: the host's two cores.
+DEFAULT_MAX_PENDING = 512
 
 
 class _OpQuota:
@@ -141,7 +152,7 @@ class Session:
         name: str,
         spec: ScenarioSpec,
         seed: int,
-        max_pending: int = 32,
+        max_pending: int = DEFAULT_MAX_PENDING,
         run_workers: int = 1,
         journal: SessionJournal | None = None,
         ring_size: int = 1024,

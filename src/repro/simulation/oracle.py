@@ -45,8 +45,6 @@ them straight into XOR+popcount kernels without a repack.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro._typing import CountVector, ObjectIndices, PreferenceMatrix, SeedLike, as_generator
@@ -210,65 +208,65 @@ class ProbeOracle:
     def probe_ragged(
         self,
         players: np.ndarray,
-        object_lists: Sequence[ObjectIndices],
+        objects: ObjectIndices,
+        lengths: np.ndarray,
         packed: bool = False,
     ) -> np.ndarray | PackedBits:
         """Each listed player probes its *own* variable-length object list.
 
-        Equivalent to looping ``probe_objects(players[i], object_lists[i])``
-        — identical memoisation, per-player distinct-probe charging, request
-        accounting and noise channel — but the whole batch is resolved
-        through one flat fancy index, which is what lets a collective
-        tournament round (every player probing its own sample) cost one
-        oracle call instead of one per player.
+        The lists come flat: ``objects`` concatenates them in player order,
+        and player ``players[i]`` probes the next ``lengths[i]`` of them.
+        Equivalent to looping ``probe_objects`` over the players and their
+        lists — identical memoisation, per-player distinct-probe charging,
+        request accounting and noise channel — but the whole batch is
+        resolved through one flat fancy index, which is what lets a
+        collective tournament round (every player probing its own sample)
+        cost one oracle call instead of one per player.
 
-        Returns the concatenated answers in **player-major order**: player
-        ``i``'s answers occupy ``values[offsets[i]:offsets[i+1]]`` with
-        ``offsets = [0] + cumsum(map(len, object_lists))``.  With
-        ``packed=True`` the answers come back instead as a
+        Returns the answers aligned with ``objects`` (player-major order).
+        With ``packed=True`` they come back instead as a
         :class:`PackedBits` stack of zero-padded rows (row ``i`` holds player
-        ``i``'s answers on its first ``len(object_lists[i])`` positions, zero
-        beyond) — the exact operand shape of
-        :func:`repro.perf.packed_pair_vote`.  Like :meth:`probe_pairs`,
-        budget enforcement checks the whole batch before charging anything
-        (the loop would charge earlier players first); outside the
-        enforcement error path the two are bit-identical.
+        ``i``'s answers on its first ``lengths[i]`` positions, zero beyond) —
+        the exact operand shape of :func:`repro.perf.packed_pair_vote`.
+        Every index, and under budget enforcement (like :meth:`probe_pairs`)
+        the whole batch's budget, is checked before anything is charged; the
+        loop would charge earlier players first, and outside those error
+        paths the two are bit-identical.
         """
         oracle_fault_gate()
         players = np.asarray(players, dtype=np.int64)
-        if players.size != len(object_lists):
+        objects = np.asarray(objects, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if players.ndim != 1 or lengths.shape != players.shape:
             raise ConfigurationError(
-                f"probe_ragged got {players.size} players but "
-                f"{len(object_lists)} object lists"
+                f"probe_ragged got {players.shape} players but {lengths.shape} lengths"
             )
-        if players.size == 0:
-            flat_values = np.zeros(0, dtype=np.uint8)
-            lengths = np.zeros(0, dtype=np.int64)
-            return self._pad_ragged(flat_values, lengths) if packed else flat_values
-        if players.min() < 0 or players.max() >= self.n_players:
+        if np.any(lengths < 0) or objects.shape != (int(lengths.sum()),):
+            raise ConfigurationError(
+                "probe_ragged lengths must be non-negative and sum to the object "
+                f"count; got a sum of {int(lengths.sum())} for objects of shape "
+                f"{objects.shape}"
+            )
+        if players.size and (players.min() < 0 or players.max() >= self.n_players):
             raise ConfigurationError("player index out of range in probe_ragged")
+        if objects.size and (objects.min() < 0 or objects.max() >= self.n_objects):
+            raise ConfigurationError("object index out of range in probe_ragged")
         if players.size > 1 and np.unique(players).size != players.size:
             # Duplicate players would need the call-order memoisation the
             # loop provides; fall back to it (rare, correctness-first).
             flat_values = np.concatenate(
                 [
-                    self.probe_objects(int(player), object_lists[i])
-                    for i, player in enumerate(players)
+                    self.probe_objects(int(player), player_objects)
+                    for player, player_objects in zip(
+                        players, np.split(objects, np.cumsum(lengths)[:-1])
+                    )
                 ]
             )
-            lengths = np.asarray([len(objs) for objs in object_lists], dtype=np.int64)
             return self._pad_ragged(flat_values, lengths) if packed else flat_values
-        lengths = np.asarray([len(objs) for objs in object_lists], dtype=np.int64)
-        if lengths.sum() == 0:
+        if objects.size == 0:
             flat_values = np.zeros(0, dtype=np.uint8)
             return self._pad_ragged(flat_values, lengths) if packed else flat_values
-        objects = np.concatenate(
-            [np.asarray(objs, dtype=np.int64) for objs in object_lists]
-        )
-        if objects.min() < 0 or objects.max() >= self.n_objects:
-            raise ConfigurationError("object index out of range in probe_ragged")
 
-        flat = objects * self.n_players + np.repeat(players, lengths)
         # Distinct-probe charging without a sort: OR the requested cells into
         # a per-listed-player scratch mask (duplicates collapse for free),
         # AND out the already-probed bits, and popcount the remainder.
@@ -284,9 +282,9 @@ class ProbeOracle:
         self._charge(players, counts, unique_players=True)
         self._requests[players] += lengths
         if obs._AMBIENT.telemetry is not None:
-            obs.add("oracle.requests", int(lengths.sum()))
+            obs.add("oracle.requests", int(objects.size))
         self._probed[players] = probed_rows | scratch
-        flat_values = self._observed.reshape(-1)[flat]
+        flat_values = self._observed.reshape(-1)[objects * self.n_players + players[rows]]
         return self._pad_ragged(flat_values, lengths) if packed else flat_values
 
     @staticmethod
@@ -325,24 +323,20 @@ class ProbeOracle:
             raise ConfigurationError("object index out of range in probe_pairs")
 
         # Identify pairs not yet probed and charge per player through the
-        # packed scratch-mask trick: OR the requested cells into a scratch
+        # packed scratch-mask trick: mark the requested cells in a scratch
         # mask (duplicate pairs collapse for free), drop the already-probed
         # bits, and popcount.  Batches at least as large as the player set
         # (the collective work-sharing shape) sweep the full mask — no sort
-        # at all; smaller batches on big instances build the scratch over
-        # the involved players' rows only, so the work stays O(batch).
-        flat = objects * self.n_players + players
-        weights = np.uint8(128) >> (objects & 7).astype(np.uint8)
+        # at all — and build it as one dense boolean scatter packed
+        # big-endian like the memo; smaller batches on big instances build
+        # the scratch over the involved players' rows only, so the work
+        # stays O(batch).
         obs.add("oracle.requests", int(players.size))
         if players.size >= self.n_players:
             self._requests += np.bincount(players, minlength=self.n_players)
-            scratch = np.zeros_like(self._probed)
-            np.bitwise_or.at(
-                scratch.reshape(-1),
-                players * self._object_bytes + (objects >> 3),
-                weights,
-            )
-            new_bits = scratch & ~self._probed
+            requested = np.zeros((self.n_players, self.n_objects), dtype=bool)
+            requested[players, objects] = True
+            new_bits = np.packbits(requested, axis=1) & ~self._probed
             counts = popcount(new_bits).sum(axis=1, dtype=np.int64)
             if counts.any():
                 self._charge_all(counts)
@@ -355,13 +349,13 @@ class ProbeOracle:
             np.bitwise_or.at(
                 scratch.reshape(-1),
                 rows * self._object_bytes + (objects >> 3),
-                weights,
+                np.uint8(128) >> (objects & 7).astype(np.uint8),
             )
             probed_rows = self._probed[involved]
             counts = popcount(scratch & ~probed_rows).sum(axis=1, dtype=np.int64)
             self._charge(involved, counts, unique_players=True)
             self._probed[involved] = probed_rows | scratch
-        return self._observed.reshape(-1)[flat]
+        return self._observed.reshape(-1)[objects * self.n_players + players]
 
     @obs.traced("oracle.block")
     def probe_block(

@@ -388,9 +388,11 @@ class TestOraclePackedPaths:
         flat_oracle, packed_oracle = ProbeOracle(truth), ProbeOracle(truth)
         players = np.asarray([0, 2, 5, 8])
         lists = [rng.choice(30, size=size, replace=False) for size in (4, 0, 9, 2)]
-        flat = flat_oracle.probe_ragged(players, lists)
-        packed = packed_oracle.probe_ragged(players, lists, packed=True)
         lengths = np.asarray([len(objs) for objs in lists])
+        flat = flat_oracle.probe_ragged(players, np.concatenate(lists), lengths)
+        packed = packed_oracle.probe_ragged(
+            players, np.concatenate(lists), lengths, packed=True
+        )
         rows = np.zeros((4, 9), dtype=np.uint8)
         rows[np.arange(9)[None, :] < lengths[:, None]] = flat
         np.testing.assert_array_equal(packed.unpack(), rows)

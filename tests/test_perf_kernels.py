@@ -154,12 +154,25 @@ def test_packed_hamming_zero_width_operands():
     assert got.shape == (3, 2) and got.dtype == np.int64 and not got.any()
 
 
+def _assert_pairwise_matches(rows: np.ndarray) -> None:
+    """``pairwise_hamming`` equals the dense distance matrix compared with
+    every threshold that can change an entry: each occurring distance and
+    half a step below it, negative and NaN thresholds, and thresholds at
+    and above the row width."""
+    reference = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
+    packed = pack_bits(rows)
+    distances = np.unique(reference)
+    width = rows.shape[1]
+    for threshold in (*distances, *(distances - 0.5), -1, -0.5, np.nan, width, width + 3.5):
+        got = pairwise_hamming(packed, threshold)
+        assert got.dtype == bool and got.shape == reference.shape
+        assert np.array_equal(got, reference <= threshold), threshold
+
+
 def test_pairwise_hamming_matches_reference():
     rng = np.random.default_rng(4)
     for width in WIDTHS:
-        rows = _random_binary(rng, (23, width))
-        reference = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
-        assert np.array_equal(pairwise_hamming(pack_bits(rows)), reference)
+        _assert_pairwise_matches(_random_binary(rng, (23, width)))
 
 
 def test_pairwise_hamming_chunking_boundary(monkeypatch):
@@ -167,9 +180,8 @@ def test_pairwise_hamming_chunking_boundary(monkeypatch):
 
     rng = np.random.default_rng(5)
     rows = _random_binary(rng, (50, 40))
-    reference = pairwise_hamming(pack_bits(rows))
     monkeypatch.setattr(bitset, "_CHUNK_BYTES", 64)  # force many tiny chunks
-    assert np.array_equal(pairwise_hamming(pack_bits(rows)), reference)
+    _assert_pairwise_matches(rows)
 
 
 @pytest.mark.parametrize(
@@ -184,10 +196,7 @@ def test_pairwise_hamming_is_exact_at_every_width(n_rows, width):
     rng = np.random.default_rng(n_rows + width)
     rows = _random_binary(rng, (n_rows, width))
     rows[:2] = np.arange(2)[:n_rows, None]
-    reference = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
-    got = pairwise_hamming(pack_bits(rows))
-    assert got.dtype == np.int64 and got.shape == (n_rows, n_rows)
-    assert np.array_equal(got, reference)
+    _assert_pairwise_matches(rows)
 
 
 @pytest.mark.parametrize("lookup_table", [False, True], ids=["bitwise_count", "lut"])
@@ -198,9 +207,7 @@ def test_pairwise_hamming_under_both_popcounts(lookup_table, monkeypatch):
         monkeypatch.setattr(bitset, "_HAS_BITWISE_COUNT", False)
     rng = np.random.default_rng(13)
     for width in (5, 16, 27, 64, 100, 130):
-        rows = _random_binary(rng, (37, width))
-        reference = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
-        assert np.array_equal(pairwise_hamming(pack_bits(rows)), reference)
+        _assert_pairwise_matches(_random_binary(rng, (37, width)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +432,13 @@ def test_small_radius_batched_path_matches_per_subset_loop(
         diameter = 4
 
     operand_bytes: list[int] = []
-    deferred_kernel = small_radius_module.packed_hamming
+    deferred_kernel = small_radius_module._sample_distances
 
-    def spy(a_data, b_data):
-        operand_bytes.append(a_data.shape[-1])
-        return deferred_kernel(a_data, b_data)
+    def spy(cand_block, true_block, max_distance):
+        operand_bytes.append(cand_block.shape[-1] * cand_block.itemsize)
+        return deferred_kernel(cand_block, true_block, max_distance)
 
-    monkeypatch.setattr(small_radius_module, "packed_hamming", spy)
+    monkeypatch.setattr(small_radius_module, "_sample_distances", spy)
 
     def run(solver, strategies):
         ctx = make_context(

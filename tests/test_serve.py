@@ -36,6 +36,7 @@ from repro.serve.client import (
     ServerSideError,
 )
 from repro.serve.protocol import (
+    Overloaded,
     ServeError,
     decode_array,
     decode_frame,
@@ -44,7 +45,7 @@ from repro.serve.protocol import (
     error_body,
 )
 from repro.serve.server import PreferenceServer
-from repro.serve.session import build_spec
+from repro.serve.session import DEFAULT_MAX_PENDING, Session, build_spec
 
 SCENARIO = "zero-radius-exact"
 
@@ -251,6 +252,38 @@ class TestBackpressureAndEviction:
         assert shed.code == "overloaded"
         assert shed.retryable is True
         assert shed.retry_after_s is not None and shed.retry_after_s > 0
+
+    def test_default_cap_queues_a_burst_behind_a_stalled_worker(self):
+        # A host stall holds the worker while requests keep arriving: the
+        # default cap queues 200 probes without a shed and answers every one
+        # once the worker resumes; only the (cap + 1)-th op in flight is shed.
+        session = Session("burst", build_spec(SCENARIO), 3)
+        release = threading.Event()
+        try:
+            assert session.max_pending == DEFAULT_MAX_PENDING
+            held = session.submit(release.wait)
+            ctx = session.prepared.context
+            objects = [[i % ctx.n_objects] for i in range(200)]
+            probes = [
+                session.submit_op("probe", {"player": 0, "objects": objs})
+                for objs in objects
+            ]
+            fillers = [
+                session.submit(lambda: None)
+                for _ in range(DEFAULT_MAX_PENDING - 1 - len(probes))
+            ]
+            with pytest.raises(Overloaded):
+                session.submit(lambda: None)
+            release.set()
+            assert held.result(timeout=30) is True
+            truth = ctx.oracle.ground_truth()
+            for objs, probe in zip(objects, probes):
+                assert probe.result(timeout=30)["values"] == truth[0, objs].tolist()
+            for filler in fillers:
+                filler.result(timeout=30)
+        finally:
+            release.set()
+            session.close()
 
     def test_idle_sessions_are_evicted_with_event(self):
         srv = PreferenceServer(

@@ -134,13 +134,13 @@ def test_deferred_select_mixes_one_and_two_word_samples(widths, monkeypatch):
     constants = ProtocolConstants.practical().with_overrides(rselect_sample_factor=32.0)
     stops = np.cumsum(widths)
     operand_bytes: list[int] = []
-    deferred_kernel = _small_radius_module.packed_hamming
+    deferred_kernel = _small_radius_module._sample_distances
 
-    def spy(a_data, b_data):
-        operand_bytes.append(a_data.shape[-1])
-        return deferred_kernel(a_data, b_data)
+    def spy(cand_block, true_block, max_distance):
+        operand_bytes.append(cand_block.shape[-1] * cand_block.itemsize)
+        return deferred_kernel(cand_block, true_block, max_distance)
 
-    monkeypatch.setattr(_small_radius_module, "packed_hamming", spy)
+    monkeypatch.setattr(_small_radius_module, "_sample_distances", spy)
 
     def run(solver):
         ctx = make_context(instance, budget=4, constants=constants, seed=3)

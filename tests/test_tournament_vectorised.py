@@ -12,8 +12,10 @@ on random instances including dishonest reporters and the noisy oracle:
   strategy and a pool mixing pointwise and stateful strategies; a spy pins
   how often the batched repetition asks each kind of pool.
 
-Plus the ``packed_pair_vote`` kernel against an unpacked reference, and the
-RSelect survivor-fallback regression.
+Plus the ``packed_pair_vote`` kernel against an unpacked reference, the
+RSelect survivor-fallback regression, and the collective tournament's two
+helpers: the exact smallest-key selection (including rows its prefilter
+leaves short) and the rank-select of differing positions.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import pytest
 import repro.protocols.small_radius  # noqa: F401 - registers the submodule
 from repro import ProtocolConstants, make_context
 from repro.errors import ConfigurationError, ProtocolError
-from repro.perf import packed_pair_vote
+from repro.perf import pack_bits, packed_pair_vote
+from repro.perf.bitset import _as_words, _popcount_words
 from repro.players import PlayerPool
 from repro.players.adversaries import (
     COALITION_STRATEGIES,
@@ -36,7 +39,12 @@ from repro.players.adversaries import (
     build_coalition,
 )
 from repro.preferences.generators import PlantedInstance, planted_clusters_instance
-from repro.protocols.rselect import rselect, rselect_collective
+from repro.protocols.rselect import (
+    _set_bit_positions,
+    _smallest_keys,
+    rselect,
+    rselect_collective,
+)
 from repro.protocols.small_radius import small_radius
 from repro.simulation.oracle import ProbeOracle
 from reference_loops import (
@@ -141,6 +149,40 @@ def test_rselect_survivor_fallback_keeps_last_eliminated():
         np.testing.assert_array_equal(chosen[0], candidates[1])
 
 
+def test_smallest_keys_matches_per_row_selection_when_the_prefilter_falls_short():
+    # At sample size 4 the prefilter keeps a row's keys below 12 / width.
+    # Row 0 (width 5) keeps every key; row 1 (width 40, limit 0.3) has only
+    # two keys below its limit and row 2 (width 100, limit 0.12) three, so
+    # both fall back to a selection over all of their keys; row 3 has
+    # exactly four passing keys, the fewest the padded argsort accepts.
+    sample_size = 4
+    rng = np.random.default_rng(5)
+    widths = np.asarray([5, 40, 100, 60])
+    rows = [
+        rng.random(5),
+        np.r_[[0.05, 0.2], rng.uniform(0.3, 1.0, 38)],
+        np.r_[[0.01, 0.11, 0.02], rng.uniform(0.12, 1.0, 97)],
+        np.r_[[0.15, 0.03, 0.19, 0.07], rng.uniform(0.2, 1.0, 56)],
+    ]
+    rows = [rng.permutation(row) for row in rows]
+    chosen = _smallest_keys(np.concatenate(rows), widths, sample_size)
+    for row_keys, got in zip(rows, chosen):
+        smallest = np.argpartition(row_keys, sample_size - 1)[:sample_size]
+        np.testing.assert_array_equal(got, smallest[np.argsort(row_keys[smallest])])
+
+
+@pytest.mark.parametrize("n_bits", [1, 7, 8, 13, 64, 65, 200])
+def test_set_bit_positions_match_unpacked_flatnonzero(n_bits):
+    rng = np.random.default_rng(n_bits)
+    bits = (rng.random((6, n_bits)) < 0.4).astype(np.uint8)
+    bits[2] = 0  # a row without set bits
+    bits[4] = 1  # a row with every bit set
+    words = _as_words(pack_bits(bits).data)
+    flat = np.flatnonzero(bits.ravel())
+    got = _set_bit_positions(words, _popcount_words(words), np.arange(flat.size))
+    np.testing.assert_array_equal(got, flat % n_bits)
+
+
 # ---------------------------------------------------------------------------
 # probe_ragged == looped probe_objects
 # ---------------------------------------------------------------------------
@@ -157,7 +199,9 @@ def test_probe_ragged_matches_probe_objects_loop(noise_rate):
             rng.integers(0, truth.shape[1], size=rng.integers(0, 9))
             for _ in range(n_listed)
         ]
-        got = ragged.probe_ragged(players, lists)
+        got = ragged.probe_ragged(
+            players, np.concatenate(lists), [len(objs) for objs in lists]
+        )
         expected = [looped.probe_objects(int(p), objs) for p, objs in zip(players, lists)]
         np.testing.assert_array_equal(
             got, np.concatenate(expected) if got.size else np.zeros(0, np.uint8)
@@ -170,22 +214,34 @@ def test_probe_ragged_duplicate_players_and_validation():
     truth = np.arange(12).reshape(3, 4) % 2
     ragged = ProbeOracle(truth)
     looped = ProbeOracle(truth)
-    got = ragged.probe_ragged(
-        np.asarray([1, 1, 0]), [np.asarray([0, 2]), np.asarray([2, 3]), np.asarray([1])]
-    )
+    got = ragged.probe_ragged(np.asarray([1, 1, 0]), np.asarray([0, 2, 2, 3, 1]), [2, 2, 1])
     expected = np.concatenate(
         [looped.probe_objects(1, [0, 2]), looped.probe_objects(1, [2, 3]), looped.probe_objects(0, [1])]
     )
     np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(ragged.probes_used(), looped.probes_used())
     with pytest.raises(ConfigurationError):
-        ragged.probe_ragged(np.asarray([0]), [np.asarray([0]), np.asarray([1])])
+        ragged.probe_ragged(np.asarray([0]), np.asarray([0, 1]), [1, 1])
     with pytest.raises(ConfigurationError):
-        ragged.probe_ragged(np.asarray([7]), [np.asarray([0])])
+        ragged.probe_ragged(np.asarray([7]), np.asarray([0]), [1])
     with pytest.raises(ConfigurationError):
-        ragged.probe_ragged(np.asarray([0]), [np.asarray([99])])
-    assert ragged.probe_ragged(np.zeros(0, dtype=np.int64), []).size == 0
-    assert ragged.probe_ragged(np.asarray([0, 1]), [np.zeros(0, np.int64)] * 2).size == 0
+        ragged.probe_ragged(np.asarray([0]), np.asarray([99]), [1])
+    assert ragged.probe_ragged(np.zeros(0, dtype=np.int64), np.zeros(0, np.int64), []).size == 0
+    assert ragged.probe_ragged(np.asarray([0, 1]), np.zeros(0, np.int64), [0, 0]).size == 0
+
+
+def test_probe_ragged_rejects_lengths_that_do_not_split_the_objects():
+    oracle = ProbeOracle(np.arange(12).reshape(3, 4) % 2)
+    with pytest.raises(ConfigurationError):
+        oracle.probe_ragged(np.asarray([0, 1]), np.asarray([0, 1, 2]), [1, 1])
+    with pytest.raises(ConfigurationError):
+        oracle.probe_ragged(np.asarray([0, 1]), np.asarray([0]), [2, -1])
+    # A bad index anywhere in the batch charges nobody, even on the
+    # duplicate-player path that probes player by player.
+    with pytest.raises(ConfigurationError):
+        oracle.probe_ragged(np.asarray([1, 1]), np.asarray([0, 1, 9]), [2, 1])
+    np.testing.assert_array_equal(oracle.probes_used(), [0, 0, 0])
+    np.testing.assert_array_equal(oracle.requests_used(), [0, 0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import pytest
 from repro import make_context, zero_radius_instance
 from repro.errors import ProtocolError
 from repro.players.adversaries import InvertingStrategy, RandomReportStrategy
+from repro.preferences.generators import PlantedInstance
 from repro.preferences.metrics import prediction_errors
-from repro.protocols.zero_radius import popular_vectors, zero_radius
+from repro.protocols.zero_radius import _resolve_by_probing, popular_vectors, zero_radius
 
 
 class TestPopularVectors:
@@ -24,6 +25,53 @@ class TestPopularVectors:
     def test_empty_input(self):
         out = popular_vectors(np.zeros((0, 3), dtype=np.uint8), 1)
         assert out.shape[0] == 0
+
+
+class TestResolveByProbing:
+    def test_off_promise_keeps_the_candidate_agreeing_with_every_probe(self):
+        # Player 0's true vector over objects 2..7 is none of the candidates,
+        # which only happens off the Theorem-4 promise.
+        truth = np.asarray([[0, 0, 1, 0, 1, 1, 0, 1]], dtype=np.uint8)
+        instance = PlantedInstance(
+            preferences=truth,
+            cluster_of=np.zeros(1, dtype=np.int64),
+            planted_diameters=np.zeros(1, dtype=np.int64),
+            metadata={"generator": "off-promise"},
+        )
+        objects = np.arange(2, 8)
+        candidates = np.asarray(
+            [
+                [0, 0, 1, 1, 0, 0],
+                [1, 1, 1, 0, 0, 0],
+                [1, 0, 0, 0, 1, 1],
+            ],
+            dtype=np.uint8,
+        )
+        assert not (candidates == truth[0, objects]).all(axis=1).any()
+        ctx = make_context(instance, budget=1, seed=0)
+        got = _resolve_by_probing(ctx, 0, objects, candidates)
+        # Column 0 (object 2, value 1) drops candidate 0; column 1 (object 3,
+        # value 0) drops candidate 1; the survivor is candidate 2 as is,
+        # wrong on the three columns nobody probed a dispute on.
+        np.testing.assert_array_equal(got, candidates[2])
+        assert ctx.oracle.probes_used()[0] == 2
+        assert ctx.oracle.requests_used()[0] == 2
+        # Identical survivors stop the probing: one (memoised) probe of
+        # object 3 drops candidate 1, and the two copies of candidate 2 agree.
+        again = _resolve_by_probing(ctx, 0, objects, candidates[[1, 2, 2]])
+        np.testing.assert_array_equal(again, candidates[2])
+        assert ctx.oracle.probes_used()[0] == 2
+        assert ctx.oracle.requests_used()[0] == 3
+        # A single candidate is returned without a probe.
+        np.testing.assert_array_equal(
+            _resolve_by_probing(ctx, 0, objects, candidates[:1]), candidates[0]
+        )
+        assert ctx.oracle.requests_used()[0] == 3
+
+    def test_requires_a_candidate(self):
+        ctx = make_context(zero_radius_instance(4, 6, n_clusters=1, seed=0), budget=1, seed=0)
+        with pytest.raises(ProtocolError):
+            _resolve_by_probing(ctx, 0, np.arange(6), np.zeros((0, 6), dtype=np.uint8))
 
 
 class TestZeroRadiusHonest:
