@@ -29,7 +29,7 @@ from repro.core.clustering import build_neighbor_graph, cluster_players
 from repro.core.sampling import select_sample_set
 from repro.core.work_sharing import share_work
 from repro.errors import ProtocolError
-from repro.obs.runtime import active_telemetry, span, traced
+from repro.obs.runtime import span, traced
 from repro.protocols.context import ProtocolContext
 from repro.protocols.rselect import rselect_collective
 from repro.protocols.small_radius import small_radius
@@ -191,93 +191,11 @@ def _run_diameter_iteration(
     return calculate_preferences_for_diameter(ctx, diameter, channel=channel)
 
 
-def _diameter_worker(
-    ctx: ProtocolContext, diameter: float, channel: str
-) -> tuple[np.ndarray, DiameterIterationTrace, np.ndarray, np.ndarray, dict]:
-    """Picklable trial for one fanned-out diameter iteration.
-
-    Runs against a forked copy of the context (the process pool pickles the
-    arguments) and ships back, besides the iteration result, everything the
-    parent needs to merge state as if the iteration had run in place: the
-    oracle's probe mask and request counts after the run, and the board
-    channels written under the iteration's prefix.
-    """
-    preds, trace = _run_diameter_iteration(ctx, diameter, channel)
-    probed_after, requests_after = ctx.oracle.probe_state()
-    return preds, trace, probed_after, requests_after, ctx.board.export_channels(channel)
-
-
-def _fan_out_diameters(
-    ctx: ProtocolContext,
-    diameters: list[float],
-    channel: str,
-    n_workers: int,
-) -> tuple[list[np.ndarray], list[DiameterIterationTrace]]:
-    """Run the guessed-diameter iterations on independent substreams.
-
-    Every iteration gets its own shared-randomness stream, spawned from the
-    context's stream **in schedule order before anything runs** — so the
-    overall draw sequence, and therefore the result, is a function of the
-    schedule alone, not of scheduling: ``n_workers=1`` executes the
-    iterations serially in-process and any larger worker count fans them
-    across the trial engine, bit-identically (results, probe accounting and
-    board state merge back in schedule order; see
-    :meth:`~repro.simulation.oracle.ProbeOracle.absorb_probe_run` for why
-    the replayed charging equals the serial charging).
-
-    Three situations force the serial path regardless of ``n_workers``:
-    reporting strategies (a strategy may keep state across calls — a random
-    reporter's own generator, an adaptive strategy's report count — which
-    each fork would advance from the same starting point instead of in
-    schedule order), an enforcing oracle budget (a fork
-    cannot see the other iterations' probes, so the cap could misfire), and
-    an ambient telemetry collection — each fork's oracle would charge
-    against its own pre-fork memoisation state, so the forks' probe counters
-    would overcount relative to the schedule-order replay the parent merges,
-    breaking the "span totals reconcile with the oracle's accounting"
-    invariant the trace surfaces depend on.
-    """
-    for diameter in diameters:
-        if diameter <= 0:
-            raise ProtocolError(f"guessed diameter must be positive, got {diameter}")
-    streams = [ctx.randomness.spawn() for _ in diameters]
-    points = [
-        (ctx.with_randomness(stream), float(diameter), f"{channel}/d{index}")
-        for index, (diameter, stream) in enumerate(zip(diameters, streams))
-    ]
-    serial_only = (
-        ctx.pool.has_strategies
-        or ctx.oracle.enforce_budget
-        or active_telemetry() is not None
-    )
-    if n_workers <= 1 or len(points) <= 1 or serial_only:
-        results = [
-            _run_diameter_iteration(point_ctx, diameter, point_channel)
-            for point_ctx, diameter, point_channel in points
-        ]
-        return [preds for preds, _ in results], [trace for _, trace in results]
-
-    from repro.analysis.runner import run_trials  # deferred: analysis imports us
-
-    base_requests = ctx.oracle.requests_used()
-    candidates: list[np.ndarray] = []
-    traces: list[DiameterIterationTrace] = []
-    for preds, trace, probed_after, requests_after, board_payload in run_trials(
-        _diameter_worker, points, n_workers=n_workers
-    ):
-        ctx.oracle.absorb_probe_run(probed_after, requests_after - base_requests)
-        ctx.board.absorb_channels(board_payload)
-        candidates.append(preds)
-        traces.append(trace)
-    return candidates, traces
-
-
 @traced("calculate_preferences")
 def calculate_preferences(
     ctx: ProtocolContext,
     diameters: list[float] | None = None,
     channel: str = "calc",
-    n_workers: int | None = None,
 ) -> CalculatePreferencesResult:
     """Run the full CalculatePreferences protocol.
 
@@ -293,18 +211,6 @@ def calculate_preferences(
     channel:
         Bulletin-board channel prefix (the robust wrapper uses one prefix per
         leader-election iteration).
-    n_workers:
-        ``None`` (default) runs the guessed-diameter loop on the historical
-        sequential stream — every iteration consumes the context's shared
-        randomness in turn, exactly as in prior releases.  Any integer
-        switches to the **parallel diameter search**: each iteration runs on
-        its own substream spawned up front in schedule order, so the result
-        is identical for every worker count — ``n_workers=1`` is the
-        in-process serial execution of that layout, ``n_workers>1`` fans the
-        iterations across the process-pool trial engine and merges probe
-        accounting and board state back in schedule order.  (The two layouts
-        give different — equally valid — random executions; experiments that
-        compare against recorded runs pick one and stay on it.)
 
     Returns
     -------
@@ -337,19 +243,12 @@ def calculate_preferences(
     if not diameters:
         raise ProtocolError("diameters schedule must be non-empty")
 
-    if n_workers is None:
-        candidates: list[np.ndarray] = []
-        traces: list[DiameterIterationTrace] = []
-        for index, diameter in enumerate(diameters):
-            preds, trace = _run_diameter_iteration(
-                ctx, diameter, f"{channel}/d{index}"
-            )
-            candidates.append(preds)
-            traces.append(trace)
-    else:
-        candidates, traces = _fan_out_diameters(
-            ctx, list(diameters), channel, int(n_workers)
-        )
+    candidates: list[np.ndarray] = []
+    traces: list[DiameterIterationTrace] = []
+    for index, diameter in enumerate(diameters):
+        preds, trace = _run_diameter_iteration(ctx, diameter, f"{channel}/d{index}")
+        candidates.append(preds)
+        traces.append(trace)
 
     candidate_stack = np.stack(candidates, axis=1)  # (n_players, k, n_objects)
     if candidate_stack.shape[1] == 1:

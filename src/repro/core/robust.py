@@ -21,7 +21,10 @@ The wrapper models the dishonest leader faithfully: when the coalition wins
 an election, the shared randomness is replaced by an
 :class:`~repro.simulation.randomness.AdversarialRandomness` configured from
 the coalition's plan (hide revealing objects from samples, over-assign
-coalition members as probers).
+coalition members as probers).  Publishing the bits is modelled by handing
+the repetition's context that stream; nothing is posted on the bulletin
+board.  Each repetition runs CalculatePreferences' guessed diameters one
+after another on its one stream.
 """
 
 from __future__ import annotations
@@ -94,7 +97,6 @@ def robust_calculate_preferences(
     coalition: CoalitionPlan | None = None,
     iterations: int | None = None,
     diameters: list[float] | None = None,
-    n_workers: int | None = None,
     degrade: bool = False,
 ) -> RobustResult:
     """Run the Byzantine-robust CalculatePreferences protocol.
@@ -113,11 +115,6 @@ def robust_calculate_preferences(
         the constants.
     diameters:
         Guessed-diameter schedule forwarded to every repetition.
-    n_workers:
-        Forwarded to :func:`calculate_preferences` — ``None`` keeps the
-        historical sequential diameter loop; an integer engages the
-        parallel diameter search inside each leader-election repetition
-        (deterministic for any worker count; see there).
     degrade:
         With the default ``False``, a probe-budget or fault-channel
         exhaustion (:class:`~repro.errors.BudgetExceededError`,
@@ -175,10 +172,7 @@ def robust_calculate_preferences(
         iteration_ctx = ctx.with_randomness(randomness)
         try:
             result = calculate_preferences(
-                iteration_ctx,
-                diameters=diameters,
-                channel=f"robust/i{iteration}",
-                n_workers=n_workers,
+                iteration_ctx, diameters=diameters, channel=f"robust/i{iteration}"
             )
         except (BudgetExceededError, OracleTimeout) as error:
             if not degrade:

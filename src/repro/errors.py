@@ -41,23 +41,6 @@ class BudgetExceededError(ReproError):
         )
 
 
-class BoardOwnershipError(ReproError):
-    """A player attempted to overwrite a bulletin-board cell it does not own.
-
-    The paper's model (§2) states that a dishonest player cannot modify data
-    written by honest players; the board enforces this for *all* players.
-    """
-
-    def __init__(self, writer: int, owner: int, key: object) -> None:
-        self.writer = int(writer)
-        self.owner = int(owner)
-        self.key = key
-        super().__init__(
-            f"player {writer} attempted to overwrite board entry {key!r} "
-            f"owned by player {owner}"
-        )
-
-
 class ProtocolError(ReproError):
     """A protocol precondition was violated at run time.
 

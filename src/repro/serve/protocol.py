@@ -39,7 +39,6 @@ from typing import Any
 import numpy as np
 
 from repro.errors import (
-    BoardOwnershipError,
     BudgetExceededError,
     ConfigurationError,
     ConnectionLost,
@@ -137,7 +136,6 @@ class QuotaExceeded(ServeError):
 #: Ordered most-derived-first; the first ``isinstance`` match wins.
 ERROR_CODES: tuple[tuple[type[BaseException], str], ...] = (
     (BudgetExceededError, "budget-exceeded"),
-    (BoardOwnershipError, "board-ownership"),
     (LeaderElectionError, "leader-election"),
     (OracleTimeout, "oracle-timeout"),
     (InjectedCrash, "injected-crash"),

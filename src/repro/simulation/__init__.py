@@ -15,7 +15,7 @@ accounting, so every complexity statement in the paper can be *measured* on
 the simulator rather than assumed.
 """
 
-from repro.simulation.board import BoardEntry, BulletinBoard
+from repro.simulation.board import BulletinBoard
 from repro.simulation.config import ProtocolConstants
 from repro.simulation.metrics import ErrorReport, ProbeReport, protocol_report
 from repro.simulation.oracle import ProbeOracle
@@ -23,7 +23,6 @@ from repro.simulation.randomness import AdversarialRandomness, SharedRandomness
 
 __all__ = [
     "AdversarialRandomness",
-    "BoardEntry",
     "BulletinBoard",
     "ErrorReport",
     "ProbeOracle",

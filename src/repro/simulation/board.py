@@ -2,17 +2,20 @@
 
 The paper (§2) models communication as a public bulletin board: every player
 can post the result of its probes and read everything posted by others.  Two
-properties matter for the proofs and are enforced here:
+properties matter for the proofs and hold here by construction:
 
-* **Attribution** — every entry records which player posted it, so readers
-  can count how many *distinct* players support a value.
-* **Integrity** — an entry, once posted, cannot be modified by a different
-  player (a dishonest player cannot tamper with honest posts).  Re-posting
-  by the same owner is allowed and simply overwrites its own entry.
+* **Attribution** — every cell belongs to one (player, object) pair, so
+  readers can count how many *distinct* players support a value.
+* **Integrity** — a report is written only into its own player's cell, so
+  no post can change another player's reports (a dishonest player cannot
+  tamper with honest posts).  Re-posting over one's own cells is allowed and
+  simply overwrites them.
 
 Entries are organised into named *channels* (one per protocol phase), and
-each channel holds either scalar posts (e.g. a leader's published random
-seed) or per-(player, object) probe reports.
+every channel holds per-(player, object) probe reports.  Nothing else is
+posted: a published vector is a row of reports, and a leader's random bits
+reach the players as the context's shared-randomness stream
+(:mod:`repro.core.robust`), not as a board entry.
 
 Report channels are stored **bit-packed**: one packed row per *object*,
 eight players per byte (``repro.perf.bitset`` words), with a parallel packed
@@ -25,22 +28,20 @@ row scatter of ``m/8``-byte rows instead of two dense ``(n_players, m)``
 strided writes, and the posted mask costs one eighth of a bool matrix.
 
 The readers are :meth:`~BulletinBoard.masked_majority`,
-:meth:`~BulletinBoard.channel_stats` (posting counters, which the preference
-server publishes), :meth:`~BulletinBoard.export_channels` /
-:meth:`~BulletinBoard.absorb_channels` (channel snapshots, which the
-parallel diameter search ships between processes) and the scalar
-:meth:`~BulletinBoard.read` / :meth:`~BulletinBoard.entries`.
+:meth:`~BulletinBoard.channel_stats` (posted-cell counts, which the
+preference server publishes) and :meth:`~BulletinBoard.export_channels` /
+:meth:`~BulletinBoard.absorb_channels` (private copies of whole channels,
+through which the tests read and compare boards).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro._typing import check_binary
-from repro.errors import BoardOwnershipError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.faults.runtime import board_fault_gate
 from repro.obs import runtime as obs
 from repro.perf import (
@@ -52,7 +53,7 @@ from repro.perf import (
     popcount,
 )
 
-__all__ = ["BoardEntry", "BulletinBoard"]
+__all__ = ["BulletinBoard"]
 
 
 def _keep_last(keys: np.ndarray) -> np.ndarray:
@@ -68,17 +69,8 @@ def _keep_last(keys: np.ndarray) -> np.ndarray:
     return np.sort(order[is_last])
 
 
-@dataclass(frozen=True)
-class BoardEntry:
-    """One immutable post: ``owner`` wrote ``value`` under ``key``."""
-
-    owner: int
-    key: Any
-    value: Any
-
-
 class BulletinBoard:
-    """Append-only shared memory with per-entry ownership.
+    """Append-only shared memory with per-cell ownership.
 
     Parameters
     ----------
@@ -99,36 +91,8 @@ class BulletinBoard:
         self._player_bytes = (self.n_players + 7) // 8
         #: Byte mask of the valid player bits (pad bits always stay zero).
         self._player_cover = bit_cover(self.n_players)
-        # channel -> key -> BoardEntry  (scalar posts)
-        self._scalar: dict[str, dict[Any, BoardEntry]] = {}
         # channel -> (values, posted); packed (n_objects, player_bytes) each.
         self._reports: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    # ------------------------------------------------------------------
-    # Scalar posts (leader announcements, published vectors, ...)
-    # ------------------------------------------------------------------
-    def post(self, channel: str, owner: int, key: Any, value: Any) -> None:
-        """Post ``value`` under ``key`` on ``channel``.
-
-        Raises :class:`~repro.errors.BoardOwnershipError` if a *different*
-        player already posted under the same key on this channel.
-        """
-        self._check_owner(owner)
-        entries = self._scalar.setdefault(channel, {})
-        existing = entries.get(key)
-        if existing is not None and existing.owner != int(owner):
-            raise BoardOwnershipError(writer=int(owner), owner=existing.owner, key=(channel, key))
-        entries[key] = BoardEntry(owner=int(owner), key=key, value=value)
-        obs.add("board.posts")
-
-    def read(self, channel: str, key: Any, default: Any = None) -> Any:
-        """Read the value posted under ``key`` on ``channel`` (or ``default``)."""
-        entry = self._scalar.get(channel, {}).get(key)
-        return default if entry is None else entry.value
-
-    def entries(self, channel: str) -> Iterator[BoardEntry]:
-        """Iterate over all scalar entries on ``channel``."""
-        return iter(self._scalar.get(channel, {}).values())
 
     # ------------------------------------------------------------------
     # Probe-report channels (bit-packed)
@@ -385,32 +349,32 @@ class BulletinBoard:
         )
 
     # ------------------------------------------------------------------
-    # State transfer (parallel diameter search)
+    # Channel snapshots
     # ------------------------------------------------------------------
     def export_channels(self, prefix: str) -> dict[str, Any]:
         """Snapshot every channel whose name starts with ``prefix``.
 
-        Returns a picklable payload for :meth:`absorb_channels`; used by the
-        parallel diameter search to ship the board writes of one guessed
-        diameter iteration back from a worker process.
+        Returns ``{"reports": {channel: (values, posted)}}``, private copies
+        of the packed rows, for :meth:`absorb_channels`.  No protocol reads
+        it.  The tests read and compare whole boards through it, and the
+        snapshot-based checkpoint restore planned in ROADMAP.md stores the
+        board as ``export_channels("")`` and installs it with
+        :meth:`absorb_channels`.
         """
-        payload: dict[str, Any] = {"scalar": {}, "reports": {}}
-        for channel, entries in self._scalar.items():
-            if channel.startswith(prefix):
-                payload["scalar"][channel] = dict(entries)
-        for channel, (matrix, posted) in self._reports.items():
-            if channel.startswith(prefix):
-                payload["reports"][channel] = (matrix.copy(), posted.copy())
-        return payload
+        return {
+            "reports": {
+                channel: (matrix.copy(), posted.copy())
+                for channel, (matrix, posted) in self._reports.items()
+                if channel.startswith(prefix)
+            }
+        }
 
     def absorb_channels(self, payload: dict[str, Any]) -> None:
         """Install channels exported by :meth:`export_channels`.
 
-        Channels are installed wholesale (the parallel diameter iterations
-        write disjoint channel prefixes, so nothing is merged cell-wise).
+        Each channel is installed wholesale, replacing any channel of the
+        same name; nothing is merged cell-wise.
         """
-        for channel, entries in payload.get("scalar", {}).items():
-            self._scalar[channel] = dict(entries)
         for channel, (matrix, posted) in payload.get("reports", {}).items():
             if matrix.shape != (self.n_objects, self._player_bytes):
                 raise ConfigurationError(
@@ -428,31 +392,23 @@ class BulletinBoard:
             raise ConfigurationError(f"owner index {owner} out of range")
 
     def channels(self) -> list[str]:
-        """All channel names seen so far (scalar and report channels)."""
-        return sorted(set(self._scalar) | set(self._reports))
+        """All channel names posted to so far, sorted."""
+        return sorted(self._reports)
 
     def channel_stats(self) -> dict[str, dict[str, int]]:
-        """Per-channel posting counters: ``{channel: {scalar_posts,
-        report_cells}}``.
+        """Per-channel posting counters: ``{channel: {"report_cells": n}}``.
 
-        ``scalar_posts`` counts live scalar entries (last-write-wins keys);
         ``report_cells`` counts posted cells via one popcount over the packed
         ``posted`` rows, so no dense matrix is materialised.  The preference
         server's publisher diffs successive calls to emit board-delta events;
-        both inner reads tolerate a concurrent poster (dict copies are
-        C-level, the popcount reads a live array whose cells only ever gain
-        bits), so the view may be torn across channels but never raises.
+        the read tolerates a concurrent poster (the channel dict is copied at
+        C level, and the popcount reads a live array whose cells only ever
+        gain bits), so the view may be torn across channels but never raises.
         """
-        stats: dict[str, dict[str, int]] = {}
-        for channel, entries in list(self._scalar.items()):
-            stats[channel] = {"scalar_posts": len(entries), "report_cells": 0}
-        for channel, (_, posted) in list(self._reports.items()):
-            cells = int(popcount(posted).sum())
-            entry = stats.setdefault(
-                channel, {"scalar_posts": 0, "report_cells": 0}
-            )
-            entry["report_cells"] = cells
-        return stats
+        return {
+            channel: {"report_cells": int(popcount(posted).sum())}
+            for channel, (_, posted) in list(self._reports.items())
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

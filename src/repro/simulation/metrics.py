@@ -20,6 +20,7 @@ import numpy as np
 
 from repro._typing import CountVector, PreferenceMatrix
 from repro.errors import ConfigurationError
+from repro.preferences.metrics import prediction_errors
 from repro.simulation.oracle import ProbeOracle
 
 __all__ = ["ProbeReport", "ErrorReport", "protocol_report", "ProtocolReport"]
@@ -161,17 +162,6 @@ class ProtocolReport:
         }
 
 
-def hamming_errors(predictions: PreferenceMatrix, truth: PreferenceMatrix) -> CountVector:
-    """Per-player Hamming distance between predictions and the truth."""
-    predictions = np.asarray(predictions)
-    truth = np.asarray(truth)
-    if predictions.shape != truth.shape:
-        raise ConfigurationError(
-            f"predictions and truth must align: {predictions.shape} vs {truth.shape}"
-        )
-    return (predictions != truth).sum(axis=1).astype(np.int64)
-
-
 def protocol_report(
     label: str,
     predictions: PreferenceMatrix,
@@ -206,7 +196,7 @@ def protocol_report(
     if honest_mask.shape[0] != truth.shape[0]:
         raise ConfigurationError("honest_mask length must equal the number of players")
     errors = ErrorReport(
-        per_player=hamming_errors(predictions, truth),
+        per_player=prediction_errors(predictions, truth),
         optimal_per_player=np.asarray(optimal_per_player),
         honest_mask=honest_mask,
     )

@@ -526,41 +526,18 @@ class ProbeOracle:
         return self.memo_hits() / total if total else 0.0
 
     # ------------------------------------------------------------------
-    # State transfer (parallel diameter search)
+    # Memo snapshot (for tests)
     # ------------------------------------------------------------------
     def probe_state(self) -> tuple[np.ndarray, np.ndarray]:
         """Snapshot ``(packed probe mask, per-player requests)``.
 
-        The mask is the bit-packed memoisation state; together with
-        :meth:`absorb_probe_run` it lets independent protocol iterations run
-        against forked oracle copies and merge their accounting back
-        **exactly as if they had run sequentially**: which pairs an iteration
-        probes does not depend on the memoisation state (memoisation only
-        affects charging, never answers), so replaying the masks in schedule
-        order reproduces the serial distinct-probe counts bit for bit.
+        The mask is the bit-packed memoisation state: which (player, object)
+        cells have been charged.  Nothing in the library reads it; the tests
+        compare a bulk probe path's memo with its looped reference through
+        it, because equal counts alone would not show that the same cells
+        were charged.
         """
         return self._probed.copy(), self._requests.copy()
-
-    def absorb_probe_run(self, probed_after: np.ndarray, request_delta: np.ndarray) -> None:
-        """Merge one forked iteration's probe state back, in schedule order.
-
-        ``probed_after`` is the fork's packed mask after its run;
-        ``request_delta`` its per-player request increase.  Distinct-probe
-        charging replays against the *current* mask, so pairs another
-        (earlier-merged) iteration already probed are not charged twice —
-        the serial accounting.  Not valid under ``enforce_budget`` (the
-        fork would have needed the merged counts to enforce against); the
-        parallel diameter search falls back to sequential execution there.
-        """
-        if probed_after.shape != self._probed.shape:
-            raise ConfigurationError(
-                f"probe mask shape {probed_after.shape} does not match "
-                f"{self._probed.shape}"
-            )
-        new_bits = probed_after & ~self._probed
-        self._counts += popcount(new_bits).sum(axis=1, dtype=np.int64)
-        self._probed |= probed_after
-        self._requests += np.asarray(request_delta, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Ground-truth access for *evaluation only*

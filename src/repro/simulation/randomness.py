@@ -113,11 +113,6 @@ class SharedRandomness:
         picks = self._rng.integers(0, cluster_members.size, size=(n_objects, redundancy))
         return cluster_members[picks]
 
-    def spawn(self) -> "SharedRandomness":
-        """Derive an independent shared-randomness stream (per iteration)."""
-        child_seed = int(self._rng.integers(0, 2**63 - 1))
-        return SharedRandomness(child_seed)
-
 
 class AdversarialRandomness(SharedRandomness):
     """Shared bits published by a *dishonest* leader.
@@ -204,12 +199,3 @@ class AdversarialRandomness(SharedRandomness):
             cluster_members.size, size=(n_objects, redundancy), replace=True, p=weights
         )
         return cluster_members[picks]
-
-    def spawn(self) -> "AdversarialRandomness":
-        child_seed = int(self.generator.integers(0, 2**63 - 1))
-        return AdversarialRandomness(
-            child_seed,
-            hidden_objects=self.hidden_objects,
-            favoured_players=self.favoured_players,
-            favoured_weight=self.favoured_weight,
-        )

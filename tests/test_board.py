@@ -1,11 +1,11 @@
-"""Tests for the bulletin board: attribution, integrity, report channels."""
+"""Tests for the bulletin board: report channels, attribution, channel stats."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import BoardOwnershipError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.simulation.board import BulletinBoard
 from reference_loops import board_reports
 
@@ -13,36 +13,6 @@ from reference_loops import board_reports
 @pytest.fixture
 def board():
     return BulletinBoard(n_players=6, n_objects=10)
-
-
-class TestScalarPosts:
-    def test_post_and_read(self, board):
-        board.post("leader", owner=2, key="seed", value=1234)
-        assert board.read("leader", "seed") == 1234
-
-    def test_read_missing_returns_default(self, board):
-        assert board.read("leader", "missing", default="d") == "d"
-
-    def test_same_owner_may_overwrite(self, board):
-        board.post("c", owner=1, key="k", value=1)
-        board.post("c", owner=1, key="k", value=2)
-        assert board.read("c", "k") == 2
-
-    def test_other_player_cannot_overwrite(self, board):
-        board.post("c", owner=1, key="k", value=1)
-        with pytest.raises(BoardOwnershipError):
-            board.post("c", owner=3, key="k", value=99)
-        assert board.read("c", "k") == 1
-
-    def test_invalid_owner_rejected(self, board):
-        with pytest.raises(ConfigurationError):
-            board.post("c", owner=10, key="k", value=1)
-
-    def test_entries_iteration(self, board):
-        board.post("c", owner=0, key="a", value=1)
-        board.post("c", owner=1, key="b", value=2)
-        owners = sorted(e.owner for e in board.entries("c"))
-        assert owners == [0, 1]
 
 
 class TestReportChannels:
@@ -92,9 +62,20 @@ class TestReportChannels:
 
 class TestChannels:
     def test_channels_listing(self, board):
-        board.post("a", 0, "k", 1)
         board.post_reports("b", 0, np.asarray([0]), np.asarray([1]))
+        board.post_reports("a", 0, np.asarray([0]), np.asarray([1]))
         assert board.channels() == ["a", "b"]
+
+    def test_channel_stats_carry_only_posted_cell_counts(self, board):
+        board.post_reports("a", 2, np.asarray([1, 4, 4]), np.asarray([1, 0, 1]))
+        board.post_report_pairs(
+            "b", np.asarray([0, 5, 5]), np.asarray([9, 9, 2]), np.asarray([1, 1, 0])
+        )
+        expected = {"a": {"report_cells": 2}, "b": {"report_cells": 3}}
+        assert board.channel_stats() == expected
+        restored = BulletinBoard(n_players=6, n_objects=10)
+        restored.absorb_channels(board.export_channels(""))
+        assert restored.channel_stats() == expected
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -3,9 +3,9 @@
 The board stores report channels bit-packed (object-major rows, eight
 players per byte).  Everything here asserts **bit-for-bit** equality with a
 dense reference board on random posting histories — values, posted mask,
-duplicate-pair resolution, ownership/integrity errors — plus the packed
-board-side kernels, the oracle's packed outputs and per-player budgets, and
-the worker-count determinism of the parallel diameter search.
+duplicate-pair resolution, index and value validation — plus channel
+snapshots, the packed board-side kernels, the oracle's packed outputs and
+per-player budgets, batched work sharing and scenario probe limits.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from repro.perf import (
     packed_masked_majority,
     packed_scatter_columns,
     packed_unique_rows,
-)
-from repro.core.calculate_preferences import (
-    calculate_preferences,
-    efficient_diameter_schedule,
 )
 from repro.core.clustering import Clustering, build_neighbor_graph
 from repro.core.work_sharing import share_work
@@ -163,14 +159,6 @@ class TestOwnershipAndIntegrity:
                 "ch", np.asarray([0, 1]), np.asarray([0]), np.zeros((1, 1), dtype=np.uint8)
             )
 
-    def test_scalar_ownership_still_enforced(self):
-        from repro.errors import BoardOwnershipError
-
-        board = BulletinBoard(4, 6)
-        board.post("leader", owner=1, key="seed", value=7)
-        with pytest.raises(BoardOwnershipError):
-            board.post("leader", owner=2, key="seed", value=8)
-
 
 class TestBoardReads:
     def test_reading_an_unknown_channel_does_not_create_it(self):
@@ -185,7 +173,9 @@ class TestBoardReads:
 
     def test_board_pickled_with_a_dense_cache_restores(self):
         # Checkpoints pickle the whole prepared run.  A board pickled by a
-        # build that cached dense views carries a `_dense_cache` attribute.
+        # build that cached dense views carries a `_dense_cache` attribute,
+        # and one pickled by a build with a scalar channel carries a
+        # `_scalar` dict (always empty in production).
         rng = np.random.default_rng(4)
         players, objects = np.arange(6), np.asarray([1, 4, 8])
         first, second = rng.integers(0, 2, size=(2, 6, 3), dtype=np.uint8)
@@ -193,10 +183,13 @@ class TestBoardReads:
         for board in (old, fresh):
             board.post_report_block("ch", players, objects, first)
         old.__dict__["_dense_cache"] = {"ch": board_reports(old, "ch")}
+        old.__dict__["_scalar"] = {}
         restored = pickle.loads(pickle.dumps(old))
         for board in (restored, fresh):
             board.post_report_block("ch", players[:4], objects[1:], second[:4, 1:])
         assert_same_board(restored, fresh)
+        assert restored.channels() == fresh.channels()
+        assert restored.channel_stats() == fresh.channel_stats()
 
 
 class TestBoardSnapshots:
@@ -220,17 +213,13 @@ class TestBoardSnapshots:
 
     def test_export_selects_channels_by_prefix(self):
         board = BulletinBoard(6, 8)
-        board.post("ws/leader", owner=1, key="seed", value=7)
         board.post_reports("ws/c0", 2, np.asarray([3]), np.asarray([1]))
         board.post_reports("sr/base", 4, np.asarray([5]), np.asarray([0]))
         payload = board.export_channels("ws/")
-        assert list(payload["scalar"]) == ["ws/leader"]
         assert list(payload["reports"]) == ["ws/c0"]
         assert sorted(board.export_channels("")["reports"]) == ["sr/base", "ws/c0"]
 
     def test_absorb_round_trips_an_export(self):
-        from repro.errors import BoardOwnershipError
-
         rng = np.random.default_rng(11)
         source, target = BulletinBoard(13, 21), BulletinBoard(13, 21)
         for channel in ("d1/a", "d1/b"):
@@ -238,7 +227,6 @@ class TestBoardSnapshots:
             objects = rng.integers(0, 21, size=40)
             values = rng.integers(0, 2, size=40, dtype=np.uint8)
             source.post_report_pairs(channel, players, objects, values)
-        source.post("d1/leader", owner=3, key="seed", value=99)
         target.absorb_channels(source.export_channels("d1/"))
         assert_same_board(target, source)
         assert target.channel_stats() == source.channel_stats()
@@ -247,9 +235,6 @@ class TestBoardSnapshots:
                 target.masked_majority(channel), source.masked_majority(channel)
             ):
                 np.testing.assert_array_equal(got, want)
-        # Attribution travels with the snapshot.
-        with pytest.raises(BoardOwnershipError):
-            target.post("d1/leader", owner=4, key="seed", value=1)
 
     @pytest.mark.parametrize("shape", [(17, 9), (6, 10)])
     def test_absorb_rejects_a_channel_of_another_shape(self, shape):
@@ -489,36 +474,6 @@ class TestShareWorkBatching:
         for members in clusters:
             errors = (batched[members] != instance.preferences[members[-1]]).sum(axis=1)
             assert errors.max() <= (3 if liars else 0)
-
-
-class TestParallelDiameterSearch:
-    @staticmethod
-    def _run(instance, schedule, n_workers):
-        ctx = make_context(instance, budget=8, seed=11)
-        result = calculate_preferences(ctx, diameters=schedule, n_workers=n_workers)
-        return result, ctx
-
-    def test_worker_counts_one_and_four_are_bit_identical(self):
-        instance = planted_clusters_instance(96, 192, n_clusters=8, diameter=24, seed=5)
-        ctx = make_context(instance, budget=8, seed=0)
-        schedule = efficient_diameter_schedule(96, 192, ctx.constants)
-        serial, ctx1 = self._run(instance, schedule, n_workers=1)
-        fanned, ctx4 = self._run(instance, schedule, n_workers=4)
-        np.testing.assert_array_equal(serial.predictions, fanned.predictions)
-        np.testing.assert_array_equal(serial.candidate_stack, fanned.candidate_stack)
-        assert serial.traces == fanned.traces
-        # Probe accounting and board state merge back exactly as serial.
-        np.testing.assert_array_equal(
-            ctx1.oracle.probes_used(), ctx4.oracle.probes_used()
-        )
-        np.testing.assert_array_equal(
-            ctx1.oracle.requests_used(), ctx4.oracle.requests_used()
-        )
-        assert_same_board(ctx1.board, ctx4.board)
-        # The main shared stream advanced identically (next draw agrees).
-        assert int(ctx1.randomness.generator.integers(0, 2**63 - 1)) == int(
-            ctx4.randomness.generator.integers(0, 2**63 - 1)
-        )
 
 
 class TestScenarioProbeLimits:

@@ -83,12 +83,6 @@ class TestSharedRandomness:
         with pytest.raises(ConfigurationError):
             rng.assign_probers(np.asarray([], dtype=np.int64), 4, 3)
 
-    def test_spawn_gives_independent_honest_source(self):
-        rng = SharedRandomness(5)
-        child = rng.spawn()
-        assert isinstance(child, SharedRandomness)
-        assert child.honest
-
     def test_determinism(self):
         a = SharedRandomness(9).sample_objects(100, 0.3)
         b = SharedRandomness(9).sample_objects(100, 0.3)
@@ -127,12 +121,3 @@ class TestAdversarialRandomness:
     def test_invalid_weight_rejected(self):
         with pytest.raises(ConfigurationError):
             AdversarialRandomness(0, favoured_weight=0.5)
-
-    def test_spawn_preserves_bias_configuration(self):
-        adv = AdversarialRandomness(
-            2, hidden_objects=np.asarray([1]), favoured_players=np.asarray([0])
-        )
-        child = adv.spawn()
-        assert isinstance(child, AdversarialRandomness)
-        assert not child.honest
-        np.testing.assert_array_equal(child.hidden_objects, [1])

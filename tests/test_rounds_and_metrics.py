@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError
 from repro.simulation.metrics import (
     ErrorReport,
     ProbeReport,
-    hamming_errors,
     protocol_report,
 )
 from repro.simulation.oracle import ProbeOracle
@@ -62,10 +61,6 @@ class TestErrorReport:
 
 
 class TestProtocolReport:
-    def test_hamming_errors_alignment(self):
-        with pytest.raises(ConfigurationError):
-            hamming_errors(np.zeros((2, 3)), np.zeros((2, 4)))
-
     def test_protocol_report_summary(self, oracle):
         truth = oracle.ground_truth()
         predictions = truth.copy()

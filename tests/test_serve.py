@@ -140,14 +140,17 @@ class TestSessions:
 
     def test_board_and_snapshot_reflect_interactive_posts(self, client):
         session = client.open_session(SCENARIO, seed=2)
+        client.subscribe(session)
         client.report(session, "notes", 4, [1, 2, 3], [1, 1, 0])
         board = client.call("board", session=session, channel="notes")
-        assert board["stats"]["report_cells"] == 3
+        assert board["stats"] == {"report_cells": 3}
         majority = decode_array(board["majority"])
         assert majority[1] == 1 and majority[3] == 0
         snap = client.snapshot(session)
-        assert snap["board"]["notes"]["report_cells"] == 3
+        assert snap["board"] == {"notes": {"report_cells": 3}}
         assert snap["telemetry"]["counters"]["board.posts"] >= 1
+        delta = client.wait_event("board-delta", timeout_s=30)
+        assert delta["channels"] == {"notes": {"report_cells": 3}}
         client.call("close", session=session)
 
     def test_election_and_select_ops(self, client):

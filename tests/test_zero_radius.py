@@ -85,6 +85,22 @@ class TestZeroRadiusHonest:
         errors = prediction_errors(estimates, zero_radius_small.preferences)
         assert errors.max() == 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1 (practical profile): ZeroRadius is not exact at "
+        "n=512, B'=8; 63 players end wrong on this seed",
+    )
+    def test_exact_recovery_at_512_players_and_eight_clusters(self):
+        # Theorem 4's setting, where the recursion bottoms out in 64-player
+        # halves (base size 100) and a cluster averages 8 members per half.
+        # Context seeds 0-29 on this instance fail 4 times at B'=8; seed 9
+        # leaves 63 players wrong with a max error of 29.
+        instance = zero_radius_instance(512, 512, n_clusters=8, seed=(1, 0))
+        ctx = make_context(instance, budget=8, seed=9)
+        estimates = zero_radius(ctx, ctx.all_players(), ctx.all_objects(), budget_prime=8)
+        errors = prediction_errors(estimates, instance.preferences)
+        assert errors.max() == 0
+
     def test_probe_cost_well_below_probe_everything(self, constants):
         instance = zero_radius_instance(n_players=128, n_objects=128, n_clusters=8, seed=3)
         ctx = make_context(instance, budget=8, constants=constants, seed=3)
