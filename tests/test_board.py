@@ -59,6 +59,44 @@ class TestReportChannels:
         _, posted = board_reports(board, "c")
         assert not posted.any()
 
+    def test_player_may_overwrite_own_reports(self, board):
+        board.post_reports("c", 1, np.asarray([2, 7]), np.asarray([1, 1]))
+        board.post_reports("c", 1, np.asarray([7]), np.asarray([0]))
+        values, posted = board_reports(board, "c")
+        assert values[1, 2] == 1 and values[1, 7] == 0
+        assert posted[1, 2] and posted[1, 7]
+        # Re-posting a cell does not count it twice.
+        assert board.channel_stats() == {"c": {"report_cells": 2}}
+
+    def test_post_leaves_other_players_cells_untouched(self, board):
+        # Integrity: players 1 and 2 share a packed byte, so each post must
+        # rewrite only its own player's bits.
+        objects = np.asarray([0, 3, 9])
+        board.post_reports("c", 1, objects, np.asarray([1, 1, 1]))
+        board.post_reports("c", 2, objects, np.asarray([0, 0, 0]))
+        board.post_report_pairs("c", np.asarray([2, 2]), np.asarray([0, 9]), np.asarray([1, 0]))
+        board.post_report_block(
+            "c", np.asarray([0, 3]), objects, np.zeros((2, 3), dtype=np.uint8)
+        )
+        values, posted = board_reports(board, "c")
+        np.testing.assert_array_equal(values[1, objects], [1, 1, 1])
+        np.testing.assert_array_equal(values[2, objects], [1, 0, 0])
+        assert posted[[0, 1, 2, 3]][:, objects].all()
+        assert not posted[[4, 5]].any()
+
+    def test_rejected_pair_post_writes_nothing(self, board):
+        board.post_reports("c", 0, np.asarray([1]), np.asarray([1]))
+        before = board_reports(board, "c")
+        with pytest.raises(ConfigurationError):
+            # The last pair names a player outside the board.
+            board.post_report_pairs(
+                "c", np.asarray([0, 3, 6]), np.asarray([1, 2, 2]), np.asarray([0, 1, 1])
+            )
+        after = board_reports(board, "c")
+        for got, want in zip(after, before):
+            np.testing.assert_array_equal(got, want)
+        assert board.channels() == ["c"]
+
 
 class TestChannels:
     def test_channels_listing(self, board):
@@ -76,6 +114,15 @@ class TestChannels:
         restored = BulletinBoard(n_players=6, n_objects=10)
         restored.absorb_channels(board.export_channels(""))
         assert restored.channel_stats() == expected
+
+    def test_empty_posts_create_no_channel(self, board):
+        empty = np.asarray([], dtype=np.int64)
+        board.post_reports("a", 0, empty, empty)
+        board.post_report_pairs("b", empty, empty, empty)
+        board.post_report_block("c", np.asarray([0, 1]), empty, np.zeros((2, 0), dtype=np.uint8))
+        assert board.channels() == []
+        assert board.channel_stats() == {}
+        assert board.export_channels("") == {"reports": {}}
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -19,6 +19,7 @@ from repro.core.calculate_preferences import (
 )
 from repro.errors import ProtocolError
 from repro.preferences.metrics import prediction_errors
+from reference_loops import assert_same_board
 
 
 class TestDiameterSchedules:
@@ -112,6 +113,45 @@ class TestFullProtocol:
         ctx = make_context(instance, budget=4, constants=constants, seed=6)
         result = calculate_preferences(ctx, diameters=[32.0])
         np.testing.assert_array_equal(result.predictions, result.candidate_stack[:, 0, :])
+
+    def test_same_seed_runs_are_bit_identical(self, constants):
+        # The context's seed fixes the whole run: outputs, probe accounting,
+        # the board, and how far the shared stream advanced.
+        instance = planted_clusters_instance(96, 192, n_clusters=8, diameter=24, seed=5)
+        schedule = efficient_diameter_schedule(96, 192, constants)
+        assert len(schedule) >= 2  # the final RSelect runs
+        runs = []
+        for _ in range(2):
+            ctx = make_context(instance, budget=8, constants=constants, seed=11)
+            runs.append((calculate_preferences(ctx, diameters=schedule), ctx))
+        (first, ctx1), (second, ctx2) = runs
+        np.testing.assert_array_equal(first.predictions, second.predictions)
+        np.testing.assert_array_equal(first.candidate_stack, second.candidate_stack)
+        assert first.traces == second.traces
+        np.testing.assert_array_equal(ctx1.oracle.probes_used(), ctx2.oracle.probes_used())
+        np.testing.assert_array_equal(
+            ctx1.oracle.requests_used(), ctx2.oracle.requests_used()
+        )
+        assert_same_board(ctx1.board, ctx2.board)
+        assert int(ctx1.randomness.generator.integers(0, 2**63 - 1)) == int(
+            ctx2.randomness.generator.integers(0, 2**63 - 1)
+        )
+
+    def test_each_guess_posts_under_its_own_channel_prefix(self, constants):
+        instance = planted_clusters_instance(64, 64, 4, 8, seed=4)
+        ctx = make_context(instance, budget=4, constants=constants, seed=4)
+        # 2 < log n takes the direct SmallRadius case; 16 and 32 the pipeline.
+        calculate_preferences(ctx, diameters=[2.0, 16.0, 32.0], channel="run")
+        phases: dict[str, set[str]] = {}
+        for name in ctx.board.channels():
+            root, guess, phase = name.split("/", 3)[:3]
+            assert root == "run"
+            phases.setdefault(guess, set()).add(phase)
+        assert phases == {
+            "d0": {"direct-sr"},
+            "d1": {"sr", "z", "work"},
+            "d2": {"sr", "z", "work"},
+        }
 
     def test_single_iteration_trace_contents(self, constants):
         instance = planted_clusters_instance(96, 96, 4, 24, seed=7)

@@ -236,6 +236,34 @@ class TestBoardSnapshots:
             ):
                 np.testing.assert_array_equal(got, want)
 
+    def test_absorb_replaces_a_channel_wholesale(self):
+        source, target = BulletinBoard(6, 9), BulletinBoard(6, 9)
+        source.post_reports("ch", 2, np.asarray([0, 4]), np.asarray([1, 0]))
+        target.post_reports("ch", 5, np.asarray([7, 8]), np.asarray([1, 1]))
+        target.post_reports("other", 1, np.asarray([3]), np.asarray([1]))
+        target.absorb_channels(source.export_channels("ch"))
+        values, posted = board_reports(target, "ch")
+        want_values, want_posted = board_reports(source, "ch")
+        # Target's own cells of "ch" are gone, not merged with the import.
+        np.testing.assert_array_equal(values, want_values)
+        np.testing.assert_array_equal(posted, want_posted)
+        assert not posted[5].any()
+        assert target.channel_stats() == {
+            "ch": {"report_cells": 2},
+            "other": {"report_cells": 1},
+        }
+
+    def test_export_with_an_unmatched_prefix_is_empty(self):
+        board = BulletinBoard(6, 9)
+        board.post_reports("ws/c0", 2, np.asarray([3]), np.asarray([1]))
+        payload = board.export_channels("sr/")
+        assert payload == {"reports": {}}
+        target = BulletinBoard(6, 9)
+        target.post_reports("ws/c0", 0, np.asarray([1]), np.asarray([0]))
+        stats = target.channel_stats()
+        target.absorb_channels(payload)
+        assert target.channel_stats() == stats
+
     @pytest.mark.parametrize("shape", [(17, 9), (6, 10)])
     def test_absorb_rejects_a_channel_of_another_shape(self, shape):
         source, target = BulletinBoard(*shape), BulletinBoard(6, 9)

@@ -118,6 +118,21 @@ class TestAdversarialRandomness:
         # Unbiased share would be 2/20 = 0.1; heavy weighting must beat it.
         assert favoured_share > 0.5
 
+    def test_unbiased_leader_draws_like_an_honest_one(self):
+        # With nothing hidden, a dishonest leader's sample sets and object
+        # partitions are the honest leader's draws for the same seed.
+        def draws(source):
+            return (
+                source.sample_objects(60, 0.2),
+                *source.partition_in_two(np.arange(40)),
+                *source.partition_objects(np.arange(50), 6),
+            )
+
+        got, want = draws(AdversarialRandomness(7)), draws(SharedRandomness(7))
+        assert len(got) == len(want) == 9
+        for got_draw, want_draw in zip(got, want):
+            np.testing.assert_array_equal(got_draw, want_draw)
+
     def test_invalid_weight_rejected(self):
         with pytest.raises(ConfigurationError):
             AdversarialRandomness(0, favoured_weight=0.5)

@@ -12,6 +12,7 @@ from repro.errors import LeaderElectionError, ProtocolError
 from repro.leader.feige import feige_leader_election
 from repro.players.adversaries import build_coalition
 from repro.preferences.metrics import prediction_errors
+from reference_loops import assert_same_board
 
 
 class TestFeigeLeaderElection:
@@ -103,6 +104,38 @@ class TestRobustWrapper:
         errors = prediction_errors(result.predictions, instance.preferences)[honest_mask]
         # Theorem 14: the coalition causes no asymptotic loss — errors stay O(D).
         assert errors.max() <= 3 * diameter
+
+    def test_same_seed_runs_are_bit_identical(self, setup):
+        # Under a coalition the seed still fixes every election, every
+        # repetition and the final RSelect; each repetition keeps its own
+        # board prefix.
+        instance, budget, _, schedule, constants = setup
+        tolerance = constants.max_dishonest(instance.n_players, budget)
+        runs = []
+        for _ in range(2):
+            strategies, plan = build_coalition(
+                instance.preferences,
+                tolerance,
+                strategy="hijack",
+                victim_cluster=instance.cluster_members(0),
+                seed=6,
+            )
+            ctx = make_context(
+                instance, budget=budget, constants=constants, strategies=strategies, seed=6
+            )
+            result = robust_calculate_preferences(
+                ctx, coalition=plan, iterations=2, diameters=schedule
+            )
+            runs.append((result, ctx))
+        (first, ctx1), (second, ctx2) = runs
+        np.testing.assert_array_equal(first.predictions, second.predictions)
+        assert first.elections == second.elections
+        for got, want in zip(first.iteration_results, second.iteration_results):
+            np.testing.assert_array_equal(got.candidate_stack, want.candidate_stack)
+        np.testing.assert_array_equal(ctx1.oracle.probes_used(), ctx2.oracle.probes_used())
+        assert_same_board(ctx1.board, ctx2.board)
+        prefixes = {"/".join(name.split("/")[:2]) for name in ctx1.board.channels()}
+        assert prefixes == {"robust/i0", "robust/i1"}
 
     def test_invalid_iterations(self, setup):
         instance, budget, _, schedule, constants = setup

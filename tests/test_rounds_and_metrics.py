@@ -77,6 +77,17 @@ class TestProtocolReport:
         assert summary["max_ratio"] == pytest.approx(1.0)
         assert "max_requests" in summary
 
+    def test_protocol_report_rejects_misaligned_predictions(self, oracle):
+        truth = oracle.ground_truth()
+        with pytest.raises(ConfigurationError):
+            protocol_report(
+                "bad",
+                truth[:, :-1],
+                oracle,
+                budget=1,
+                optimal_per_player=np.zeros(truth.shape[0]),
+            )
+
     def test_protocol_report_honest_mask_validation(self, oracle):
         truth = oracle.ground_truth()
         with pytest.raises(ConfigurationError):

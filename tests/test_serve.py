@@ -36,6 +36,7 @@ from repro.serve.client import (
     ServerSideError,
 )
 from repro.serve.protocol import (
+    ERROR_CODES,
     Overloaded,
     ServeError,
     decode_array,
@@ -96,6 +97,23 @@ class TestWireProtocol:
         assert error_body(ConfigurationError("x"))["code"] == "configuration"
         assert error_body(ServeError("backpressure", "x"))["code"] == "backpressure"
         assert error_body(ValueError("x"))["code"] == "internal"
+
+    def test_error_codes_cover_every_library_error_most_derived_first(self):
+        import inspect
+
+        from repro import errors
+
+        library = {
+            klass
+            for _, klass in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(klass, errors.ReproError)
+        }
+        listed = [klass for klass, _ in ERROR_CODES]
+        assert set(listed) == library
+        assert len({code for _, code in ERROR_CODES}) == len(ERROR_CODES)
+        # No entry is shadowed by an earlier, more general one.
+        for index, klass in enumerate(listed):
+            assert not any(issubclass(klass, earlier) for earlier in listed[:index])
 
 
 class TestSessions:
