@@ -42,6 +42,7 @@ from reference_loops import (  # noqa: E402
 )
 
 _block_words = importlib.import_module("repro.protocols.small_radius")._block_words
+_bitset = importlib.import_module("repro.perf.bitset")
 
 
 #: Timed samples per side of a row, taken alternately.
@@ -124,6 +125,10 @@ def _kernel_microbenchmark(
             "speedup the ratio of the medians.",
             f"pairwise row: the neighbour test at max_distance={width // 2}, "
             "against Gram-matrix distances compared with the same threshold.",
+            "planted-clusters pairwise row: 1024 rows x 1386 bits, each about "
+            "2.5 % flips off one of 8 uniform centres, at max_distance=104 "
+            "(15 ln 1024, the honest workload's edge threshold); pivot bounds "
+            "leave the pairs within a cluster to count.",
             "tournament-layer rows: 'unpacked' = serial/per-player reference, "
             "'packed' = collective path (probe memoisation reset per run).",
             "select-sample row: 138 subsets x 1024 players x 8 candidates, "
@@ -161,6 +166,41 @@ def _kernel_microbenchmark(
             pairwise_hamming(pack_bits(rows), max_distance),
             _unpacked_pairwise(rows) <= max_distance,
         ),
+    )
+
+    # What the uniform row pays for pivot bounds that rule nothing out.
+    uniform_words = _bitset._as_words(pack_bits(rows).data)
+    pivot_s = np.empty(SAMPLES)
+    for sample in range(SAMPLES):
+        start = time.perf_counter()
+        assert _bitset._separated_groups(uniform_words, max_distance) is None
+        pivot_s[sample] = time.perf_counter() - start
+    pivot_ms, pivot_iqr_ms = _median_iqr_ms(pivot_s)
+    table.add_note(
+        f"pairwise row: its pivot pass rules out no pair of these uniform rows "
+        f"and takes {pivot_ms:.3g} ms (IQR {pivot_iqr_ms:.2g}) of packed_ms."
+    )
+
+    # The neighbour graph's own regime: published estimates in planted
+    # clusters far apart (Lemma 7), at the honest benchmark workload's size
+    # and edge threshold, where pivot bounds leave only the pairs within a
+    # cluster to count.  Its own generator leaves the other rows' inputs as
+    # they were before it.
+    cluster_rng = np.random.default_rng(seed + 2)
+    cluster_n, cluster_bits, cluster_threshold = 1024, 1386, 104
+    centres = cluster_rng.integers(0, 2, size=(8, cluster_bits), dtype=np.uint8)
+    clustered = centres[cluster_rng.integers(0, 8, size=cluster_n)]
+    clustered ^= (cluster_rng.random(clustered.shape) < 0.025).astype(np.uint8)
+    add_row(
+        "pairwise-hamming (planted clusters)",
+        lambda: _unpacked_pairwise(clustered) <= cluster_threshold,
+        lambda: pairwise_hamming(pack_bits(clustered), cluster_threshold),
+        lambda: np.array_equal(
+            pairwise_hamming(pack_bits(clustered), cluster_threshold),
+            _unpacked_pairwise(clustered) <= cluster_threshold,
+        ),
+        n_value=cluster_n,
+        width_value=cluster_bits,
     )
 
     def packed_cross():
@@ -416,7 +456,7 @@ def _kernel_microbenchmark(
 
 def test_e13_kernels(benchmark, report_table):
     table = report_table(benchmark, kernel_microbenchmark, "e13_kernels")
-    assert len(table.rows) == 11
+    assert len(table.rows) == 12
     for row in table.rows:
         assert row["packed_ms"] > 0.0
     by_kernel = {row["kernel"]: row for row in table.rows}

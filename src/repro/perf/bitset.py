@@ -28,6 +28,7 @@ popcount, and never change lexicographic row order).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,16 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 #: pairwise kernel: about a core's L2 cache, so the XOR, popcount and
 #: accumulate passes over a chunk stay cache-resident.
 _CHUNK_BYTES = 1 << 20
+
+#: Most rows in one chunk of the pairwise kernel's triangle.  Short chunks
+#: waste less of each chunk's corner below the diagonal, tall ones make
+#: fewer NumPy calls; 64 timed best both on whole 1024-row stacks and on
+#: the ~128-row groups the pivot bounds leave in the neighbour graph.
+_CHUNK_ROWS = 64
+
+#: Most pivots :func:`pairwise_hamming` places when bounding distances
+#: before it counts them: each costs one distance pass over the rows.
+_MAX_PIVOTS = 16
 
 
 def popcount(values: np.ndarray) -> np.ndarray:
@@ -291,6 +302,83 @@ def packed_hamming(a_data: np.ndarray, b_data: np.ndarray) -> np.ndarray:
     return distance
 
 
+def _close_blocks(
+    words: np.ndarray, n_rows: int, bound: np.integer
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Threshold test of word-major rows against the rows after them.
+
+    ``words`` holds ``m`` rows word-major (``(n_words, m)``).  For each chunk
+    ``[start, stop)`` of the first ``n_rows`` rows, yields ``(start, stop,
+    close)`` where ``close[i, j]`` says whether rows ``start + i`` and
+    ``start + j`` differ in at most ``bound`` positions: the upper block
+    triangle, chunk by chunk.  The per-word popcounts accumulate in
+    ``bound``'s dtype, which must hold the largest distance.  A chunk has
+    at most ``_CHUNK_ROWS`` rows, and fewer when one word's XOR scratch
+    would outgrow ``_CHUNK_BYTES``.
+    """
+    m = words.shape[1]
+    chunk = max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // max(1, m * words.itemsize)))
+    for start in range(0, n_rows, chunk):
+        stop = min(n_rows, start + chunk)
+        block = np.zeros((stop - start, m - start), dtype=bound.dtype)
+        for row in words:
+            block += _popcount_words(row[start:stop, None] ^ row[None, start:])
+        yield start, stop, block <= bound
+
+
+def _separated_groups(
+    rows: np.ndarray, limit: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Groups of rows whose pairs provably differ in more than ``limit``
+    positions, or ``None`` when such groups would leave most pairs to count.
+
+    ``rows`` holds ``n`` rows of unsigned words (see :func:`_as_words`).
+    Hamming distance is a metric, so for any pivot row ``p``,
+    ``d(i, j) >= |d(i, p) - d(j, p)|``.  Pivots are chosen farthest-first
+    from row 0 (each next pivot is the first row farthest from every pivot
+    so far) until every row lies within ``limit`` of one, or
+    ``_MAX_PIVOTS`` are placed; each row joins its nearest pivot's group.
+    Groups ``a`` and ``b`` are *apart* when some pivot's distances to every
+    member of one exceed its distances to every member of the other by more
+    than ``limit``: then no pair across them can be within ``limit``.
+
+    Returns ``(order, edges, count)``: the rows sorted by group, the group
+    boundaries in that order, and the ``(groups, groups)`` mask of group
+    pairs that must still be counted.
+    """
+    n = rows.shape[0]
+    pivot_distances = []
+    group = np.zeros(n, dtype=np.int64)
+    nearest = None
+    pivot = 0
+    while True:
+        distance = _popcount_words(rows ^ rows[pivot]).sum(axis=1, dtype=np.int64)
+        pivot_distances.append(distance)
+        if nearest is None:
+            nearest = distance
+        else:
+            closer = distance < nearest
+            nearest = np.where(closer, distance, nearest)
+            group[closer] = len(pivot_distances) - 1
+        pivot = int(np.argmax(nearest))
+        if nearest[pivot] <= limit or len(pivot_distances) == _MAX_PIVOTS:
+            break
+    if len(pivot_distances) == 1:
+        return None  # one group: nothing to rule out
+    # Every group holds its own pivot (distance 0), so none is empty.
+    order = np.argsort(group, kind="stable")
+    sizes = np.bincount(group)
+    edges = np.concatenate(([0], np.cumsum(sizes)))
+    by_group = np.stack(pivot_distances)[:, order]
+    low = np.minimum.reduceat(by_group, edges[:-1], axis=1)  # (pivots, groups)
+    high = np.maximum.reduceat(by_group, edges[:-1], axis=1)
+    apart = (low[:, None, :] - high[:, :, None] > limit).any(axis=0)
+    count = ~(apart | apart.T)
+    if 2 * int(sizes @ count @ sizes) > n * n:
+        return None
+    return order, edges, count
+
+
 def pairwise_hamming(packed: PackedBits, max_distance: float) -> np.ndarray:
     """Which pairs of a stack of packed rows differ in at most
     ``max_distance`` positions.
@@ -309,8 +397,18 @@ def pairwise_hamming(packed: PackedBits, max_distance: float) -> np.ndarray:
     width, and each chunk is compared with the threshold in that dtype, so
     no distance is ever widened.  Only the upper block triangle is computed
     — each chunk compares against the rows at or after its own start and
-    the transpose fills the mirror half — and the chunk height keeps one
-    word's XOR scratch within a fixed byte budget.
+    the transpose fills the mirror half.
+
+    Before counting, pivot bounds (see :func:`_separated_groups`) rule out
+    whole groups of pairs that the triangle inequality proves are farther
+    apart than the threshold; such pairs are written ``False`` uncounted,
+    and each group is counted against itself and the groups not ruled out.
+    Rows far apart in clusters, as the neighbour graph's estimates are
+    (Lemma 7), leave a small share of pairs to count.  When the bounds
+    leave most pairs, the rows are counted in their own order with no
+    grouping; so are rows few enough that one word's XOR over every pair
+    fits the ``_CHUNK_BYTES`` scratch budget, which a few cache-resident
+    passes count faster than pivot passes could prune.
     """
     data = np.ascontiguousarray(packed.data)
     if data.ndim != 2:
@@ -321,22 +419,29 @@ def pairwise_hamming(packed: PackedBits, max_distance: float) -> np.ndarray:
         return np.zeros((n, n), dtype=bool)
     if limit >= packed.n_bits:  # no pair differs in more positions than that
         return np.ones((n, n), dtype=bool)
-    out = np.empty((n, n), dtype=bool)
-    words = np.ascontiguousarray(_as_words(data).T)  # (n_words, n)
-    counts = np.min_scalar_type(8 * n_bytes)  # holds the largest distance
-    bound = counts.type(limit)
-    chunk = max(1, _CHUNK_BYTES // (n * words.itemsize))
-    # Small chunks are what make the triangle trick pay: the wasted corner of
-    # each chunk's [start:, :] slab shrinks with the chunk height.
-    chunk = min(chunk, max(32, (n + 7) // 8))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        block = np.zeros((stop - start, n - start), dtype=counts)
-        for row in words:
-            block += _popcount_words(row[start:stop, None] ^ row[None, start:])
-        close = block <= bound
-        out[start:stop, start:] = close
-        out[start:, start:stop] = close.T
+    out = np.zeros((n, n), dtype=bool)
+    rows = _as_words(data)  # (n, n_words)
+    bound = np.min_scalar_type(8 * n_bytes).type(limit)  # holds the largest distance
+    groups = _separated_groups(rows, limit) if n * n * rows.itemsize > _CHUNK_BYTES else None
+    if groups is None:
+        for start, stop, close in _close_blocks(np.ascontiguousarray(rows.T), n, bound):
+            out[start:stop, start:] = close
+            out[start:, start:stop] = close.T
+        return out
+    order, edges, count = groups
+    cells = out.reshape(-1)
+    for group in range(edges.size - 1):
+        later = np.flatnonzero(count[group, group + 1 :]) + group + 1
+        members = order[edges[group] : edges[group + 1]]
+        index = np.concatenate(
+            [members, *(order[edges[other] : edges[other + 1]] for other in later)]
+        )
+        words = np.ascontiguousarray(rows[index].T)
+        for start, stop, close in _close_blocks(words, members.size, bound):
+            near, far = index[start:stop], index[start:]
+            # Flat offsets scatter faster than a broadcast pair of indices.
+            cells[(near[:, None] * n + far).ravel()] = close.ravel()
+            cells[(far[:, None] * n + near).ravel()] = close.T.ravel()
     return out
 
 

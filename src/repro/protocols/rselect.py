@@ -54,7 +54,10 @@ the one that survived the most comparisons.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.errors import ProtocolError
 from repro.obs.runtime import traced
@@ -87,16 +90,94 @@ def _select_bit_table() -> np.ndarray:
 _SELECT_BIT = _select_bit_table()
 
 
+#: ``SeedSequence``'s hash constants (NumPy's ``bit_generator.pyx``): the
+#: entropy-mixing multiplier, the state-output multiplier and the two
+#: pool-mixing multipliers, each with its starting value where it evolves.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(int(s)).generate_state(4, np.uint64)`` for
+    every non-negative 64-bit seed ``s`` at once, as an ``(n, 4)`` array.
+
+    The same ``uint32`` arithmetic as ``SeedSequence``, one vector operation
+    per step: the seed enters as two little-endian 32-bit words (a seed
+    below 2**32 is one word, and a missing word hashes as 0, so the two
+    agree), the 4-word pool is mixed as ``mix_entropy`` mixes it, and eight
+    32-bit outputs pair up little-endian into the four state words.  The
+    hash multipliers evolve the same way for every seed, so they stay
+    Python integers.
+    """
+    seeds = np.asarray(seeds).astype(np.uint64)
+    hash_a = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = (hash_a * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_a)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    entropy = [
+        (seeds & np.uint64(_MASK32)).astype(np.uint32),
+        (seeds >> np.uint64(32)).astype(np.uint32),
+    ]
+    pool = [hashmix(entropy[0]), hashmix(entropy[1]), hashmix(zero), hashmix(zero)]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+    hash_b = _INIT_B
+    words = np.empty((seeds.size, 8), dtype=np.uint32)
+    for index in range(8):
+        value = pool[index % 4] ^ np.uint32(hash_b)
+        hash_b = (hash_b * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_b)
+        words[:, index] = value ^ (value >> np.uint32(16))
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """A seed source that hands ``PCG64`` one precomputed state.
+
+    ``PCG64`` asks its seed source for ``generate_state(4, np.uint64)`` once,
+    at construction; this answers with a row of :func:`_seed_states`, so
+    the generator starts exactly where ``default_rng(seed)``'s does without
+    building a ``SeedSequence``.  It answers no other request.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = state
+
+    def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
+        return self._state
+
+
 def _player_rngs(ctx: ProtocolContext, n_players: int) -> list[np.random.Generator]:
     """Derive one independent substream per player, in player-major order.
 
     One batched draw of ``n_players`` 63-bit seeds from the shared
     randomness: the collective tournament and its per-player reference loop
     both consume exactly this call, so they advance the shared stream
-    identically.
+    identically.  Player ``i``'s generator is ``default_rng(int(seeds[i]))``
+    stream for stream; the seed states are derived in one vectorised pass
+    (:func:`_seed_states`) rather than one ``SeedSequence`` at a time.
     """
     seeds = ctx.randomness.generator.integers(0, 2**63 - 1, size=n_players)
-    return [np.random.default_rng(int(seed)) for seed in seeds]
+    return [
+        np.random.Generator(np.random.PCG64(_SeedState(state)))
+        for state in _seed_states(seeds)
+    ]
 
 
 def _sample_differing(

@@ -389,7 +389,10 @@ def execute(spec: ScenarioSpec, seed: SeedLike = 0) -> ScenarioRun:
             spec, instance, ctx, plan, prepared.baseline_seed, prepared.churn_seed
         )
 
-    truth = ctx.oracle.ground_truth()[active]
+    # The oracle holds a copy of this matrix; the instance's own rows are
+    # C-ordered, so gathering the active ones is cheaper than through the
+    # oracle's transposed view.
+    truth = instance.preferences[active]
     errors = prediction_errors(predictions, truth)
     honest_mask = ctx.pool.honest_mask[active]
     # When churn leaves no honest player active, the honest_* columns report

@@ -306,8 +306,10 @@ class BulletinBoard:
             players == np.arange(self.n_players)
         ):
             # Full-player post: every player bit of the touched rows is
-            # rewritten, so the packed rows are simply replaced.
-            matrix[objects] = np.packbits(values, axis=0).T
+            # rewritten, so the packed rows are simply replaced.  Packing
+            # runs along a contiguous player axis: a player-major block is
+            # transposed first, which costs less than a strided pack.
+            matrix[objects] = np.packbits(np.ascontiguousarray(values.T), axis=1)
             posted[objects] = self._player_cover
             if obs._AMBIENT.telemetry is not None:
                 obs.add("board.packed_bytes", int(objects.size) * self._player_bytes)

@@ -71,7 +71,12 @@ class ProtocolConstants:
         ``min(|P|, |O|) < c · B' · log n`` (paper: O(B' log n)).
     ``zero_radius_popularity_divisor``
         a vector must be output by at least ``|P''| / (d · B')`` players to be
-        considered; paper: d = 2.
+        considered; paper: d = 2.  A larger ``d`` admits rarer vectors: at
+        ``d = 6`` (the practical profile) every distinct vector published at
+        ZeroRadius' lowest cross-learning steps is a candidate, so a cluster
+        with a single member in the publishing half is not lost.  The
+        trade-off: a dishonest publisher can then add a candidate of its
+        own, and each extra candidate can cost a learner one more probe.
     ``small_radius_partition_factor``
         ``c`` in the number of SmallRadius partitions ``s = c · D^{3/2}``.
     ``small_radius_budget_multiplier``
@@ -163,6 +168,15 @@ class ProtocolConstants:
         * the separation factor stays large enough that
           ``5 × separation_factor × (ln n scale) − 2 × error ≥ threshold``
           (Lemma 7 part 2).
+
+        ``zero_radius_popularity_divisor`` is 6, which makes ZeroRadius exact
+        on Theorem 4's inputs at ``n = 512`` (``zero_radius_instance(512,
+        512, n_clusters=B')`` with ``B'`` of 4, 8 or 16): at 3, some context
+        seeds left a cluster with one member in a 64-player publishing half
+        below the popularity threshold, and its learners settled on a wrong
+        survivor.  :meth:`paper` keeps the paper's divisor of 2, and
+        Theorem 4's constants do not make ZeroRadius exact at that size:
+        with ``B' = 8`` and context seed 9 it leaves 124 players wrong.
         """
         return cls(
             sample_prob_factor=6.0,
@@ -175,7 +189,7 @@ class ProtocolConstants:
             rselect_sample_factor=2.0,
             rselect_majority=2.0 / 3.0,
             zero_radius_base_factor=2.0,
-            zero_radius_popularity_divisor=3.0,
+            zero_radius_popularity_divisor=6.0,
             small_radius_partition_factor=0.5,
             small_radius_budget_multiplier=5.0,
             small_radius_popularity_divisor=5.0,

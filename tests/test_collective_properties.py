@@ -8,9 +8,14 @@ replaces:
   the oracle's memo masks and the shared randomness left behind — also with
   the key prefilter forced to send every drawing row to its fallback, or to
   keep every key;
+* the per-player substreams: ``_seed_states`` against
+  ``SeedSequence.generate_state`` and ``_player_rngs`` streams against
+  ``default_rng(int(seed))`` streams (the serial reference shares
+  ``_player_rngs``, so the comparison above cannot catch a seeding bug);
 * ``pairwise_hamming(packed, t)`` against the dense distance matrix
   compared with ``t``, at every occurring distance and between them,
-  below zero, NaN, and at or above the row width;
+  below zero, NaN, and at or above the row width, on uniform rows and on
+  clustered rows whose pivot bounds rule out groups of pairs uncounted;
 * ``ProbeOracle.probe_pairs`` against a ``probe_objects`` loop, with
   already-probed and repeated pairs, on both of its scratch branches.
 """
@@ -18,13 +23,15 @@ replaces:
 from __future__ import annotations
 
 import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro.perf.bitset as bitset
 from repro import make_context
 from repro.perf import pack_bits, pairwise_hamming
 from repro.preferences.generators import PlantedInstance
@@ -126,6 +133,41 @@ def test_rselect_collective_matches_serial_whatever_the_prefilter_keeps(
 
 
 # ---------------------------------------------------------------------------
+# Per-player substreams == default_rng(int(seed)) streams
+# ---------------------------------------------------------------------------
+_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seeds=st.lists(
+        st.one_of(st.sampled_from(_SEED_EDGES), st.integers(0, 2**32), st.integers(0, 2**63 - 2)),
+        min_size=1,
+        max_size=12,
+    )
+)
+@example(seeds=_SEED_EDGES)
+def test_player_substreams_match_default_rng(seeds):
+    # The seeds reach _player_rngs through the shared generator's one
+    # batched draw; a stand-in generator hands over exactly these.
+    seeds = np.asarray(seeds, dtype=np.int64)
+    states = _RSELECT_MODULE._seed_states(seeds)
+    want = [np.random.SeedSequence(int(seed)).generate_state(4, np.uint64) for seed in seeds]
+    np.testing.assert_array_equal(states, np.stack(want))
+
+    def integers(low, high, size):
+        assert (low, high, size) == (0, 2**63 - 1, seeds.size)
+        return seeds
+
+    ctx = SimpleNamespace(randomness=SimpleNamespace(generator=SimpleNamespace(integers=integers)))
+    for seed, rng in zip(seeds, _RSELECT_MODULE._player_rngs(ctx, seeds.size)):
+        reference = np.random.default_rng(int(seed))
+        np.testing.assert_array_equal(rng.random(5), reference.random(5))
+        np.testing.assert_array_equal(rng.integers(0, 2**40, 5), reference.integers(0, 2**40, 5))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
 # pairwise_hamming(packed, t) == dense distances <= t
 # ---------------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
@@ -161,6 +203,103 @@ def test_pairwise_hamming_matches_dense_distances(data):
     got = pairwise_hamming(pack_bits(rows), threshold)
     assert got.dtype == bool and got.shape == (n_rows, n_rows)
     assert np.array_equal(got, reference <= threshold)
+
+
+def _clustered_rows(n_rows, width, k, flips, far, seed):
+    """``n_rows`` rows, each at most ``flips`` flips off one of ``k`` centres.
+
+    Far-apart centres are independent uniform rows; close ones are a few
+    flips off one base row.  Returns ``(rows, cluster, centres)``.
+    """
+    rng = np.random.default_rng(seed)
+    if far:
+        centres = rng.integers(0, 2, size=(k, width), dtype=np.uint8)
+    else:
+        centres = np.repeat(rng.integers(0, 2, size=(1, width), dtype=np.uint8), k, axis=0)
+        for centre in centres[1:]:
+            centre[rng.choice(width, size=int(rng.integers(1, 4 * flips + 3)), replace=False)] ^= 1
+    cluster = rng.integers(0, k, size=n_rows)
+    rows = centres[cluster]
+    for row in rows:
+        row[rng.choice(width, size=int(rng.integers(0, flips + 1)), replace=False)] ^= 1
+    return rows, cluster, centres
+
+
+@st.composite
+def _clustered_cases(draw):
+    """Clustered rows (see :func:`_clustered_rows`) with a threshold on a
+    distance, half below one, or at the width.  Widths straddle one 64-bit
+    word and the 255-bit limit of a uint8 count."""
+    n_rows = draw(st.integers(0, 70), label="n_rows")
+    width = draw(st.integers(40, 90) | st.integers(230, 280), label="width")
+    k = draw(st.integers(1, 6), label="k")
+    flips = draw(st.integers(0, 4), label="flips")
+    far = draw(st.booleans(), label="far")
+    seed = draw(st.integers(0, 2**16), label="seed")
+    rows, cluster, centres = _clustered_rows(n_rows, width, k, flips, far, seed)
+    distances = np.unique((rows[:, None, :] != rows[None, :, :]).sum(axis=2)).tolist()
+    kind = draw(st.sampled_from(["on", "half-below", "width"]), label="kind")
+    threshold = width
+    if kind != "width" and distances:
+        # Distances within a cluster are the neighbour graph's scale; drawing
+        # from them half the time lets the bounds rule clusters apart.
+        within = draw(st.booleans(), label="within")
+        candidates = [d for d in distances if not within or d <= 2 * flips]
+        threshold = draw(st.sampled_from(candidates), label="threshold")
+        threshold -= 0.5 if kind == "half-below" else 0
+    return rows, cluster, centres, flips, threshold
+
+
+_FAR_CLUSTERS = (*_clustered_rows(64, 250, 4, 3, True, 0), 3, 6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=_clustered_cases(),
+    # Below the real budget, rows this few would never pivot; 0 sends every
+    # input through the pivot bounds, in one-row chunks.
+    chunk_bytes=st.sampled_from([0, 1024, 4096, bitset._CHUNK_BYTES]),
+)
+@example(case=_FAR_CLUSTERS, chunk_bytes=4096)
+def test_pairwise_hamming_matches_dense_distances_on_clustered_rows(case, chunk_bytes):
+    rows, cluster, centres, flips, threshold = case
+    n_rows, width = rows.shape
+    reference = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
+    counted = []
+    close_blocks = bitset._close_blocks
+
+    def counting_blocks(words, n_head, bound):
+        for start, stop, close in close_blocks(words, n_head, bound):
+            counted.append(close.size)
+            yield start, stop, close
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitset, "_CHUNK_BYTES", chunk_bytes)
+        patch.setattr(bitset, "_close_blocks", counting_blocks)
+        got = pairwise_hamming(pack_bits(rows), threshold)
+    assert got.dtype == bool and got.shape == (n_rows, n_rows)
+    assert np.array_equal(got, reference <= threshold)
+
+    # Not vacuous: when the clusters are provably apart at this threshold
+    # and pivoting is allowed, only pairs within a cluster are counted.  (A
+    # row outside every covered cluster is farther from each pivot than any
+    # covered row, so farthest-first covers every cluster first, and each
+    # pivot's own group lies within 2·flips of it.)
+    k = centres.shape[0]
+    sizes = np.bincount(cluster, minlength=k)
+    limit = np.floor(threshold)
+    centre_gaps = (centres[:, None, :] != centres[None, :, :]).sum(axis=2)
+    apart = k > 1 and centre_gaps[~np.eye(k, dtype=bool)].min() - 4 * flips > limit
+    if (
+        apart
+        and limit < width
+        and 2 * int(sizes @ sizes) <= n_rows * n_rows
+        and n_rows * n_rows * 8 > chunk_bytes
+    ):
+        event("clusters ruled out uncounted")
+        assert sum(counted) <= int(sizes @ sizes) < n_rows * (n_rows + 1) // 2
+    elif case is _FAR_CLUSTERS:
+        pytest.fail("the explicit example must rule clusters out")
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,26 @@ def test_random_posting_history_matches_dense_reference(n_players, n_objects):
         np.testing.assert_array_equal(got_posted, reference.posted, err_msg=f"step {step}")
 
 
+@pytest.mark.parametrize("n_players,n_objects", SHAPES)
+def test_full_player_block_posts_alike_in_either_memory_order(n_players, n_objects):
+    # Protocols post full-player blocks both player-major (C-ordered, the z
+    # publish) and as object-major views (F-ordered, the base and pub
+    # posts); the packed rows must not depend on which.
+    rng = np.random.default_rng(n_players + 7 * n_objects)
+    players = np.arange(n_players, dtype=np.int64)
+    objects = rng.permutation(n_objects)[: max(1, n_objects - 3)]
+    values = rng.integers(0, 2, size=(n_players, objects.size), dtype=np.uint8)
+    c_board, f_board = BulletinBoard(n_players, n_objects), BulletinBoard(n_players, n_objects)
+    reference = DenseReferenceBoard(n_players, n_objects)
+    c_board.post_report_block("z", players, objects, np.ascontiguousarray(values))
+    f_board.post_report_block("z", players, objects, np.asfortranarray(values))
+    reference.post_block(players, objects, values)
+    assert_same_board(c_board, f_board)
+    got_values, got_posted = board_reports(c_board, "z")
+    np.testing.assert_array_equal(got_values, reference.values)
+    np.testing.assert_array_equal(got_posted, reference.posted)
+
+
 def test_duplicate_pairs_resolve_last_wins_like_a_loop():
     board = BulletinBoard(6, 10)
     loop_board = BulletinBoard(6, 10)

@@ -158,12 +158,15 @@ def _assert_pairwise_matches(rows: np.ndarray) -> None:
     """``pairwise_hamming`` equals the dense distance matrix compared with
     every threshold that can change an entry: each occurring distance and
     half a step below it, negative and NaN thresholds, and thresholds at
-    and above the row width."""
+    and above the row width; and with one threshold inside the width,
+    which counts even when there are no rows (and so no distances)."""
     reference = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
     packed = pack_bits(rows)
     distances = np.unique(reference)
     width = rows.shape[1]
-    for threshold in (*distances, *(distances - 0.5), -1, -0.5, np.nan, width, width + 3.5):
+    for threshold in (
+        *distances, *(distances - 0.5), -1, -0.5, np.nan, width // 2, width, width + 3.5
+    ):
         got = pairwise_hamming(packed, threshold)
         assert got.dtype == bool and got.shape == reference.shape
         assert np.array_equal(got, reference <= threshold), threshold

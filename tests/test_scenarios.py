@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.players.adversaries import AdaptiveStrategy, build_coalition
+from repro.preferences.metrics import prediction_errors
 from repro.scenarios import (
     CoalitionSpec,
     DynamicsSpec,
@@ -211,6 +212,17 @@ class TestEngine:
             robust.instance.preferences, baseline.instance.preferences
         )
         assert np.array_equal(robust.plan.members, baseline.plan.members)
+
+    def test_every_family_scores_against_the_oracles_truth(self):
+        # execute() scores predictions against instance.preferences, the
+        # matrix the oracle copied; it must still be the oracle's truth after
+        # the run, and the row's errors those against the oracle's view.
+        for spec in all_scenarios():
+            run = execute(_small(spec), seed=2)
+            truth = run.context.oracle.ground_truth()
+            np.testing.assert_array_equal(run.instance.preferences, truth, err_msg=spec.name)
+            errors = prediction_errors(run.predictions, truth[run.active_players])
+            assert run.row["max_error"] == int(errors.max(initial=0)), spec.name
 
     def test_adversarial_majority_runs_beyond_tolerance(self):
         spec = _small(get_scenario("adversarial-majority"))
