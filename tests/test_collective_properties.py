@@ -259,9 +259,12 @@ _FAR_CLUSTERS = (*_clustered_rows(64, 250, 4, 3, True, 0), 3, 6)
     # Below the real budget, rows this few would never pivot; 0 sends every
     # input through the pivot bounds, in one-row chunks.
     chunk_bytes=st.sampled_from([0, 1024, 4096, bitset._CHUNK_BYTES]),
+    lookup_table=st.booleans(),
 )
-@example(case=_FAR_CLUSTERS, chunk_bytes=4096)
-def test_pairwise_hamming_matches_dense_distances_on_clustered_rows(case, chunk_bytes):
+@example(case=_FAR_CLUSTERS, chunk_bytes=4096, lookup_table=False)
+def test_pairwise_hamming_matches_dense_distances_on_clustered_rows(
+    case, chunk_bytes, lookup_table
+):
     rows, cluster, centres, flips, threshold = case
     n_rows, width = rows.shape
     reference = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
@@ -276,6 +279,8 @@ def test_pairwise_hamming_matches_dense_distances_on_clustered_rows(case, chunk_
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bitset, "_CHUNK_BYTES", chunk_bytes)
         patch.setattr(bitset, "_close_blocks", counting_blocks)
+        if lookup_table:  # the popcount fallback for NumPy without bitwise_count
+            patch.setattr(bitset, "_HAS_BITWISE_COUNT", False)
         got = pairwise_hamming(pack_bits(rows), threshold)
     assert got.dtype == bool and got.shape == (n_rows, n_rows)
     assert np.array_equal(got, reference <= threshold)
