@@ -220,7 +220,7 @@ def zero_radius_experiment(
         estimates = zero_radius(
             ctx, ctx.all_players(), ctx.all_objects(), budget_prime=budget
         )
-        errors = prediction_errors(estimates, ctx.oracle.ground_truth())
+        errors = prediction_errors(estimates, instance.preferences)
         table.add_row(
             budget_Bprime=budget,
             cluster_size=int(math.ceil(n_players / budget)),
@@ -270,7 +270,7 @@ def small_radius_experiment(
         estimates = small_radius(
             ctx, ctx.all_players(), ctx.all_objects(), diameter=diameter, budget=budget
         )
-        errors = prediction_errors(estimates, ctx.oracle.ground_truth())
+        errors = prediction_errors(estimates, instance.preferences)
         table.add_row(
             diameter_D=diameter,
             max_error=int(errors.max()),
@@ -686,7 +686,7 @@ def baseline_comparison_experiment(
     for name, run in runs.items():
         ctx = make_context(instance, budget=budget, constants=constants, seed=seed)
         predictions = run(ctx)
-        errors = prediction_errors(predictions, ctx.oracle.ground_truth())
+        errors = prediction_errors(predictions, instance.preferences)
         requests = ctx.oracle.requests_used()
         table.add_row(
             algorithm=name,
@@ -791,7 +791,7 @@ def _scaling_point(
     ctx = make_context(instance, budget=budget, constants=constants, seed=index)
     schedule = efficient_diameter_schedule(n, n_objects, constants)
     result = calculate_preferences(ctx, diameters=schedule)
-    errors = prediction_errors(result.predictions, ctx.oracle.ground_truth())
+    errors = prediction_errors(result.predictions, instance.preferences)
     return dict(
         n=n,
         n_objects=n_objects,
@@ -889,9 +889,7 @@ def heterogeneous_budget_experiment(
     )
     run = execute(spec, seed)
     instance = run.instance
-    errors = prediction_errors(
-        run.predictions, run.context.oracle.ground_truth()
-    )
+    errors = prediction_errors(run.predictions, instance.preferences)
     benchmark = optimal_diameters(instance.preferences, budget)
 
     table = ExperimentTable(
@@ -948,7 +946,7 @@ def _ablation_point(
     )
     ctx = make_context(instance, budget=budget, constants=variant_constants, seed=seed)
     result = calculate_preferences(ctx, diameters=schedule)
-    errors = prediction_errors(result.predictions, ctx.oracle.ground_truth())
+    errors = prediction_errors(result.predictions, instance.preferences)
     return dict(
         variant=name,
         max_error=int(errors.max()),

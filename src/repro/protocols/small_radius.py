@@ -36,11 +36,29 @@ The base group is **object-major** from the probe to the result, the
 layout of the oracle's observed matrix and of the board: players sit on
 the contiguous axis, so one vector operation advances every player at once
 (the vertical layout of bit-sliced scans).  The probe block arrives as
-object rows; each subset's rows pack into one word per player by shift-or
-(:func:`_block_words`); the popular vectors are found and kept as those
-words; the deferred Select compares sample words cut from them against the
-players' sample words; and each player's chosen word unpacks straight into
-the subset's rows of the object-major repetition result.
+object rows and packs once per repetition into every player's words, one
+per subset of at most 64 objects, by shift-or (:func:`_block_words`).  The
+popular vectors are found and kept as words of the published block — the
+same words when nothing was misreported.  The repetition result starts as
+every player's true rows, the ZeroRadius base estimate, and Select resolves
+each subset with candidates on one of two routes:
+
+* **by word** (:func:`_select_by_word`), for a subset whose Select sample
+  is the whole subset (no draw) and whose keys fit one word — nearly every
+  subset, since base subsets are small.  Select's sample words are then the
+  players' base words and the candidates' keys, and popular keys are
+  distinct, so a player whose word is a candidate is at distance 0 from
+  that key alone and keeps its true rows.  Only the other players count
+  distances; each takes the first nearest key in ascending key order, and
+  only the bits where it differs are flipped;
+* **sampled** (:func:`_deferred_select`), for a subset that drew a sample
+  or has keys wider than 64 bits: sample words are packed from the Select
+  probe block and cut from the keys, and each player's chosen key unpacks
+  into the subset's rows.
+
+Select's probe block covers every subset with two or more candidates,
+whichever route resolves it, so probes and requests are the per-subset
+loop's on both routes.
 """
 
 from __future__ import annotations
@@ -118,28 +136,30 @@ def _bit_location(widths: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray
 
 
 def _popular_vectors_blocks(
-    published: np.ndarray, widths: np.ndarray, min_support: int
+    published: np.ndarray, words: np.ndarray, widths: np.ndarray, min_support: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-block :func:`popular_vectors` over contiguous row blocks, as words.
 
     ``published`` holds the concatenated base-subset rows, object-major (one
     row per object, one column per player); block ``i`` occupies
-    ``widths[i]`` rows.  Block ``i``'s popular vectors are exactly
-    ``popular_vectors(published[block].T, min_support)`` — same vectors,
-    same ascending-lexicographic order — each encoded as its
-    :func:`_block_words` key of ``ceil(widths[i] / 64)`` words.  Returns
-    ``(keys, counts)``: every block's keys, flat in block, vector, word
-    order, and the number of popular vectors per block.  Blocks of ≤ 64 bits
-    (the common case: base subsets are small by construction) are resolved
-    together in word space: one sort orders every block's keys at once, and
-    one run-length pass finds the keys with enough support.  Only blocks
-    wider than 64 bits go through :func:`popular_vectors`.
+    ``widths[i]`` rows.  ``words`` holds the values of the
+    :func:`_block_words` words of those blocks, in any unsigned dtype wide
+    enough (the caller may already have packed the same rows).  Block
+    ``i``'s popular vectors are exactly ``popular_vectors(published[block].T,
+    min_support)`` — same vectors, same ascending-lexicographic order — each
+    encoded as its :func:`_block_words` key of ``ceil(widths[i] / 64)``
+    words.  Returns ``(keys, counts)``: every block's keys, flat in block,
+    vector, word order, and the number of popular vectors per block.  Blocks
+    of ≤ 64 bits (the common case: base subsets are small by construction)
+    are resolved together in word space: one sort orders every block's keys
+    at once, and one run-length pass finds the keys with enough support.
+    Only blocks wider than 64 bits go through :func:`popular_vectors`.
     """
     n_players = published.shape[1]
     widths = np.asarray(widths, dtype=np.int64)
     min_support = max(1, int(min_support))
 
-    words, word_starts = _block_words(published, widths)
+    word_starts = np.concatenate(([0], np.cumsum((widths + 63) // 64)[:-1]))
     # One key per (block, player): its first word, the whole column for
     # blocks of ≤ 64 bits.  Block-major, so each block's keys sort as a row.
     keys = words[word_starts]
@@ -345,11 +365,26 @@ def _batched_base_repetition(
     before a run's draws is safe).
 
     The base group stays object-major from probe to result: the probe
-    block arrives as object rows, candidate sets are :func:`_block_words`
-    keys, and the deferred Select compares sample words, so each chosen key
-    unpacks straight into its subset's rows of ``assembled`` (object-major:
-    row ``j`` holds every player's estimate for ``objects[j]``), written in
-    place.
+    block arrives as object rows and packs once into every player's
+    :func:`_block_words` words per subset, and candidate sets are keys in
+    the same layout.  Every base subset's rows of ``assembled``
+    (object-major: row ``j`` holds every player's estimate for
+    ``objects[j]``) start as the players' true rows, the ZeroRadius base
+    estimate, and Select then takes one of two routes per subset with
+    candidates:
+
+    * **by word** (:func:`_select_by_word`), when the Select sample is the
+      whole subset and the keys fit one word — nearly every subset, since
+      base subsets are small.  The sample words are then the base words and
+      the candidates' keys, so a player whose word is a candidate keeps its
+      true rows, and only the others' rows are rewritten;
+    * **sampled** (:func:`_deferred_select`), when the subset drew a sample
+      or its keys are wider than 64 bits: the sample words are packed from
+      the Select probe block, and each player's chosen key unpacks into the
+      subset's rows.
+
+    Either way the Select probes of every subset with two or more
+    candidates are issued as one block, as the per-subset loop issues them.
     """
     pool = ctx.pool
     per_subset_reports = pool.has_strategies and not pool.pointwise
@@ -360,6 +395,11 @@ def _batched_base_repetition(
         merged = np.concatenate(base_subsets)
         # ZeroRadius base case for every base subset at once, as object rows.
         true_rows = ctx.oracle.probe_block(players, merged).T
+        # Every player's true words on every base subset: Select's word
+        # route reads them, and so does the popularity pass whenever the
+        # published block is the true block.
+        true_words, word_starts = _block_words(true_rows, widths)
+        word_offsets = np.append(word_starts, true_words.shape[0])
         # One lookup resolves every base subset's rows of ``assembled``.
         merged_rows = object_order[np.searchsorted(sorted_objects, merged)]
         # Read-only by contract: without strategies, reports and published
@@ -390,16 +430,18 @@ def _batched_base_repetition(
         nonlocal run_start
         if run_stop == run_start:
             return
-        keys, counts = _popular_vectors_blocks(
-            published[offsets[run_start] : offsets[run_stop]],
-            widths[run_start:run_stop],
-            min_support,
-        )
+        block = slice(offsets[run_start], offsets[run_stop])
+        run_widths = widths[run_start:run_stop]
+        if published is true_rows:
+            words = true_words[word_offsets[run_start] : word_offsets[run_stop]]
+        else:
+            words = _block_words(published[block], run_widths)[0]
+        keys, counts = _popular_vectors_blocks(published[block], words, run_widths, min_support)
         key_parts.append(keys)
         count_parts.append(counts)
         # No candidates: the subset keeps its ZeroRadius estimate; one:
         # select_collective's single-candidate shortcut.  Neither draws.
-        drawing = (counts >= 2) & (widths[run_start:run_stop] > select_sample)
+        drawing = (counts >= 2) & (run_widths > select_sample)
         for index in run_start + np.flatnonzero(drawing):
             draws[int(index)] = draw_sample_positions(ctx, int(widths[index]), select_sample)
         run_start = run_stop
@@ -445,46 +487,115 @@ def _batched_base_repetition(
     counts = np.concatenate(count_parts)
     key_words = (widths + 63) // 64
     key_starts = np.concatenate(([0], np.cumsum(counts * key_words)[:-1]))
-    # Each player's candidate for every subset with candidates: the only
-    # one, or its Select choice.
-    resolved = np.flatnonzero(counts > 0)
-    choices = np.zeros((resolved.size, players.size), dtype=np.int64)
-    selecting = counts[resolved] >= 2
-    if selecting.any():
-        choices[selecting] = _deferred_select(
-            ctx, players, merged, offsets, resolved[selecting], draws, select_sample,
+    # Every base subset's rows start as its ZeroRadius estimate, the true
+    # rows: final when no vector had enough support (an off-promise input).
+    assembled[merged_rows] = true_rows
+    drawn = np.zeros(widths.size, dtype=bool)
+    drawn[np.fromiter(draws, dtype=np.int64, count=len(draws))] = True
+    by_word = (counts > 0) & (key_words == 1) & ~drawn
+    sampled = np.flatnonzero((counts > 0) & ~by_word)
+    # Each sampled-route player's candidate: the only one, or its Select
+    # choice.
+    choices = np.zeros((sampled.size, players.size), dtype=np.int64)
+    pending = np.flatnonzero(counts >= 2)
+    if pending.size:
+        choices[counts[sampled] >= 2] = _deferred_select(
+            ctx, players, merged, offsets, pending, ~by_word[pending], draws, select_sample,
             keys, key_starts, counts,
         )
-    # Row ``word_starts[i] + w`` of ``chosen`` is word w of every player's
-    # chosen key for base subset i.
-    word_starts = np.concatenate(([0], np.cumsum(key_words)[:-1]))
-    chosen = np.empty((int(key_words.sum()), players.size), dtype=keys.dtype)
-    words = key_words[resolved]
-    if words.max(initial=0) > 1:
-        choices *= words[:, None]
-    for word in range(int(words.max(initial=0))):
-        longer = np.flatnonzero(words > word)  # only keys wider than 64 bits
-        if longer.size < resolved.size:
-            resolved, words, choices = resolved[longer], words[longer], choices[longer]
-        chosen[word_starts[resolved] + word] = keys[
-            np.add(choices, (key_starts[resolved] + word)[:, None])
-        ]
+    if by_word.any():
+        route = np.flatnonzero(by_word)
+        _select_by_word(
+            np.take(true_words, word_starts[route], axis=0), keys, key_starts[route],
+            counts[route], offsets[route + 1], merged_rows, assembled,
+        )
+    if not sampled.size:
+        return
 
-    # Every base subset's rows: its chosen key unpacked, or its ZeroRadius
-    # estimate when no vector had enough support (an off-promise input).
-    word, shifts = _bit_location(
-        np.repeat(widths, widths), np.arange(offsets[-1]) - np.repeat(offsets[:-1], widths)
-    )
-    source = np.repeat(word_starts, widths) + word
-    has_candidates = np.repeat(counts > 0, widths)
-    if not has_candidates.all():
-        assembled[merged_rows[~has_candidates]] = true_rows[~has_candidates]
-        source, shifts = source[has_candidates], shifts[has_candidates]
-        merged_rows = merged_rows[has_candidates]
-    bits = chosen[source]
+    # Row ``chosen_starts[i] + w`` of ``chosen`` is word w of every player's
+    # chosen key for sampled subset i.
+    words = key_words[sampled]
+    chosen_starts = np.concatenate(([0], np.cumsum(words)[:-1]))
+    chosen = np.empty((int(words.sum()), players.size), dtype=keys.dtype)
+    choices *= words[:, None]
+    subsets, rows = sampled, chosen_starts
+    for word in range(int(words.max())):
+        longer = np.flatnonzero(words > word)  # only keys wider than 64 bits
+        if longer.size < subsets.size:
+            subsets, rows, words, choices = (
+                subsets[longer], rows[longer], words[longer], choices[longer]
+            )
+        chosen[rows + word] = keys[np.add(choices, (key_starts[subsets] + word)[:, None])]
+
+    # Each sampled subset's rows: its players' chosen keys, unpacked.
+    spans = widths[sampled]
+    position = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans, spans)
+    word, shifts = _bit_location(np.repeat(spans, spans), position)
+    bits = chosen[np.repeat(chosen_starts, spans) + word]
     np.right_shift(bits, shifts.astype(bits.dtype)[:, None], out=bits)
     bits &= 1
-    assembled[merged_rows] = bits
+    assembled[merged_rows[np.repeat(offsets[sampled], spans) + position]] = bits
+
+
+def _select_by_word(
+    true_words: np.ndarray,
+    keys: np.ndarray,
+    key_starts: np.ndarray,
+    counts: np.ndarray,
+    ends: np.ndarray,
+    merged_rows: np.ndarray,
+    assembled: np.ndarray,
+) -> None:
+    """Select by word for base subsets whose sample is the whole subset.
+
+    For each such subset ``i`` of at most 64 objects, row ``i`` of
+    ``true_words`` holds every player's true word, and ``keys[key_starts[i]
+    :][: counts[i]]`` its ``counts[i] >= 1`` candidate keys in ascending
+    order.  Its objects are those before ``ends[i]`` in the merged base
+    block, whose rows of ``assembled`` (C-ordered, one column per player)
+    ``merged_rows`` names; they already hold the players' true rows.
+
+    This is exactly Select on the whole subset.  A player's sample word is
+    its base word and a candidate's is its key, so the sample distances are
+    the XOR popcounts of words.  Popular keys are distinct, so a player whose
+    word is a candidate is at distance 0 from that one key alone; the first
+    argmin picks it, and its unpacked key is the player's true rows, already
+    in place.  Only the other players' distances are counted: each takes the
+    first key at minimum distance in ascending key order (``argmin``, as
+    :func:`_first_argmin`), and only the bits where that key differs from
+    its word are flipped.  A single candidate needs no sample and is every
+    player's choice, which the same pass writes.
+    """
+    n_players = true_words.shape[1]
+    slots = np.arange(int(counts.max()))
+    # Keys padded with copies of each subset's first key: a copy ties with
+    # its original and comes later, so it never wins the first argmin.
+    candidates = keys[
+        key_starts[:, None] + np.where(slots < counts[:, None], slots, 0)
+    ].astype(true_words.dtype, copy=False)  # (S, k)
+    own = true_words == candidates[:, :1]
+    for slot in slots[1:]:
+        own |= true_words == candidates[:, slot, None]
+    miss = np.flatnonzero(~own)
+    if not miss.size:
+        return
+    subset, player = np.divmod(miss, n_players)
+    word = true_words.reshape(-1)[miss]
+    differing = np.take(candidates, subset, axis=0) ^ word[:, None]  # (M, k)
+    nearest = _popcount_words(differing).argmin(axis=1)
+    flips = differing[np.arange(miss.size), nearest]
+    # Bit b of a subset's word is its object b + 1 from the end (first
+    # object most significant).  Flip the set bits lowest first, dropping
+    # each player once its bits are done.
+    last = ends[subset] - 1
+    cells = assembled.reshape(-1)
+    one = flips.dtype.type(1)
+    while flips.size:
+        bit = _popcount_words(flips ^ (flips - one)) - 1  # the lowest set bit
+        cells[merged_rows[last - bit] * n_players + player] ^= 1
+        flips &= flips - one
+        left = np.flatnonzero(flips)
+        flips, last, player = flips[left], last[left], player[left]
 
 
 def _deferred_select(
@@ -493,26 +604,31 @@ def _deferred_select(
     merged: np.ndarray,
     offsets: np.ndarray,
     pending: np.ndarray,
+    sampled: np.ndarray,
     draws: dict[int, np.ndarray],
     select_sample: int,
     keys: np.ndarray,
     key_starts: np.ndarray,
     counts: np.ndarray,
 ) -> np.ndarray:
-    """Select for every base subset with two or more candidates, at once.
+    """Select's probes for every base subset with two or more candidates,
+    and the sampled route's choices.
 
     ``pending`` lists those subsets (blocks of ``merged`` between
     ``offsets``); ``draws`` holds the sample positions drawn for those whose
     sample is smaller than the subset, and ``keys`` from ``key_starts`` the
     ``counts`` candidate keys of each.  One probe block covers every pending
-    subset's sample.  One builder, :func:`_block_words`, packs each subset's
-    sample into words for the players (from the probe block's object rows)
-    and for the candidates (from the sampled bits of their keys), so both
-    sides share one word layout and dtype, and each (candidate count, sample
-    word count) group of subsets stacks into one ``(k, S, P)``
-    :func:`_sample_distances` pass, counted in the narrow dtype
-    :func:`_first_argmin` keys in, and one :func:`_first_argmin`.  Returns
-    each player's choice per pending subset, ``(len(pending), P)``.
+    subset's sample, whichever route resolves it, so the probes are the
+    per-subset loop's.  The subsets flagged in ``sampled`` (a drawn sample,
+    or keys wider than 64 bits) Select on that block here.  One builder,
+    :func:`_block_words`, packs each such subset's sample into words for the
+    players (from the probe block's object rows) and for the candidates
+    (from the sampled bits of their keys), so both sides share one word
+    layout and dtype, and each (candidate count, sample word count) group of
+    subsets stacks into one ``(k, S, P)`` :func:`_sample_distances` pass,
+    counted in the narrow dtype :func:`_first_argmin` keys in, and one
+    :func:`_first_argmin`.  Returns each player's choice per sampled subset,
+    ``(sampled.sum(), P)``.
     """
     widths = np.diff(offsets)
     sample_widths = np.minimum(widths[pending], select_sample)
@@ -521,10 +637,15 @@ def _deferred_select(
     if draws:
         positions[np.searchsorted(pending, list(draws))] = np.stack(list(draws.values()))
     in_sample = np.arange(width) < sample_widths[:, None]
-    sampled = merged[(offsets[pending][:, None] + positions)[in_sample]]
-    true_words, true_starts = _block_words(
-        ctx.oracle.probe_block(players, sampled).T, sample_widths
-    )
+    sample_rows = ctx.oracle.probe_block(
+        players, merged[(offsets[pending][:, None] + positions)[in_sample]]
+    ).T
+    if not sampled.any():
+        return np.empty((0, players.size), dtype=np.int64)
+    sample_rows = sample_rows[np.repeat(sampled, sample_widths)]
+    pending, sample_widths = pending[sampled], sample_widths[sampled]
+    positions, in_sample = positions[sampled], in_sample[sampled]
+    true_words, true_starts = _block_words(sample_rows, sample_widths)
 
     # Every candidate's sampled key bits, candidate after candidate: bit j
     # of candidate c of pending subset i is bit ``positions[i, j]`` of its

@@ -180,7 +180,11 @@ def protocol_report(
         The protocol output ``W``.
     oracle:
         The probe oracle the protocol ran against (provides both counts and
-        the ground truth used for scoring).
+        the ground truth used for scoring).  The ground truth is the
+        oracle's transposed, Fortran-ordered view, several times slower to
+        score against than a C-ordered matrix.  This function receives no
+        other copy of the truth, so it scores against that view; callers
+        that hold the instance score against ``instance.preferences``.
     budget:
         The nominal budget ``B``.
     optimal_per_player:

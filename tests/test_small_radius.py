@@ -126,21 +126,30 @@ class TestBlockWords:
 
 @pytest.mark.parametrize("widths", [(80, 130, 60), (60, 130, 80)], ids=["narrow-last", "wide-last"])
 def test_deferred_select_mixes_one_and_two_word_samples(widths, monkeypatch):
-    # At n = 32 a sample factor of 32 gives a 111-bit Select sample, so the
-    # 60-bit subset's sample takes one 64-bit word while the 80-bit and the
-    # drawn 130-bit subsets' take two.  Every subset is a base case with
-    # four candidates, so all three Select in one deferred pass.
+    # At n = 32 a sample factor of 32 gives a 111-bit Select sample.  The
+    # 60-bit subset's sample is then the whole subset, one word per player,
+    # so it Selects by word; the 80-bit subset's keys and the drawn 130-bit
+    # subset's sample take two 64-bit words, so both Select on the sampled
+    # route, in one deferred pass.  Every subset is a base case with four
+    # candidates.
     instance = zero_radius_instance(32, sum(widths), n_clusters=4, seed=5)
     constants = ProtocolConstants.practical().with_overrides(rselect_sample_factor=32.0)
     stops = np.cumsum(widths)
-    operand_bytes: list[int] = []
-    deferred_kernel = _small_radius_module._sample_distances
+    by_word: list[list[int]] = []
+    sampled: list[tuple[int, int]] = []
+    word_route = _small_radius_module._select_by_word
+    sample_kernel = _small_radius_module._sample_distances
 
-    def spy(cand_block, true_block, max_distance):
-        operand_bytes.append(cand_block.shape[-1] * cand_block.itemsize)
-        return deferred_kernel(cand_block, true_block, max_distance)
+    def word_spy(true_words, keys, key_starts, counts, ends, *args):
+        by_word.append(ends.tolist())
+        return word_route(true_words, keys, key_starts, counts, ends, *args)
 
-    monkeypatch.setattr(_small_radius_module, "_sample_distances", spy)
+    def sample_spy(cand_block, true_block, max_distance):
+        sampled.append((cand_block.shape[-1] * cand_block.itemsize, true_block.shape[0]))
+        return sample_kernel(cand_block, true_block, max_distance)
+
+    monkeypatch.setattr(_small_radius_module, "_select_by_word", word_spy)
+    monkeypatch.setattr(_small_radius_module, "_sample_distances", sample_spy)
 
     def run(solver):
         ctx = make_context(instance, budget=4, constants=constants, seed=3)
@@ -155,5 +164,8 @@ def test_deferred_select_mixes_one_and_two_word_samples(widths, monkeypatch):
     looped, looped_ctx = run(small_radius_per_subset)
     np.testing.assert_array_equal(batched, looped)
     assert_same_execution(batched_ctx, looped_ctx)
-    assert sorted(set(operand_bytes)) == [8, 16]
+    # Each repetition Selected the 60-bit subset (the one ending at its
+    # stop) by word, and the other two in one group of 16-byte sample words.
+    assert by_word and by_word == [[int(stops[widths.index(60)])]] * len(by_word)
+    assert sampled == [(16, 2)] * len(by_word)
     np.testing.assert_array_equal(batched, instance.preferences)

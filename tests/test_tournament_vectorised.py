@@ -412,10 +412,13 @@ def test_popular_vectors_blocks_matches_per_block_reference():
         published = rng.integers(0, 2, size=(n_players, widths.sum()), dtype=np.uint8)
         published = published[rng.integers(0, n_players, size=n_players)]
         min_support = int(rng.integers(1, max(2, n_players // 2)))
-        # The builder takes object rows and returns every block's popular
-        # vectors as flat word keys; decode each block's keys back to rows.
+        # The builder takes object rows and their block words and returns
+        # every block's popular vectors as flat word keys; decode each
+        # block's keys back to rows.
+        rows = np.ascontiguousarray(published.T)
+        words, _ = _SMALL_RADIUS_MODULE._block_words(rows, widths)
         keys, counts = _SMALL_RADIUS_MODULE._popular_vectors_blocks(
-            np.ascontiguousarray(published.T), widths, min_support
+            rows, words, widths, min_support
         )
         offsets = np.concatenate(([0], np.cumsum(widths)))
         key_words = (widths + 63) // 64
