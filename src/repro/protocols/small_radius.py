@@ -36,10 +36,10 @@ The base group is **object-major** from the probe to the result, the
 layout of the oracle's observed matrix and of the board: players sit on
 the contiguous axis, so one vector operation advances every player at once
 (the vertical layout of bit-sliced scans).  The probe block arrives as
-object rows and packs once per repetition into every player's words, one
-per subset of at most 64 objects, by shift-or (:func:`_block_words`).  The
-popular vectors are found and kept as words of the published block — the
-same words when nothing was misreported.  The repetition result starts as
+object rows and packs once per repetition into every player's words by
+shift-or (:func:`_block_words`): one word per subset of at most 64
+objects.  The popular vectors are found and kept as words of the published
+block — the same words when nothing was misreported.  The repetition result starts as
 every player's true rows, the ZeroRadius base estimate, and Select resolves
 each subset with candidates on one of two routes:
 

@@ -17,7 +17,16 @@ replaces:
   below zero, NaN, and at or above the row width, on uniform rows and on
   clustered rows whose pivot bounds rule out groups of pairs uncounted;
 * ``ProbeOracle.probe_pairs`` against a ``probe_objects`` loop, with
-  already-probed and repeated pairs, on both of its scratch branches.
+  already-probed and repeated pairs, on both of its scratch branches;
+* batched ``small_radius`` against ``small_radius_per_subset`` (ZeroRadius,
+  publish and Select one subset after another): outputs and the whole
+  execution state, with Select samples on both sides of the subset widths
+  so subsets take both Select routes (by word, and sampled), under four
+  kinds of strategy pool; and one fixed input whose single repetition
+  takes every route.
+
+The SmallRadius property takes its example count from the Hypothesis
+profile (``tests/conftest.py``); the others fix theirs.
 """
 
 from __future__ import annotations
@@ -32,15 +41,23 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import repro.perf.bitset as bitset
-from repro import make_context
+from repro import (
+    ProtocolConstants,
+    make_context,
+    planted_clusters_instance,
+    small_radius,
+    zero_radius_instance,
+)
 from repro.perf import pack_bits, pairwise_hamming
+from repro.players.adversaries import InvertingStrategy, RandomReportStrategy, build_coalition
 from repro.preferences.generators import PlantedInstance
 from repro.protocols.rselect import rselect_collective
 from repro.simulation.oracle import ProbeOracle
-from reference_loops import rselect_collective_serial
+from reference_loops import assert_same_execution, rselect_collective_serial, small_radius_per_subset
 
-# The package re-exports the function under the module's name.
+# The package re-exports the functions under the modules' names.
 _RSELECT_MODULE = importlib.import_module("repro.protocols.rselect")
+_SMALL_RADIUS_MODULE = importlib.import_module("repro.protocols.small_radius")
 
 
 def _instance(truth: np.ndarray) -> PlantedInstance:
@@ -341,3 +358,164 @@ def test_probe_pairs_matches_probe_objects_loop(data):
         np.testing.assert_array_equal(bulk.probes_used(), looped.probes_used())
         np.testing.assert_array_equal(bulk.requests_used(), looped.requests_used())
         np.testing.assert_array_equal(bulk.probe_state()[0], looped.probe_state()[0])
+
+
+# ---------------------------------------------------------------------------
+# Batched SmallRadius == the per-subset loop, on both Select routes
+# ---------------------------------------------------------------------------
+def _strategy_pool(truth: np.ndarray, pool: str, size: int, seed: int) -> dict | None:
+    """No strategies, ``size`` pointwise liars (inverters), a hijack
+    coalition, or ``size`` random reporters (asked per base subset)."""
+    if pool == "none":
+        return None
+    if pool == "hijack":
+        return build_coalition(truth, size, "hijack", seed=seed)[0]
+    members = np.random.default_rng(seed).choice(truth.shape[0], size=size, replace=False)
+    if pool == "liar":
+        return {int(player): InvertingStrategy() for player in members}
+    return {int(player): RandomReportStrategy(seed=(seed, int(player))) for player in members}
+
+
+@st.composite
+def _small_radius_cases(draw):
+    """A generated instance, SmallRadius inputs and a strategy pool.
+
+    At 16-48 players a sample factor f samples ``max(4, ceil(f ln n))``
+    objects, 4 to 124 of them, and 1 to 12 partition subsets hold 1 to 160
+    objects, so a repetition's subsets fall on both sides of the sample:
+    some draw it and take the sampled route, the others Select by word
+    unless their keys are wider than 64 bits.  Half the cases put the
+    ZeroRadius base size at the mean subset width, so with more players
+    than that the wider subsets recurse (mixed recursion).
+    """
+    n_players = draw(st.integers(16, 48), label="n_players")
+    n_objects = draw(st.integers(8, 160), label="n_objects")
+    n_clusters = draw(st.integers(1, 4), label="n_clusters")
+    diameter = draw(st.sampled_from([1, 2, 4, 8]), label="diameter")
+    budget = draw(st.integers(1, 4), label="budget")
+    seed = draw(st.integers(0, 2**16), label="seed")
+    if draw(st.booleans(), label="zero_radius"):
+        instance = zero_radius_instance(n_players, n_objects, n_clusters, seed=seed)
+    else:
+        instance = planted_clusters_instance(
+            n_players, n_objects, n_clusters, min(diameter, n_objects), seed=seed
+        )
+    practical = ProtocolConstants.practical()
+    base_factor = practical.zero_radius_base_factor
+    if draw(st.booleans(), label="mixed"):
+        mean_width = n_objects / practical.small_radius_partitions(diameter, n_objects)
+        zr_budget = practical.small_radius_budget_multiplier * budget
+        base_factor = mean_width / (zr_budget * practical.log_n(n_players))
+    constants = practical.with_overrides(
+        rselect_sample_factor=draw(st.sampled_from([1.0, 2.0, 4.0, 8.0, 16.0, 32.0]), label="f"),
+        zero_radius_base_factor=base_factor,
+    )
+    pool = draw(st.sampled_from(["none", "liar", "hijack", "random"]), label="pool")
+    size = draw(st.integers(1, 4), label="pool_size")
+    return instance, constants, diameter, budget, pool, size, seed
+
+
+@settings(deadline=None)  # the example count comes from the profile
+@given(case=_small_radius_cases(), noisy=st.booleans(), lookup_table=st.booleans())
+def test_small_radius_matches_per_subset_loop(case, noisy, lookup_table):
+    instance, constants, diameter, budget, pool, size, seed = case
+    routes = {"by word": 0, "sampled": 0}
+    word_route = _SMALL_RADIUS_MODULE._select_by_word
+    deferred_select = _SMALL_RADIUS_MODULE._deferred_select
+
+    def counting_word_route(*args):
+        routes["by word"] += 1
+        return word_route(*args)
+
+    def counting_select(ctx, players, merged, offsets, pending, sampled, *args):
+        routes["sampled"] += int(sampled.sum())
+        return deferred_select(ctx, players, merged, offsets, pending, sampled, *args)
+
+    def run(solver):
+        ctx = make_context(
+            instance,
+            budget=budget,
+            constants=constants,
+            strategies=_strategy_pool(instance.preferences, pool, size, seed),
+            seed=seed,
+            noise_rate=0.05 if noisy else 0.0,
+            noise_seed=seed,
+        )
+        return solver(ctx, ctx.all_players(), ctx.all_objects(), diameter, budget), ctx
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_SMALL_RADIUS_MODULE, "_select_by_word", counting_word_route)
+        patch.setattr(_SMALL_RADIUS_MODULE, "_deferred_select", counting_select)
+        if lookup_table:  # the popcount fallback for NumPy without bitwise_count
+            patch.setattr(bitset, "_HAS_BITWISE_COUNT", False)
+        batched, batched_ctx = run(small_radius)
+        looped, looped_ctx = run(small_radius_per_subset)
+    np.testing.assert_array_equal(batched, looped)
+    assert_same_execution(batched_ctx, looped_ctx)
+    for route, count in routes.items():
+        if count:
+            event(f"selected {route}")
+
+
+def test_one_repetition_takes_every_select_route(monkeypatch):
+    # 32 players in 4 clusters of 8, a Select sample of 11 objects and a
+    # popularity threshold of 6 players; one repetition over three base
+    # subsets:
+    # * A, 8 objects, its sample the whole subset: every cluster's centre is
+    #   a key.  The first player of each cluster is one bit off its centre
+    #   and takes the nearest key, its centre (a flip); the other 28 players'
+    #   words are keys (own-word picks);
+    # * B, 20 objects, draws its sample: the centres differ in at least 10
+    #   places, so every 11-object sample tells them apart (sampled route);
+    # * C, 10 objects: every player's word is its own, so no vector is
+    #   popular and every player keeps its true rows (no candidate).
+    cluster = np.repeat(np.arange(4), 8)
+    a_centres = np.unpackbits(np.asarray([[0b00000000], [0b11110000], [0b00001111], [0b11111111]], dtype=np.uint8), axis=1)
+    b_centres = np.repeat(np.asarray([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8), 10, axis=1)
+    c_words = np.unpackbits(np.arange(32, dtype=np.uint8)[:, None], axis=1)[:, 3:]
+    truth = np.concatenate(
+        [a_centres[cluster], b_centres[cluster], np.repeat(c_words, 2, axis=1)], axis=1
+    )
+    truth[::8, 0] ^= 1
+    widths = (8, 20, 10)
+    constants = ProtocolConstants.practical().with_overrides(
+        rselect_sample_factor=3.0, small_radius_repetition_factor=0.01
+    )
+    seen: dict = {}
+    word_route = _SMALL_RADIUS_MODULE._select_by_word
+    deferred_select = _SMALL_RADIUS_MODULE._deferred_select
+
+    def word_spy(true_words, keys, key_starts, counts, ends, *args):
+        own = [np.isin(words, keys[start : start + count])
+               for words, start, count in zip(true_words, key_starts, counts)]
+        seen["by word"] = (ends.tolist(), int(np.sum(own)), int(np.sum(np.logical_not(own))))
+        return word_route(true_words, keys, key_starts, counts, ends, *args)
+
+    def select_spy(ctx, players, merged, offsets, pending, sampled, draws, *args):
+        seen["sampled"] = (pending[sampled].tolist(), sorted(draws), args[-1].tolist())
+        return deferred_select(ctx, players, merged, offsets, pending, sampled, draws, *args)
+
+    monkeypatch.setattr(_SMALL_RADIUS_MODULE, "_select_by_word", word_spy)
+    monkeypatch.setattr(_SMALL_RADIUS_MODULE, "_deferred_select", select_spy)
+
+    def run(solver):
+        ctx = make_context(_instance(truth), budget=1, constants=constants, seed=1)
+        monkeypatch.setattr(
+            ctx.randomness,
+            "partition_objects",
+            lambda objects, parts: np.split(np.asarray(objects), np.cumsum(widths)[:-1]),
+        )
+        return solver(ctx, ctx.all_players(), ctx.all_objects(), 2, 1), ctx
+
+    batched, batched_ctx = run(small_radius)
+    # Subset A (ending at object 8) by word: 28 own-word picks, 4 flips;
+    # subset B (index 1) drew and took the sampled route; C had no candidate.
+    assert seen == {"by word": ([8], 28, 4), "sampled": ([1], [1], [4, 4, 0])}
+    looped, looped_ctx = run(small_radius_per_subset)
+    np.testing.assert_array_equal(batched, looped)
+    assert_same_execution(batched_ctx, looped_ctx)
+    # Every player ends on its cluster's centre on A and B, and on its own
+    # word on C.
+    expected = truth.copy()
+    expected[::8, 0] ^= 1
+    np.testing.assert_array_equal(batched, expected)
