@@ -2,19 +2,12 @@
 
 Instances are deliberately small (tens of players/objects) so the whole
 suite runs in seconds; the benchmark harness covers paper-scale settings.
-
-Two Hypothesis profiles set the example budget of the properties that do
-not fix their own: ``tier1`` (the default) and ``ci``, ten times deeper.
-``HYPOTHESIS_PROFILE=ci`` selects the deeper one.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from repro import (
     ProtocolConstants,
@@ -22,13 +15,6 @@ from repro import (
     planted_clusters_instance,
     zero_radius_instance,
 )
-
-#: Examples per property under the default profile.
-TIER1_EXAMPLES = 30
-
-settings.register_profile("tier1", max_examples=TIER1_EXAMPLES, deadline=None)
-settings.register_profile("ci", max_examples=10 * TIER1_EXAMPLES, deadline=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture

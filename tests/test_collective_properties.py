@@ -25,13 +25,15 @@ replaces:
   kinds of strategy pool; and one fixed input whose single repetition
   takes every route.
 
-The SmallRadius property takes its example count from the Hypothesis
-profile (``tests/conftest.py``); the others fix theirs.
+The SmallRadius property takes its example count from a Hypothesis
+profile registered here: ``tier1`` (the default) or ``ci``, ten times
+deeper, selected by ``HYPOTHESIS_PROFILE=ci``.  The others fix theirs.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,6 +60,15 @@ from reference_loops import assert_same_execution, rselect_collective_serial, sm
 # The package re-exports the functions under the modules' names.
 _RSELECT_MODULE = importlib.import_module("repro.protocols.rselect")
 _SMALL_RADIUS_MODULE = importlib.import_module("repro.protocols.small_radius")
+
+#: Examples of the SmallRadius property under the default profile.
+TIER1_EXAMPLES = 30
+
+settings.register_profile("tier1", max_examples=TIER1_EXAMPLES, deadline=None)
+settings.register_profile("ci", max_examples=10 * TIER1_EXAMPLES, deadline=None)
+# Only the properties decorated with it follow the profile; the global
+# default is left alone.
+_PROFILE = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 def _instance(truth: np.ndarray) -> PlantedInstance:
@@ -384,9 +395,12 @@ def _small_radius_cases(draw):
     objects, 4 to 124 of them, and 1 to 12 partition subsets hold 1 to 160
     objects, so a repetition's subsets fall on both sides of the sample:
     some draw it and take the sampled route, the others Select by word
-    unless their keys are wider than 64 bits.  Half the cases put the
-    ZeroRadius base size at the mean subset width, so with more players
-    than that the wider subsets recurse (mixed recursion).
+    unless their keys are wider than 64 bits.  Every sampled pass then has
+    two-word samples at most; a pass grouping two- and three-word samples
+    is the fixed case ``two-and-three-words`` in ``test_small_radius.py``.
+    Half the cases put the ZeroRadius base size at the mean subset width,
+    so with more players than that the wider subsets recurse (mixed
+    recursion).
     """
     n_players = draw(st.integers(16, 48), label="n_players")
     n_objects = draw(st.integers(8, 160), label="n_objects")
@@ -415,7 +429,7 @@ def _small_radius_cases(draw):
     return instance, constants, diameter, budget, pool, size, seed
 
 
-@settings(deadline=None)  # the example count comes from the profile
+@settings(_PROFILE)
 @given(case=_small_radius_cases(), noisy=st.booleans(), lookup_table=st.booleans())
 def test_small_radius_matches_per_subset_loop(case, noisy, lookup_table):
     instance, constants, diameter, budget, pool, size, seed = case

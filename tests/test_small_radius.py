@@ -124,16 +124,27 @@ class TestBlockWords:
             self._check(np.ones((3, width), dtype=np.uint8), np.asarray([width]), "C")
 
 
-@pytest.mark.parametrize("widths", [(80, 130, 60), (60, 130, 80)], ids=["narrow-last", "wide-last"])
-def test_deferred_select_mixes_one_and_two_word_samples(widths, monkeypatch):
-    # At n = 32 a sample factor of 32 gives a 111-bit Select sample.  The
-    # 60-bit subset's sample is then the whole subset, one word per player,
-    # so it Selects by word; the 80-bit subset's keys and the drawn 130-bit
-    # subset's sample take two 64-bit words, so both Select on the sampled
-    # route, in one deferred pass.  Every subset is a base case with four
-    # candidates.
+@pytest.mark.parametrize(
+    ("widths", "sample_factor", "operands"),
+    [
+        ((80, 130, 60), 32.0, [(16, 2)]),
+        ((60, 130, 80), 32.0, [(16, 2)]),
+        ((100, 200, 60), 48.0, [(16, 1), (24, 1)]),
+    ],
+    ids=["narrow-last", "wide-last", "two-and-three-words"],
+)
+def test_deferred_select_routes_mixed_width_subsets(widths, sample_factor, operands, monkeypatch):
+    # At n = 32 a sample factor of 32 gives a 111-bit Select sample, and 48
+    # a 167-bit one.  The 60-bit subset's sample is then the whole subset,
+    # one word per player, so it Selects by word.  The other two take the
+    # sampled route, in one deferred pass: at 111 bits the 80-bit subset's
+    # keys and the drawn 130-bit subset's sample take two 64-bit words, one
+    # group of 16-byte operands; at 167 bits the undrawn 100-bit subset's
+    # sample takes two words and the drawn 200-bit subset's three, a group
+    # of 16-byte and a group of 24-byte operands.  Every subset is a base
+    # case with four candidates.
     instance = zero_radius_instance(32, sum(widths), n_clusters=4, seed=5)
-    constants = ProtocolConstants.practical().with_overrides(rselect_sample_factor=32.0)
+    constants = ProtocolConstants.practical().with_overrides(rselect_sample_factor=sample_factor)
     stops = np.cumsum(widths)
     by_word: list[list[int]] = []
     sampled: list[tuple[int, int]] = []
@@ -165,7 +176,7 @@ def test_deferred_select_mixes_one_and_two_word_samples(widths, monkeypatch):
     np.testing.assert_array_equal(batched, looped)
     assert_same_execution(batched_ctx, looped_ctx)
     # Each repetition Selected the 60-bit subset (the one ending at its
-    # stop) by word, and the other two in one group of 16-byte sample words.
+    # stop) by word, and the other two in groups of (operand bytes, subsets).
     assert by_word and by_word == [[int(stops[widths.index(60)])]] * len(by_word)
-    assert sampled == [(16, 2)] * len(by_word)
+    assert sampled == operands * len(by_word)
     np.testing.assert_array_equal(batched, instance.preferences)
