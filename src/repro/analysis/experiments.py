@@ -254,9 +254,14 @@ def small_radius_experiment(
             "mean_error",
             "error_bound_5D",
             "max_probe_requests",
-            "theorem5_probe_bound",
+            "theorem5_leading_term",
         ],
-        notes=["Theorem 5: error <= 5D with O(B D^1.5 (D + log n)) probes."],
+        notes=[
+            "Theorem 5: error <= 5D with O(B D^1.5 (D + log n)) probes.",
+            "theorem5_leading_term = B * D^1.5 * (D + log n) with constant 1: the "
+            "order of Theorem 5's probe bound, not the bound, so max_probe_requests "
+            "above it (the D=2 row) breaks no bound.",
+        ],
     )
     for index, diameter in enumerate(diameters):
         instance = planted_clusters_instance(
@@ -277,7 +282,7 @@ def small_radius_experiment(
             mean_error=float(errors.mean()),
             error_bound_5D=small_radius_error_bound(diameter),
             max_probe_requests=int(ctx.oracle.max_requests()),
-            theorem5_probe_bound=small_radius_probe_bound(
+            theorem5_leading_term=small_radius_probe_bound(
                 n_players, budget, diameter, constants
             ),
         )

@@ -73,14 +73,15 @@ def global_majority(ctx: ProtocolContext, seed: SeedLike = None) -> np.ndarray:
     budget = min(ctx.budget, ctx.n_objects)
     if budget <= 0:
         raise ProtocolError("global_majority requires a positive budget")
+    channel = "baseline/global-majority"
     for player in range(ctx.n_players):
         probed = rng.choice(ctx.n_objects, size=budget, replace=False)
         true_values = ctx.oracle.probe_objects(player, probed)
-        reported = ctx.pool.reports_for(player, probed, true_values)
-        ctx.board.post_reports("baseline/global-majority", player, probed, reported)
+        reported = ctx.pool.reports_for(channel, player, probed, true_values)
+        ctx.board.post_reports(channel, player, probed, reported)
     # Every (player, object) cell is posted at most once here (each player
     # draws without replacement and posts once), so the vote multiset equals
     # the board's distinct-cell state and the consensus *is* the board's
     # masked majority — one packed reduction over the posted channel.
-    consensus, _ = ctx.board.masked_majority("baseline/global-majority")
+    consensus, _ = ctx.board.masked_majority(channel)
     return np.tile(consensus, (ctx.n_players, 1))

@@ -15,12 +15,11 @@ the attack surface the robust wrapper's leader election closes.
 :func:`share_work` runs the whole phase **cross-cluster batched**: the
 assignments are still drawn cluster by cluster (the shared-randomness order
 is part of the protocol's determinism contract), but the probes of *all*
-clusters resolve through one ``probe_pairs`` call, with each cluster's
-reports produced and posted to its own channel per cluster block, in
-cluster order.  Clusters are disjoint, so the batched accounting, board
-state, strategy calls and majorities are bit-identical to voting one
-cluster at a time (property-tested against that loop, kept in the tests as
-the reference).
+clusters resolve through one ``probe_pairs`` call, and each cluster's
+reports are produced for and posted to its own channel.  Clusters are
+disjoint, so the batched accounting, board state and majorities are
+bit-identical to voting one cluster at a time (property-tested against that
+loop, kept in the tests as the reference).
 """
 
 from __future__ import annotations
@@ -63,10 +62,13 @@ def share_work(
     goes through one bulk call; this is bit-identical to voting one cluster
     at a time — same shared-randomness draws (still per cluster, in cluster
     order), same probe accounting (clusters are disjoint, so no
-    cross-cluster pair collides), same board state, same majorities.  Pools
-    with reporting strategies take the same path: reports are produced per
-    cluster block, in cluster order, so every strategy sees the calls of the
-    per-cluster loop in its order.
+    cross-cluster pair collides), same board state, same majorities.
+
+    Cluster ``c``'s reports are posted to ``{channel}/c{c}``.  Naming rule:
+    every work-sharing channel contains ``work`` (the default, ``…/work``
+    under CalculatePreferences, ``baseline/oracle-work``) and no other
+    protocol channel does; :class:`~repro.players.adversaries.AdaptiveStrategy`
+    reads its attack phase from it.
     """
     redundancy = ctx.constants.vote_redundancy(ctx.n_players)
     predictions = np.zeros((ctx.n_players, ctx.n_objects), dtype=np.uint8)
@@ -91,21 +93,18 @@ def share_work(
     ]
     probers = np.concatenate(prober_blocks)
     true_values = ctx.oracle.probe_pairs(probers, np.tile(objects, len(populated)))
-    # With no strategies installed the reports are a pure function of the
-    # cell, so duplicate pairs are consistent and the board may skip its
-    # dedup sort.
-    consistent = not ctx.pool.has_strategies
 
     span = n_objects * redundancy
     for index, cluster_id in enumerate(populated):
         block = slice(index * span, (index + 1) * span)
-        reported = ctx.pool.reports_pairs(probers[block], objects, true_values[block])
+        cluster_channel = f"{channel}/c{cluster_id}"
+        reported = ctx.pool.reports_pairs(
+            cluster_channel, probers[block], objects, true_values[block]
+        )
+        # A report is a function of its cell and channel, so duplicate
+        # pairs carry equal values and the board may skip its dedup sort.
         ctx.board.post_report_pairs(
-            f"{channel}/c{cluster_id}",
-            probers[block],
-            objects,
-            reported,
-            consistent=consistent,
+            cluster_channel, probers[block], objects, reported, consistent=True
         )
         predictions[clustering.members(cluster_id)] = _majority_from_votes(
             reported, n_objects, redundancy

@@ -20,16 +20,16 @@ attacks motivated in the introduction and analysed in §7.2:
   ("strange" objects), vote with the minority to flip the majority outcome;
   elsewhere blend in by reporting the cluster consensus;
 * :class:`AdaptiveStrategy` — a two-phase attack that the fixed strategies
-  above cannot express: report honestly (blend in) until a switch point, then
-  turn into one of the other attacks mid-run.  It models a sleeper coalition
-  that survives the clustering phase and only lies once its reports carry
-  majority weight.
+  above cannot express: report honestly (blend in) through sampling and
+  clustering, then answer with one of the other attacks in the work-sharing
+  phase.  It models a sleeper coalition that survives the clustering phase
+  and only lies once its reports carry majority weight.
 
-All but the random and adaptive strategies are
-:attr:`~repro.players.base.ReportingStrategy.pointwise`: they keep no state
-and draw no randomness, so how a protocol groups its calls changes no value.
-The random reporter draws from its own generator and the adaptive strategy
-counts what it has reported, so both see a protocol's calls one by one.
+No strategy keeps state or owns a generator: every report is a function of
+(player, object, true value, channel), the channel being the board channel
+the report is posted to.  The random reporter hashes its seed with the
+channel, player and object; the adaptive strategy reads its phase from the
+channel name.
 
 Every strategy constructor accepts a ``seed`` in any
 :data:`~repro._typing.SeedLike` form (``int``, ``SeedSequence``,
@@ -46,6 +46,7 @@ strict majority (the model's standing assumption); violating sizes raise
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -101,20 +102,37 @@ class _ObjectSet:
         return self._table.take(objects - self._offset, mode="clip")
 
 
+def _splitmix64(key: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """SplitMix64's outputs (Steele et al., OOPSLA 2014) ``counters + 1``
+    steps into the stream seeded with ``key``: each depends on its own
+    counter alone, so the stream is counter-based (Salmon et al., SC 2011)."""
+    z = key + (counters.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 class RandomReportStrategy(ReportingStrategy):
-    """Post uniformly random values regardless of the truth."""
+    """Post uniformly random values regardless of the truth: the top bit of
+    a SplitMix64 hash of (seed, channel, player, object), so one lie per
+    cell and channel."""
 
     def __init__(self, seed: SeedLike = None) -> None:
-        self._rng = as_generator(seed)
+        # Any seed form, reduced to the 64-bit key the hash starts from.
+        self._key = np.uint64(as_generator(seed).integers(2**64, dtype=np.uint64))
 
     def report(
         self,
+        channel: str,
         player: int,
         objects: np.ndarray,
         true_values: np.ndarray,
         pool: PlayerPool,
     ) -> np.ndarray:
-        return self._rng.integers(0, 2, size=objects.size, dtype=np.uint8)
+        name = hashlib.blake2b(channel.encode(), digest_size=8).digest()
+        stream = _splitmix64(self._key, np.frombuffer(name, dtype="<u8"))
+        stream = _splitmix64(stream, np.asarray([player]))
+        return (_splitmix64(stream, np.asarray(objects)) >> np.uint64(63)).astype(np.uint8)
 
 
 class InvertingStrategy(ReportingStrategy):
@@ -124,13 +142,12 @@ class InvertingStrategy(ReportingStrategy):
     strategies but the attack itself is deterministic.
     """
 
-    pointwise = True
-
     def __init__(self, seed: SeedLike = None) -> None:
         pass
 
     def report(
         self,
+        channel: str,
         player: int,
         objects: np.ndarray,
         true_values: np.ndarray,
@@ -142,8 +159,6 @@ class InvertingStrategy(ReportingStrategy):
 class PromotionStrategy(ReportingStrategy):
     """Honest everywhere except on ``target_objects``, which always get
     ``promoted_value`` (1 = promote, 0 = smear)."""
-
-    pointwise = True
 
     def __init__(
         self,
@@ -163,6 +178,7 @@ class PromotionStrategy(ReportingStrategy):
 
     def report(
         self,
+        channel: str,
         player: int,
         objects: np.ndarray,
         true_values: np.ndarray,
@@ -183,8 +199,6 @@ class ClusterHijackStrategy(ReportingStrategy):
     wrong values for the targeted objects.
     """
 
-    pointwise = True
-
     def __init__(
         self, victim: int, target_objects: np.ndarray, seed: SeedLike = None
     ) -> None:
@@ -198,6 +212,7 @@ class ClusterHijackStrategy(ReportingStrategy):
 
     def report(
         self,
+        channel: str,
         player: int,
         objects: np.ndarray,
         true_values: np.ndarray,
@@ -218,8 +233,6 @@ class StrangeObjectStrategy(ReportingStrategy):
     outlier during clustering.
     """
 
-    pointwise = True
-
     def __init__(
         self,
         victim_cluster: np.ndarray,
@@ -237,6 +250,7 @@ class StrangeObjectStrategy(ReportingStrategy):
 
     def report(
         self,
+        channel: str,
         player: int,
         objects: np.ndarray,
         true_values: np.ndarray,
@@ -256,45 +270,31 @@ class StrangeObjectStrategy(ReportingStrategy):
 
 
 class AdaptiveStrategy(ReportingStrategy):
-    """Blend in honestly, then switch to an attack strategy mid-run.
+    """Blend in honestly, then attack in the work-sharing phase.
 
-    The strategy counts the values it has reported so far; until
-    ``switch_after`` values it behaves perfectly honestly (so the clustering
-    phase sees a core cluster member), after which every report is produced
-    by ``attack`` — any other :class:`ReportingStrategy` instance (an
+    Reports are the truth on every channel but the work-sharing posts (whose
+    names contain ``work``; see :func:`repro.core.work_sharing.share_work`),
+    so sampling and clustering see a core cluster member.  On those posts
+    ``attack`` answers — any other :class:`ReportingStrategy` instance (an
     :class:`InvertingStrategy` by default).
-
-    The switch is per-strategy-instance state, so each coalition member
-    flips independently once *its own* reporting volume crosses the
-    threshold — roughly "after the sampling/clustering phase" when
-    ``switch_after`` is set near the sample size.
     """
 
     def __init__(
-        self,
-        switch_after: int,
-        attack: ReportingStrategy | None = None,
-        seed: SeedLike = None,
+        self, attack: ReportingStrategy | None = None, seed: SeedLike = None
     ) -> None:
-        if switch_after < 0:
-            raise ConfigurationError(
-                f"switch_after must be non-negative, got {switch_after}"
-            )
-        self.switch_after = int(switch_after)
         self.attack = attack if attack is not None else InvertingStrategy(seed=seed)
-        self._reported = 0
 
     def report(
         self,
+        channel: str,
         player: int,
         objects: np.ndarray,
         true_values: np.ndarray,
         pool: PlayerPool,
     ) -> np.ndarray:
-        self._reported += int(np.asarray(objects).size)
-        if self._reported <= self.switch_after:
-            return np.asarray(true_values, dtype=np.uint8).copy()
-        return self.attack.report(player, objects, true_values, pool)
+        if "work" in channel:
+            return self.attack.report(channel, player, objects, true_values, pool)
+        return np.asarray(true_values, dtype=np.uint8).copy()
 
 
 @dataclass(frozen=True)
@@ -332,7 +332,6 @@ def build_coalition(
     target_objects: np.ndarray | None = None,
     seed: SeedLike = None,
     exclude: np.ndarray | None = None,
-    switch_after: int | None = None,
 ) -> tuple[dict[int, ReportingStrategy], CoalitionPlan]:
     """Create a coalition of ``coalition_size`` dishonest players.
 
@@ -368,9 +367,6 @@ def build_coalition(
     exclude:
         Additional players ineligible for membership — used when several
         coalitions coexist in one scenario and must stay disjoint.
-    switch_after:
-        ``adaptive`` only: reported values before each member turns hostile
-        (defaults to the number of objects, i.e. roughly one reporting pass).
     """
     truth = np.asarray(truth)
     n_players, n_objects = truth.shape
@@ -436,9 +432,7 @@ def build_coalition(
             )
             hidden_objects = target_objects
         elif strategy == "adaptive":
-            threshold = n_objects if switch_after is None else int(switch_after)
             strategies[int(member)] = AdaptiveStrategy(
-                switch_after=threshold,
                 attack=StrangeObjectStrategy(victim_cluster, seed=member_seed),
                 seed=member_seed,
             )

@@ -7,10 +7,13 @@ whatever their strategy computes.  The pool applies the right strategy per
 player and exposes vectorised bulk paths, because the collective protocol
 implementations move blocks of reports at a time.  The bulk paths cost
 O(rows with a strategy) on top of one copy: honest rows are never visited.
-A strategy that answers each object on its own declares itself
-:attr:`~ReportingStrategy.pointwise`, so a protocol may ask it for many
-blocks in one call.  Under telemetry the pool counts the strategy calls it
-makes (``players.strategy_calls``).
+
+Every report is a function of (player, object, true value, channel), where
+the channel is the board channel the report is posted to: a strategy keeps
+no state and draws from no generator.  So how a protocol groups, splits,
+repeats or orders its calls changes no value, and a protocol may ask for
+every block bound for one channel in one call.  Under telemetry the pool
+counts the strategy calls it makes (``players.strategy_calls``).
 """
 
 from __future__ import annotations
@@ -32,29 +35,23 @@ class ReportingStrategy(ABC):
     #: Whether the strategy is honest (reports the truth verbatim).
     honest: bool = False
 
-    #: Whether the strategy answers every object on its own.  A pointwise
-    #: strategy's report for ``objects[j]`` depends only on ``player``,
-    #: ``objects[j]``, ``true_values[j]`` and the pool, and a call draws no
-    #: randomness and changes no state; so merging, splitting, repeating or
-    #: reordering calls changes no value, and protocols may ask it for many
-    #: blocks in one call.  A subclass that adds state or randomness must
-    #: set it back to ``False``.
-    pointwise: bool = False
-
     @abstractmethod
     def report(
         self,
+        channel: str,
         player: int,
         objects: np.ndarray,
         true_values: np.ndarray,
         pool: "PlayerPool",
     ) -> np.ndarray:
-        """Values player ``player`` posts for ``objects``.
+        """Values player ``player`` posts on ``channel`` for ``objects``.
 
         ``true_values`` are the results of the player's actual probes (aligned
         with ``objects``).  ``pool`` gives full-knowledge adversaries access
         to the hidden matrix and the coalition.  Must return a binary array
-        aligned with ``objects``.
+        aligned with ``objects`` whose entry ``j`` depends only on
+        ``channel``, ``player``, ``objects[j]``, ``true_values[j]`` and the
+        pool, and must leave the strategy unchanged.
         """
 
 
@@ -68,8 +65,7 @@ class PlayerPool:
         allowed to know it; honest code paths never read it from here).
     strategies:
         Mapping from player index to strategy for every *dishonest* player.
-        Unlisted players are honest.  A strategy that randomises its lies
-        owns its generator.
+        Unlisted players are honest.
     """
 
     def __init__(
@@ -115,21 +111,9 @@ class PlayerPool:
 
         Every protocol takes the same batched paths either way; this only
         lets them skip the copy-then-rewrite report pass, since with no
-        strategies installed reports are the true values verbatim (an
-        adaptive strategy counts even while it is still reporting honestly —
-        it keeps state per call).
+        strategies installed reports are the true values verbatim.
         """
         return bool(self._strategies)
-
-    @property
-    def pointwise(self) -> bool:
-        """Whether every installed strategy is
-        :attr:`~ReportingStrategy.pointwise` (true with none installed).
-
-        Read from the strategies on each call rather than stored, so a pool
-        unpickled from an older checkpoint answers it too.
-        """
-        return all(strategy.pointwise for strategy in self._strategies.values())
 
     @property
     def dishonest_players(self) -> np.ndarray:
@@ -155,9 +139,9 @@ class PlayerPool:
     # Report generation
     # ------------------------------------------------------------------
     def reports_for(
-        self, player: int, objects: np.ndarray, true_values: np.ndarray
+        self, channel: str, player: int, objects: np.ndarray, true_values: np.ndarray
     ) -> np.ndarray:
-        """Reports posted by one player for the given objects."""
+        """Reports posted by one player on ``channel`` for the given objects."""
         objects = np.asarray(objects, dtype=np.int64)
         true_values = np.asarray(true_values, dtype=np.uint8)
         if objects.shape != true_values.shape:
@@ -166,10 +150,11 @@ class PlayerPool:
             return true_values.copy()
         if obs._AMBIENT.telemetry is not None:
             obs.add("players.strategy_calls")
-        return self._strategy_reports(int(player), objects, true_values).astype(np.uint8)
+        reported = self._strategy_reports(channel, int(player), objects, true_values)
+        return reported.astype(np.uint8)
 
     def _strategy_reports(
-        self, player: int, objects: np.ndarray, true_values: np.ndarray
+        self, channel: str, player: int, objects: np.ndarray, true_values: np.ndarray
     ) -> np.ndarray:
         """``player``'s strategy output, checked by :func:`check_binary`
         but not yet cast to ``uint8``.
@@ -177,7 +162,7 @@ class PlayerPool:
         Callers pass ``int64`` objects and aligned ``uint8`` true values.
         """
         reported = np.asarray(
-            self._strategies[player].report(player, objects, true_values, self)
+            self._strategies[player].report(channel, player, objects, true_values, self)
         )
         if reported.shape != objects.shape:
             raise ConfigurationError(
@@ -188,9 +173,10 @@ class PlayerPool:
         return reported
 
     def reports_block(
-        self, players: np.ndarray, objects: np.ndarray, true_block: np.ndarray
+        self, channel: str, players: np.ndarray, objects: np.ndarray, true_block: np.ndarray
     ) -> np.ndarray:
-        """Reports posted by several players for the same object list.
+        """Reports posted on ``channel`` by several players for the same
+        object list.
 
         ``true_block[i, j]`` is the true probe result of ``players[i]`` on
         ``objects[j]``.  Honest rows pass through untouched (vectorised);
@@ -212,13 +198,16 @@ class PlayerPool:
         if obs._AMBIENT.telemetry is not None:
             obs.add("players.strategy_calls", int(rows.size))
         for row in rows:
-            reports[row] = self._strategy_reports(int(players[row]), objects, true_block[row])
+            reports[row] = self._strategy_reports(
+                channel, int(players[row]), objects, true_block[row]
+            )
         return reports
 
     def reports_pairs(
-        self, players: np.ndarray, objects: np.ndarray, true_values: np.ndarray
+        self, channel: str, players: np.ndarray, objects: np.ndarray, true_values: np.ndarray
     ) -> np.ndarray:
-        """Reports for an arbitrary batch of (player, object) pairs.
+        """Reports posted on ``channel`` for an arbitrary batch of (player,
+        object) pairs.
 
         Used by the work-sharing phase where each object is probed by a
         different random subset of players.  Honest pairs pass through; the
@@ -245,7 +234,7 @@ class PlayerPool:
             obs.add("players.strategy_calls", int(starts.size))
         for group in np.split(rows, starts[1:]):
             reports[group] = self._strategy_reports(
-                int(players[group[0]]), objects[group], true_values[group]
+                channel, int(players[group[0]]), objects[group], true_values[group]
             )
         return reports
 

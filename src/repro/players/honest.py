@@ -19,10 +19,10 @@ class HonestStrategy(ReportingStrategy):
     """Post the true probe results, unmodified."""
 
     honest = True
-    pointwise = True
 
     def report(
         self,
+        channel: str,
         player: int,
         objects: np.ndarray,
         true_values: np.ndarray,

@@ -98,7 +98,7 @@ class ProtocolContext:
         objects = np.asarray(objects, dtype=np.int64)
         true_block = self.oracle.probe_block(players, objects)
         if self.pool.has_strategies:
-            reported = self.pool.reports_block(players, objects, true_block)
+            reported = self.pool.reports_block(channel, players, objects, true_block)
         else:
             # No strategies installed: reports are the true values verbatim,
             # so the copy-then-rewrite pass is skipped (the board never
@@ -127,7 +127,7 @@ class ProtocolContext:
         objects = np.asarray(objects, dtype=np.int64)
         vectors = np.asarray(vectors, dtype=np.uint8)
         if self.pool.has_strategies:
-            published = self.pool.reports_block(players, objects, vectors)
+            published = self.pool.reports_block(channel, players, objects, vectors)
         else:
             published = vectors
         self.board.post_report_block(channel, players, objects, published)

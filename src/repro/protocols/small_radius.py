@@ -21,16 +21,13 @@ case — *mixed recursion*: the base-case subsets collapse into one probe
 block over their union, one post per channel and one probe block over their
 Select samples, while the subsets large enough to recurse still run the
 full ZeroRadius at their position in the partition order.  Pools with
-dishonest players take the same path.  A pool whose strategies are all
-pointwise (each object answered on its own, no state, no randomness) is
-asked once per repetition for every base subset's reports; a pool holding
-any other strategy is asked for each base subset's reports at that
-subset's position, so every strategy with per-call state sees the calls of
-the per-subset loop in its order.  The batched repetition consumes the
-shared randomness in exactly the per-subset order and charges the same
-probes, so its output is bit-identical to running ZeroRadius, publish and
-Select subset by subset (property-tested against that loop, kept in the
-tests as the reference).
+dishonest players take the same path: a report depends only on its cell
+and its channel, so the pool is asked once per channel per repetition for
+every base subset's reports.  The batched repetition consumes the shared
+randomness in exactly the per-subset order and charges the same probes, so
+its output is bit-identical to running ZeroRadius, publish and Select
+subset by subset (property-tested against that loop, kept in the tests as
+the reference).
 
 The base group is **object-major** from the probe to the result, the
 layout of the oracle's observed matrix and of the board: players sit on
@@ -349,20 +346,15 @@ def _batched_base_repetition(
     sample probes concatenate into one more call.  Subsets that recurse run
     the full ZeroRadius *inline at their partition position*.
 
-    A pool of :attr:`~repro.players.base.ReportingStrategy.pointwise`
-    strategies is asked once, before the walk, for the reports of every
-    base subset together: each such strategy answers every object on its
-    own, so the merged block holds the values it gives subset by subset,
-    and since it never touches the shared randomness the early call moves
-    no draw.  A pool holding any other strategy is asked for each base
-    subset's two report blocks (the ZeroRadius base report, then the
-    publish) at that subset's position, so strategies with per-call state
-    see the loop's calls in the loop's order.  A base subset's Select sample
-    draw needs its candidate set, and so its published block: consecutive
-    base subsets (a *run*) resolve together, before the next recursive
-    subset draws, which keeps every shared-randomness draw in per-subset
-    order (strategies never touch the shared randomness, so asking them
-    before a run's draws is safe).
+    The pool is asked once per channel, before the walk, for every base
+    subset's reports: the ZeroRadius base report, then the publish.  A
+    report depends only on its cell and its channel, so each merged block
+    holds the values the per-subset loop posts subset by subset, and since
+    strategies never touch the shared randomness the early calls move no
+    draw.  A base subset's Select sample draw needs its candidate set, and
+    so its published block: consecutive base subsets (a *run*) resolve
+    together, before the next recursive subset draws, which keeps every
+    shared-randomness draw in per-subset order.
 
     The base group stays object-major from probe to result: the probe
     block arrives as object rows and packs once into every player's
@@ -386,8 +378,7 @@ def _batched_base_repetition(
     Either way the Select probes of every subset with two or more
     candidates are issued as one block, as the per-subset loop issues them.
     """
-    pool = ctx.pool
-    per_subset_reports = pool.has_strategies and not pool.pointwise
+    base_channel, pub_channel = f"{channel}/zr/base", f"{channel}/pub"
     base_subsets = [subset for subset, base in zip(partitions, is_base) if base]
     widths = np.asarray([subset.size for subset in base_subsets], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(widths)))
@@ -405,15 +396,11 @@ def _batched_base_repetition(
         # Read-only by contract: without strategies, reports and published
         # vectors are the true values verbatim.
         reported = published = true_rows
-        if per_subset_reports:
-            reported = np.empty_like(true_rows)
-            published = np.empty_like(true_rows)
-        elif pool.has_strategies:
-            # One call answers every base subset; the base report and the
-            # publish pass the strategies the same true block, so they post
-            # the same values.
-            reported = published = np.ascontiguousarray(
-                pool.reports_block(players, merged, true_rows.T).T
+        if ctx.pool.has_strategies:
+            # One call per channel answers every base subset.
+            reported = ctx.pool.reports_block(base_channel, players, merged, true_rows.T).T
+            published = np.ascontiguousarray(
+                ctx.pool.reports_block(pub_channel, players, merged, true_rows.T).T
             )
 
     # Walk the partition in order.  Each resolved run contributes its
@@ -459,7 +446,7 @@ def _batched_base_repetition(
                 ctx, players, subset, zr_budget, channel=f"{channel}/zr"
             )
             packed = ctx.publish_vectors_packed(
-                f"{channel}/pub", players, subset, own_estimates
+                pub_channel, players, subset, own_estimates
             )
             candidates = popular_vectors(packed, min_support)
             if candidates.shape[0] == 0:
@@ -470,18 +457,13 @@ def _batched_base_repetition(
             )
             assembled[rows] = chosen.T
             continue
-        if per_subset_reports:
-            block = slice(offsets[base_index], offsets[base_index + 1])
-            true_block = true_rows[block].T
-            reported[block] = pool.reports_block(players, subset, true_block).T
-            published[block] = pool.reports_block(players, subset, true_block).T
         base_index += 1
     resolve_run(base_index)
     if not base_subsets:
         return
     # The base subsets' posts, on the channels the per-subset loop uses.
-    ctx.board.post_report_block(f"{channel}/zr/base", players, merged, reported.T)
-    ctx.board.post_report_block(f"{channel}/pub", players, merged, published.T)
+    ctx.board.post_report_block(base_channel, players, merged, reported.T)
+    ctx.board.post_report_block(pub_channel, players, merged, published.T)
 
     keys = np.concatenate(key_parts)
     counts = np.concatenate(count_parts)

@@ -232,7 +232,6 @@ def _build_coalitions(
             target_objects=targets,
             seed=rng,
             exclude=taken,
-            switch_after=coalition.switch_after,
         )
         strategies.update(built)
         plans.append(plan)

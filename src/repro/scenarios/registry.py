@@ -200,9 +200,9 @@ register(ScenarioSpec(
 register(ScenarioSpec(
     name="adaptive-switch",
     description=(
-        "A sleeper coalition reports honestly through the clustering phase, "
-        "then switches to the strange-object attack mid-run — an adaptive "
-        "strategy no fixed-strategy driver can express."
+        "A sleeper coalition reports honestly through sampling and "
+        "clustering, then switches to the strange-object attack in work "
+        "sharing — an adaptive strategy no fixed-strategy driver can express."
     ),
     population=PopulationSpec(
         n_players=128, n_objects=256, generator="planted",
@@ -210,7 +210,7 @@ register(ScenarioSpec(
     ),
     protocol=ProtocolSpec(name="robust", budget=4, robust_iterations=2),
     coalitions=(
-        CoalitionSpec(strategy="adaptive", fraction_of_tolerance=1.0, switch_after=256),
+        CoalitionSpec(strategy="adaptive", fraction_of_tolerance=1.0),
     ),
     novel=True,
     tags=("adversarial", "adaptive"),

@@ -123,7 +123,6 @@ class CoalitionSpec:
     fraction_of_players: float | None = None
     victim_cluster: int = 0
     target_fraction: float = 0.125
-    switch_after: int | None = None
 
     def __post_init__(self) -> None:
         if self.strategy not in COALITION_STRATEGIES:

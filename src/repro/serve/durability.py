@@ -88,7 +88,11 @@ _JOURNAL_VERSION = 1
 #: Version 2: the pickled oracle holds its observed matrix object-major.  A
 #: version-1 checkpoint (player-major) fails to load, and recovery replays
 #: the journal instead of restoring a matrix in the wrong orientation.
-_CHECKPOINT_VERSION = 2
+#: Version 3: reporting strategies keep no state.  A version-2 random
+#: reporter pickled its generator and an adaptive strategy its report
+#: count, not the attributes the classes now read, so restoring one would
+#: raise ``AttributeError`` during an op; recovery replays instead.
+_CHECKPOINT_VERSION = 3
 
 
 class DurabilityWarning(UserWarning):

@@ -3,10 +3,10 @@
 Each function here is the plain, one-step-at-a-time form of a batched
 production path: SmallRadius run subset by subset, work sharing run cluster
 by cluster (one :func:`cluster_majority_vote` each), and the collective
-RSelect run player by player.  They make the same probes, posts, strategy
-calls and shared-randomness draws in the order the protocol describes them,
-so a batched path is correct exactly when it matches its reference bit for
-bit (outputs, probe accounting, randomness state, strategy state and board
+RSelect run player by player.  They make the same probes, posts and
+shared-randomness draws in the order the protocol describes them, so a
+batched path is correct exactly when it matches its reference bit for bit
+(outputs, probe accounting, randomness state, strategies and board
 contents).  :func:`block_words_reduceat` is the player-major ``reduceat``
 form of SmallRadius' block-word builder, and :func:`board_reports` reads a
 report channel back as dense matrices.  Nothing in ``src/`` calls them.
@@ -146,10 +146,8 @@ def cluster_majority_vote(
     objects = np.repeat(np.arange(n_objects, dtype=np.int64), redundancy)
     probers = assignment.reshape(-1)
     true_values = ctx.oracle.probe_pairs(probers, objects)
-    reported = ctx.pool.reports_pairs(probers, objects, true_values)
-    ctx.board.post_report_pairs(
-        channel, probers, objects, reported, consistent=not ctx.pool.has_strategies
-    )
+    reported = ctx.pool.reports_pairs(channel, probers, objects, true_values)
+    ctx.board.post_report_pairs(channel, probers, objects, reported, consistent=True)
     likes = reported.reshape(n_objects, redundancy).sum(axis=1, dtype=np.int64)
     return (2 * likes >= redundancy).astype(np.uint8)
 
@@ -210,8 +208,7 @@ def assert_same_board(board: BulletinBoard, reference: BulletinBoard) -> None:
 
 def assert_same_execution(ctx: ProtocolContext, reference: ProtocolContext) -> None:
     """Assert two executions left identical state behind: probe accounting,
-    shared-randomness state, every strategy's internal state and the whole
-    board."""
+    shared-randomness state, every strategy and the whole board."""
     np.testing.assert_array_equal(ctx.oracle.probes_used(), reference.oracle.probes_used())
     np.testing.assert_array_equal(
         ctx.oracle.requests_used(), reference.oracle.requests_used()
@@ -220,8 +217,9 @@ def assert_same_execution(ctx: ProtocolContext, reference: ProtocolContext) -> N
         ctx.randomness.generator.bit_generator.state
         == reference.randomness.generator.bit_generator.state
     )
-    # A pickle captures a strategy's whole state: an adaptive strategy's
-    # report count, a random reporter's generator, and so on.
+    # A pickle captures a strategy's whole state, and the two runs group
+    # their report calls differently: a call that changed a strategy would
+    # show here.
     for player in range(ctx.n_players):
         strategy = ctx.pool.strategy_of(player)
         assert pickle.dumps(strategy) == pickle.dumps(reference.pool.strategy_of(player))

@@ -25,15 +25,14 @@ replaces:
   kinds of strategy pool; and one fixed input whose single repetition
   takes every route.
 
-The SmallRadius property takes its example count from a Hypothesis
-profile registered here: ``tier1`` (the default) or ``ci``, ten times
-deeper, selected by ``HYPOTHESIS_PROFILE=ci``.  The others fix theirs.
+The SmallRadius property takes its example count from the Hypothesis
+profile (``tests/hypothesis_profiles.py``): ``tier1`` by default, ten times
+deeper under ``HYPOTHESIS_PROFILE=ci``.  The others fix theirs.
 """
 
 from __future__ import annotations
 
 import importlib
-import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,20 +54,12 @@ from repro.players.adversaries import InvertingStrategy, RandomReportStrategy, b
 from repro.preferences.generators import PlantedInstance
 from repro.protocols.rselect import rselect_collective
 from repro.simulation.oracle import ProbeOracle
+from hypothesis_profiles import PROFILE
 from reference_loops import assert_same_execution, rselect_collective_serial, small_radius_per_subset
 
 # The package re-exports the functions under the modules' names.
 _RSELECT_MODULE = importlib.import_module("repro.protocols.rselect")
 _SMALL_RADIUS_MODULE = importlib.import_module("repro.protocols.small_radius")
-
-#: Examples of the SmallRadius property under the default profile.
-TIER1_EXAMPLES = 30
-
-settings.register_profile("tier1", max_examples=TIER1_EXAMPLES, deadline=None)
-settings.register_profile("ci", max_examples=10 * TIER1_EXAMPLES, deadline=None)
-# Only the properties decorated with it follow the profile; the global
-# default is left alone.
-_PROFILE = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 def _instance(truth: np.ndarray) -> PlantedInstance:
@@ -375,8 +366,8 @@ def test_probe_pairs_matches_probe_objects_loop(data):
 # Batched SmallRadius == the per-subset loop, on both Select routes
 # ---------------------------------------------------------------------------
 def _strategy_pool(truth: np.ndarray, pool: str, size: int, seed: int) -> dict | None:
-    """No strategies, ``size`` pointwise liars (inverters), a hijack
-    coalition, or ``size`` random reporters (asked per base subset)."""
+    """No strategies, ``size`` liars (inverters), a hijack coalition, or
+    ``size`` random reporters."""
     if pool == "none":
         return None
     if pool == "hijack":
@@ -429,7 +420,7 @@ def _small_radius_cases(draw):
     return instance, constants, diameter, budget, pool, size, seed
 
 
-@settings(_PROFILE)
+@settings(PROFILE)
 @given(case=_small_radius_cases(), noisy=st.booleans(), lookup_table=st.booleans())
 def test_small_radius_matches_per_subset_loop(case, noisy, lookup_table):
     instance, constants, diameter, budget, pool, size, seed = case

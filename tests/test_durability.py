@@ -937,12 +937,14 @@ class TestCheckpointedRecovery:
         recovered.close(remove_journal=True)
         reference.close()
 
-    def test_version_1_checkpoint_falls_back_to_full_replay(self, tmp_path):
-        """A version-1 checkpoint pickles the oracle's observed matrix
-        player-major; restoring it into the object-major layout would
-        answer probes from the wrong cells.  It is rejected, and the
-        session comes back by full replay, bit-identical to a never-crashed
-        twin — accounting, board and a full run's rows."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_checkpoint_falls_back_to_full_replay(self, tmp_path, version):
+        """An older checkpoint is rejected, and the session comes back by
+        full replay, bit-identical to a never-crashed twin — accounting,
+        board and a full run's rows.  Version 1 pickles the oracle's
+        observed matrix player-major, which the object-major layout would
+        read from the wrong cells; version 2 pickles strategies with state
+        the stateless classes no longer read."""
         journal = SessionJournal.create(
             session_journal_path(tmp_path, "s1"), session="s1",
             scenario=SCENARIO, overrides=None, seed=3, max_pending=32,
@@ -959,11 +961,13 @@ class TestCheckpointedRecovery:
         raw = ckpt.read_bytes()
         newline = raw.find(b"\n")
         header = json.loads(raw[:newline])
-        assert header["version"] == 2
-        header["version"] = 1
+        assert header["version"] == 3
+        header["version"] = version
         ckpt.write_bytes(json.dumps(header).encode("utf-8") + raw[newline:])
 
-        with pytest.warns(DurabilityWarning, match="unsupported version 1.*full replay"):
+        with pytest.warns(
+            DurabilityWarning, match=f"unsupported version {version}.*full replay"
+        ):
             server = self._recover(tmp_path)
         stats = server.recovery_stats
         assert stats["checkpoint_fallbacks"] == 1

@@ -375,13 +375,13 @@ class TestOracleMemoCounters:
 
 
 class _CountingInverter(ReportingStrategy):
-    """Posts the complement of the truth and counts its calls (per-call
-    state, so not pointwise)."""
+    """Posts the complement of the truth and counts its calls (the count is
+    the test's tally; the reports stay a function of their key)."""
 
     def __init__(self) -> None:
         self.calls = 0
 
-    def report(self, player, objects, true_values, pool):
+    def report(self, channel, player, objects, true_values, pool):
         self.calls += 1
         return 1 - np.asarray(true_values, dtype=np.uint8)
 
@@ -393,7 +393,7 @@ class TestStrategyCallCounter:
         ctx = make_context(instance, budget=2, strategies=strategies, seed=5)
         with collecting() as telemetry:
             calculate_preferences(ctx)  # block reports and work-sharing pairs
-            ctx.pool.reports_for(3, np.arange(4), np.zeros(4, dtype=np.uint8))
+            ctx.pool.reports_for("extra", 3, np.arange(4), np.zeros(4, dtype=np.uint8))
         calls = sum(strategy.calls for strategy in strategies.values())
         assert calls > 0
         assert telemetry.report().counters["players.strategy_calls"] == calls
@@ -409,9 +409,9 @@ class TestStrategyCallCounter:
         monkeypatch.setattr(Telemetry, "add", spy)
         pool = PlayerPool(np.zeros((4, 5), dtype=np.uint8), {1: _CountingInverter()})
         players, objects = np.arange(4), np.arange(5)
-        pool.reports_block(players, objects, np.zeros((4, 5), dtype=np.uint8))
-        pool.reports_pairs(players, objects[:4], np.zeros(4, dtype=np.uint8))
-        pool.reports_for(1, objects, np.zeros(5, dtype=np.uint8))
+        pool.reports_block("ch", players, objects, np.zeros((4, 5), dtype=np.uint8))
+        pool.reports_pairs("ch", players, objects[:4], np.zeros(4, dtype=np.uint8))
+        pool.reports_for("ch", 1, objects, np.zeros(5, dtype=np.uint8))
         assert pool.strategy_of(1).calls == 3
         assert calls["n"] == 0
 

@@ -480,17 +480,16 @@ class TestShareWorkBatching:
         def context():
             strategies = None
             if strategy == "shared-random":
-                # One instance behind liars in every cluster: its generator
-                # pins the order of the per-cluster report calls.
+                # One instance behind liars in every cluster: each lies per
+                # player and channel, so the per-cluster posts differ.
                 shared = RandomReportStrategy(seed=5)
                 strategies = {int(p): shared for p in (1, 7, 18, 30, 41)}
             elif strategy is not None:
                 # A one-player victim set lets the liars land in every
-                # cluster; switch_after=30 sits inside the members' report
-                # volumes, so some adaptive members turn hostile.
+                # cluster.
                 strategies, _ = build_coalition(
                     instance.preferences, 6, strategy,
-                    victim_cluster=np.asarray([0]), switch_after=30, seed=5,
+                    victim_cluster=np.asarray([0]), seed=5,
                 )
             return make_context(instance, budget=4, strategies=strategies, seed=77)
 

@@ -397,7 +397,7 @@ class _HonestLiar(ReportingStrategy):
     """A 'dishonest' strategy that reports the truth: its pool takes the
     strategy branch of every report path while the execution stays honest."""
 
-    def report(self, player, objects, true_values, pool):
+    def report(self, channel, player, objects, true_values, pool):
         return np.asarray(true_values, dtype=np.uint8)
 
 

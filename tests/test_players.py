@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.players.adversaries import (
-    AdaptiveStrategy,
+    COALITION_STRATEGIES,
     ClusterHijackStrategy,
     InvertingStrategy,
     PromotionStrategy,
@@ -21,6 +21,7 @@ from repro.players.adversaries import (
 )
 from repro.players.base import PlayerPool, ReportingStrategy
 from repro.players.honest import HonestStrategy
+from hypothesis_profiles import PROFILE
 
 
 @pytest.fixture
@@ -38,7 +39,7 @@ class TestPlayerPool:
         pool = PlayerPool(truth, strategies={0: HonestStrategy()})
         objects = np.asarray([1, 5, 7])
         values = truth[0, objects]
-        np.testing.assert_array_equal(pool.reports_for(0, objects, values), values)
+        np.testing.assert_array_equal(pool.reports_for("ch", 0, objects, values), values)
         assert pool.n_dishonest == 0  # HonestStrategy is not counted as dishonest
 
     def test_dishonest_detection(self, truth):
@@ -52,7 +53,7 @@ class TestPlayerPool:
         players = np.asarray([1, 2, 3])
         objects = np.asarray([0, 4, 9])
         block = truth[np.ix_(players, objects)]
-        reports = pool.reports_block(players, objects, block)
+        reports = pool.reports_block("ch", players, objects, block)
         np.testing.assert_array_equal(reports[0], block[0])
         np.testing.assert_array_equal(reports[1], 1 - block[1])
         np.testing.assert_array_equal(reports[2], block[2])
@@ -62,7 +63,7 @@ class TestPlayerPool:
         players = np.asarray([0, 1, 0])
         objects = np.asarray([2, 2, 3])
         values = truth[players, objects]
-        reports = pool.reports_pairs(players, objects, values)
+        reports = pool.reports_pairs("ch", players, objects, values)
         assert reports[0] == 1 - values[0]
         assert reports[1] == values[1]
         assert reports[2] == 1 - values[2]
@@ -76,46 +77,44 @@ class TestPlayerPool:
     def test_misaligned_reports_rejected(self, truth):
         pool = PlayerPool(truth)
         with pytest.raises(ConfigurationError):
-            pool.reports_for(0, np.asarray([0, 1]), np.asarray([1]))
+            pool.reports_for("ch", 0, np.asarray([0, 1]), np.asarray([1]))
 
     @pytest.mark.parametrize("value", [256, 0.5, 1.7, -255])
     def test_non_binary_reports_rejected_before_the_cast(self, truth, value):
         # A uint8 cast would turn these into 0/0/1/1 and let them through.
         class Constant(ReportingStrategy):
-            def report(self, player, objects, true_values, pool):
+            def report(self, channel, player, objects, true_values, pool):
                 return np.full(objects.shape, value)
 
         pool = PlayerPool(truth, strategies={1: Constant()})
         objects = np.asarray([0, 3])
         with pytest.raises(ConfigurationError, match="binary"):
-            pool.reports_for(1, objects, truth[1, objects])
+            pool.reports_for("ch", 1, objects, truth[1, objects])
         with pytest.raises(ConfigurationError, match="binary"):
-            pool.reports_block(np.asarray([0, 1]), objects, truth[np.ix_([0, 1], objects)])
+            pool.reports_block("ch", np.asarray([0, 1]), objects, truth[np.ix_([0, 1], objects)])
 
     def test_bulk_reports_visit_only_strategy_rows_in_loop_order(self, truth):
         calls = []
 
         class Recording(InvertingStrategy):
-            pointwise = False  # its calls are what it records
-
-            def report(self, player, objects, true_values, pool):
-                calls.append((player, objects.tolist()))
-                return super().report(player, objects, true_values, pool)
+            def report(self, channel, player, objects, true_values, pool):
+                calls.append((channel, player, objects.tolist()))
+                return super().report(channel, player, objects, true_values, pool)
 
         pool = PlayerPool(truth, strategies={4: Recording(), 2: Recording()})
         objects = np.asarray([1, 6])
         players = np.asarray([0, 4, 3, 2, 4])
-        pool.reports_block(players, objects, truth[np.ix_(players, objects)])
-        assert calls == [(4, [1, 6]), (2, [1, 6]), (4, [1, 6])]
+        pool.reports_block("ch", players, objects, truth[np.ix_(players, objects)])
+        assert calls == [("ch", 4, [1, 6]), ("ch", 2, [1, 6]), ("ch", 4, [1, 6])]
 
         calls.clear()
         pair_players = np.asarray([4, 0, 2, 4, 2])
         pair_objects = np.asarray([7, 1, 5, 3, 0])
         reports = pool.reports_pairs(
-            pair_players, pair_objects, truth[pair_players, pair_objects]
+            "ws", pair_players, pair_objects, truth[pair_players, pair_objects]
         )
         # One call per player, players ascending, pairs in their own order.
-        assert calls == [(2, [5, 0]), (4, [7, 3])]
+        assert calls == [("ws", 2, [5, 0]), ("ws", 4, [7, 3])]
         np.testing.assert_array_equal(
             reports, np.where(pair_players == 0, 0, 1) ^ truth[pair_players, pair_objects]
         )
@@ -126,15 +125,15 @@ class TestStrategies:
         pool = PlayerPool(truth)
         strategy = RandomReportStrategy(seed=5)
         objects = np.arange(10)
-        out = strategy.report(0, objects, truth[0, objects], pool)
+        out = strategy.report("ch", 0, objects, truth[0, objects], pool)
         assert set(np.unique(out)).issubset({0, 1})
-        again = RandomReportStrategy(seed=5).report(0, objects, truth[0, objects], pool)
+        again = RandomReportStrategy(seed=5).report("ch", 0, objects, truth[0, objects], pool)
         np.testing.assert_array_equal(out, again)
 
     def test_inverting(self, truth):
         pool = PlayerPool(truth)
         objects = np.arange(6)
-        out = InvertingStrategy().report(1, objects, truth[1, objects], pool)
+        out = InvertingStrategy().report("ch", 1, objects, truth[1, objects], pool)
         np.testing.assert_array_equal(out, 1 - truth[1, objects])
 
     def test_promotion_targets_only(self, truth):
@@ -142,7 +141,7 @@ class TestStrategies:
         targets = np.asarray([2, 4])
         strategy = PromotionStrategy(targets, promoted_value=1)
         objects = np.asarray([1, 2, 3, 4])
-        out = strategy.report(0, objects, truth[0, objects], pool)
+        out = strategy.report("ch", 0, objects, truth[0, objects], pool)
         assert out[1] == 1 and out[3] == 1
         assert out[0] == truth[0, 1] and out[2] == truth[0, 3]
 
@@ -174,7 +173,7 @@ class TestStrategies:
         targets = np.asarray([0, 1])
         strategy = ClusterHijackStrategy(victim, targets)
         objects = np.asarray([0, 1, 2, 3])
-        out = strategy.report(7, objects, truth[7, objects], pool)
+        out = strategy.report("ch", 7, objects, truth[7, objects], pool)
         np.testing.assert_array_equal(out[2:], truth[victim, objects[2:]])
         np.testing.assert_array_equal(out[:2], 1 - truth[victim, objects[:2]])
 
@@ -187,7 +186,7 @@ class TestStrategies:
         cluster_truth[cluster[3:], 1] = 0
         pool = PlayerPool(cluster_truth)
         strategy = StrangeObjectStrategy(cluster)
-        out = strategy.report(11, np.asarray([0, 1]), cluster_truth[11, [0, 1]], pool)
+        out = strategy.report("ch", 11, np.asarray([0, 1]), cluster_truth[11, [0, 1]], pool)
         assert out[0] == 1  # blends in on the unanimous object
         # On the perfectly split object it votes with (what it sees as) the minority.
         assert out[1] in (0, 1)
@@ -197,16 +196,27 @@ class TestStrategies:
             StrangeObjectStrategy(np.asarray([], dtype=np.int64))
 
 
-#: The built-in strategies that declare themselves pointwise.
-POINTWISE_STRATEGIES = ("honest", "invert", "promote", "smear", "hijack", "strange")
+#: Every built-in strategy: honest, then each coalition strategy.
+STRATEGIES = ("honest", *COALITION_STRATEGIES)
+
+#: Channels of every phase a report is posted in, work sharing included.
+CHANNELS = (
+    "robust/i0/d0/sr/zr/base",
+    "robust/i0/d0/sr/pub",
+    "robust/i1/d2/z",
+    "robust/i0/d0/work/c3",
+    "work-sharing/c0",
+    "baseline/global-majority",
+)
 
 
-class TestPointwise:
-    @pytest.mark.parametrize("name", POINTWISE_STRATEGIES)
-    @settings(max_examples=30, deadline=None)
+class TestKeyContract:
+    @pytest.mark.parametrize("name", STRATEGIES)
+    @settings(PROFILE)
     @given(data=st.data())
-    def test_declared_pointwise_strategies_are(self, name, data):
-        # One call equals its pieces over any split into consecutive runs, a
+    def test_report_is_a_function_of_its_key(self, name, data):
+        # A report is a function of (channel, player, object, true value):
+        # one call equals its pieces over any split into consecutive runs, a
         # repeated call answers the same, and no call changes the strategy.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         n_players = data.draw(st.integers(3, 40), label="n_players")
@@ -223,6 +233,7 @@ class TestPointwise:
         cuts = sorted(
             data.draw(st.lists(st.integers(0, objects.size), max_size=4), label="cuts")
         )
+        channel = data.draw(st.sampled_from(CHANNELS) | st.text(max_size=12), label="channel")
         if name == "honest":
             player, strategy = 0, HonestStrategy()
         else:
@@ -230,49 +241,33 @@ class TestPointwise:
                 truth, 1, name, victim_cluster=np.arange(n_players // 2), seed=rng
             )
             (player, strategy), = strategies.items()
-        assert type(strategy).pointwise is True
         pool = PlayerPool(truth, strategies={player: strategy})
         state = pickle.dumps(strategy)
 
-        whole = strategy.report(player, objects, true_values, pool)
+        whole = strategy.report(channel, player, objects, true_values, pool)
         pieces = [
-            strategy.report(player, part, values, pool)
+            strategy.report(channel, player, part, values, pool)
             for part, values in zip(np.split(objects, cuts), np.split(true_values, cuts))
         ]
         np.testing.assert_array_equal(np.concatenate(pieces), whole)
-        np.testing.assert_array_equal(strategy.report(player, objects, true_values, pool), whole)
+        np.testing.assert_array_equal(
+            strategy.report(channel, player, objects, true_values, pool), whole
+        )
         assert pickle.dumps(strategy) == state
 
-    @pytest.mark.parametrize(
-        ("make", "cut"),
-        [
-            (lambda: RandomReportStrategy(seed=3), 3),
-            (lambda: AdaptiveStrategy(switch_after=5), 5),
-        ],
-        ids=["random", "adaptive"],
-    )
-    def test_stateful_strategies_are_not_pointwise(self, truth, make, cut):
-        # Each answers a split differently from the whole: a random
-        # reporter's generator and an adaptive strategy's count carry over.
-        assert type(make()).pointwise is False
-        pool = PlayerPool(truth)
-        objects = np.arange(10)
-        values = truth[0, objects]
-        whole = make().report(0, objects, values, pool)
-        split = make()
-        pieces = np.concatenate(
-            [
-                split.report(0, objects[:cut], values[:cut], pool),
-                split.report(0, objects[cut:], values[cut:], pool),
-            ]
-        )
-        assert not np.array_equal(pieces, whole)
+    def test_random_lies_differ_across_channels_and_seeds(self):
+        pool = PlayerPool(np.zeros((2, 256), dtype=np.uint8))
+        objects = np.arange(256)
+        values = pool.truth[0]
 
-    def test_pool_is_pointwise_when_every_strategy_is(self, truth):
-        assert PlayerPool(truth).pointwise
-        assert PlayerPool(truth, strategies={0: InvertingStrategy(), 3: HonestStrategy()}).pointwise
-        mixed = {0: InvertingStrategy(), 3: RandomReportStrategy(seed=1)}
-        assert not PlayerPool(truth, strategies=mixed).pointwise
+        def lies(seed, channel):
+            return RandomReportStrategy(seed=seed).report(channel, 0, objects, values, pool)
+
+        base = lies(3, "sr/zr/base")
+        # Each of 256 cells agrees by chance half the time.
+        for other in (lies(3, "sr/pub"), lies(4, "sr/zr/base")):
+            assert 64 < np.count_nonzero(other != base) < 192
+        np.testing.assert_array_equal(lies(3, "sr/zr/base"), base)
 
 
 class TestBuildCoalition:

@@ -78,7 +78,7 @@ def test_reports_stay_binary_and_honest_rows_untouched(instance, coalition_size,
     players = np.arange(instance.n_players)
     objects = np.arange(instance.n_objects)
     true_block = instance.preferences.copy()
-    reports = pool.reports_block(players, objects, true_block)
+    reports = pool.reports_block("sr/pub", players, objects, true_block)
     assert set(np.unique(reports)).issubset({0, 1})
     honest_rows = np.setdiff1d(players, plan.members)
     np.testing.assert_array_equal(reports[honest_rows], true_block[honest_rows])

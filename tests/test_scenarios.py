@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.players.adversaries import AdaptiveStrategy, build_coalition
+from repro.players.adversaries import AdaptiveStrategy, StrangeObjectStrategy, build_coalition
 from repro.preferences.metrics import prediction_errors
 from repro.scenarios import (
     CoalitionSpec,
@@ -34,6 +34,7 @@ from repro.scenarios.engine import RESULT_COLUMNS
 from repro.scenarios.sweep import expand_grid
 from repro.simulation.oracle import ProbeOracle
 from repro.simulation.rounds import ChurnTimeline
+from reference_loops import board_reports
 
 
 def _small(spec: ScenarioSpec) -> ScenarioSpec:
@@ -302,20 +303,51 @@ class TestDynamicsHooks:
 
 class TestAdaptiveStrategy:
     def test_blends_then_attacks(self):
+        # Honest on every channel but the work-sharing posts, where the
+        # (default, inverting) attack answers.
         truth = np.random.default_rng(0).integers(0, 2, size=(6, 32), dtype=np.uint8)
         from repro.players.base import PlayerPool
 
         pool = PlayerPool(truth)
-        strategy = AdaptiveStrategy(switch_after=32, seed=1)
+        strategy = AdaptiveStrategy(seed=1)
         objects = np.arange(32, dtype=np.int64)
-        honest_phase = strategy.report(0, objects, truth[0], pool)
-        assert np.array_equal(honest_phase, truth[0])  # blending
-        attack_phase = strategy.report(0, objects, truth[0], pool)
-        assert np.array_equal(attack_phase, 1 - truth[0])  # inverting attack
+        for channel in ("robust/i0/d0/sr/zr/base", "robust/i0/d0/sr/pub", "robust/i1/d0/z"):
+            blending = strategy.report(channel, 0, objects, truth[0], pool)
+            assert np.array_equal(blending, truth[0]), channel
+        for channel in ("robust/i0/d0/work/c2", "work-sharing/c0", "baseline/oracle-work/c1"):
+            attacking = strategy.report(channel, 0, objects, truth[0], pool)
+            assert np.array_equal(attacking, 1 - truth[0]), channel
 
-    def test_switch_after_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveStrategy(switch_after=-1)
+    def test_adaptive_switch_blends_through_clustering(self):
+        # The sleeper coalition posts its true values on every SmallRadius
+        # base report, the clustering phase's input, and the strange-object
+        # attack on every work-sharing post.
+        run = execute(_small(get_scenario("adaptive-switch")), seed=0)
+        ctx, plan = run.context, run.plan
+        members = plan.members
+        attack = StrangeObjectStrategy(plan.victim_cluster)
+        channels = ctx.board.export_channels("")["reports"]
+        base = [channel for channel in channels if channel.endswith("/sr/zr/base")]
+        work = [channel for channel in channels if "/work/" in channel]
+        assert base and work
+        for channel in base:
+            values, posted = board_reports(ctx.board, channel)
+            cells = posted[members]
+            assert cells.any()
+            np.testing.assert_array_equal(
+                values[members][cells], ctx.pool.truth[members][cells], err_msg=channel
+            )
+        attacked = 0
+        for channel in work:
+            values, posted = board_reports(ctx.board, channel)
+            for member in members:
+                objects = np.flatnonzero(posted[member])
+                expected = attack.report(
+                    channel, int(member), objects, ctx.pool.truth[member, objects], ctx.pool
+                )
+                np.testing.assert_array_equal(values[member, objects], expected, err_msg=channel)
+                attacked += objects.size
+        assert attacked
 
 
 class TestCoalitionValidation:

@@ -9,8 +9,8 @@ on random instances including dishonest reporters and the noisy oracle:
 * ``ProbeOracle.probe_ragged`` vs a loop of ``probe_objects``;
 * mixed base/recursive SmallRadius batching vs the per-subset loop
   (``tests/reference_loops.py``), for honest pools, every coalition
-  strategy and a pool mixing pointwise and stateful strategies; a spy pins
-  how often the batched repetition asks each kind of pool.
+  strategy and a pool of two coalitions; a spy pins that the batched
+  repetition asks every pool once per channel.
 
 Plus the ``packed_pair_vote`` kernel against an unpacked reference, the
 RSelect survivor-fallback regression, and the collective tournament's two
@@ -20,7 +20,6 @@ leaves short) and the rank-select of differing positions.
 
 from __future__ import annotations
 
-import pickle
 import sys
 from dataclasses import replace
 
@@ -248,15 +247,13 @@ def test_probe_ragged_rejects_lengths_that_do_not_split_the_objects():
 # Mixed base/recursive SmallRadius batching == per-subset loop
 # ---------------------------------------------------------------------------
 def _coalitions(instance: PlantedInstance, strategy: str, seed: int) -> dict:
-    """Five members per ``+``-joined strategy name, the coalitions disjoint;
-    switch_after=40 turns adaptive members hostile mid-run."""
+    """Five members per ``+``-joined strategy name, the coalitions disjoint."""
     strategies: dict = {}
     for name in strategy.split("+"):
         coalition, _ = build_coalition(
             instance.preferences,
             5,
             name,
-            switch_after=40,
             seed=seed,
             exclude=np.fromiter(strategies, dtype=np.int64),
         )
@@ -277,9 +274,7 @@ def test_small_radius_mixed_recursion_matches_per_subset_loop(strategy, seed, mo
     # A low base factor makes the random partition subsets straddle the
     # ZeroRadius base size, so each repetition genuinely mixes bulk base
     # blocks with inline recursion (asserted via the zero_radius call count).
-    # With a coalition, the output must not depend on how strategies are
-    # asked, and every strategy with per-call state must see the loop's
-    # calls in its order (the hijack+random pool mixes both kinds).
+    # With a coalition, the output must not depend on how the pool is asked.
     constants = replace(ProtocolConstants.practical(), zero_radius_base_factor=0.5)
     instance = planted_clusters_instance(48, 96, n_clusters=4, diameter=8, seed=seed)
 
@@ -312,85 +307,36 @@ def test_small_radius_mixed_recursion_matches_per_subset_loop(strategy, seed, mo
     assert_same_execution(batched_ctx, loop_ctx)
 
 
-def _pool_calls_per_repetition(ctx, monkeypatch) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Run SmallRadius on ``ctx``; return its estimates and, per repetition,
-    the pool's ``reports_block`` calls and the number of base subsets."""
-    calls = {"pool": 0}
-    asked: list[tuple[int, int]] = []
-    real_reports_block = PlayerPool.reports_block
-    real_repetition = _SMALL_RADIUS_MODULE._batched_base_repetition
-
-    def counting_reports_block(self, *args, **kwargs):
-        calls["pool"] += 1
-        return real_reports_block(self, *args, **kwargs)
-
-    def spying_repetition(ctx, players, partitions, is_base, *args):
-        calls["pool"] = 0
-        real_repetition(ctx, players, partitions, is_base, *args)
-        assert all(is_base), "a recursive subset would add its own pool calls"
-        asked.append((calls["pool"], len(is_base)))
-
-    with monkeypatch.context() as patch:
-        patch.setattr(PlayerPool, "reports_block", counting_reports_block)
-        patch.setattr(_SMALL_RADIUS_MODULE, "_batched_base_repetition", spying_repetition)
-        estimates = small_radius(
-            ctx, ctx.all_players(), ctx.all_objects(), diameter=8, budget=1
-        )
-    assert asked
-    return estimates, asked
-
-
-@pytest.mark.parametrize(
-    ("strategy", "pointwise"),
-    [("hijack", True), ("strange+invert", True), ("random", False), ("hijack+adaptive", False)],
-)
-def test_small_radius_asks_pointwise_pools_once_per_repetition(strategy, pointwise, monkeypatch):
-    # A pointwise pool answers every base subset in one call; a pool with
-    # any per-call state is asked twice per base subset (the ZeroRadius base
-    # report, then the publish), as the per-subset loop asks it.
+@pytest.mark.parametrize("strategy", ["hijack", "strange+invert", "random", "hijack+adaptive"])
+def test_small_radius_asks_every_pool_once_per_channel(strategy, monkeypatch):
+    # Every base subset's reports come from two calls per repetition: the
+    # ZeroRadius base report, then the publish, each on its own channel.
     instance = planted_clusters_instance(48, 96, n_clusters=4, diameter=8, seed=2)
     ctx = make_context(
         instance, budget=1, strategies=_coalitions(instance, strategy, seed=2), seed=2
     )
-    assert ctx.pool.pointwise is pointwise
-    _, asked = _pool_calls_per_repetition(ctx, monkeypatch)
-    for pool_calls, base_subsets in asked:
-        assert pool_calls == (1 if pointwise else 2 * base_subsets)
+    channels: list[str] = []
+    asked: list[tuple[list[str], int]] = []
+    real_reports_block = PlayerPool.reports_block
+    real_repetition = _SMALL_RADIUS_MODULE._batched_base_repetition
 
+    def recording_reports_block(self, channel, *args):
+        channels.append(channel)
+        return real_reports_block(self, channel, *args)
 
-def test_small_radius_merges_reports_for_a_pool_from_an_older_checkpoint(monkeypatch):
-    # Checkpoints pickle the whole pool.  One written before pools answered
-    # ``pointwise`` unpickles with the attributes of that time only (a
-    # generator under ``rng`` among them); it must still answer and take the
-    # merged path, with the same execution as a pool built today.
-    instance = planted_clusters_instance(48, 96, n_clusters=4, diameter=8, seed=3)
-    current = make_context(
-        instance, budget=1, strategies=_coalitions(instance, "hijack", seed=3), seed=3
-    )
-    fresh = PlayerPool(instance.preferences, _coalitions(instance, "hijack", seed=3))
-    older = PlayerPool.__new__(PlayerPool)
-    older.__dict__.update(
-        _truth=fresh._truth,
-        n_players=fresh.n_players,
-        n_objects=fresh.n_objects,
-        rng=np.random.default_rng(3),
-        _strategies=fresh._strategies,
-        _has_strategy=fresh._has_strategy,
-    )
-    older = pickle.loads(pickle.dumps(older))
-    assert set(vars(older)) == {
-        "_truth", "n_players", "n_objects", "rng", "_strategies", "_has_strategy"
-    }
-    assert older.pointwise is True
-    restored = replace(make_context(instance, budget=1, seed=3), pool=older)
+    def spying_repetition(ctx, players, partitions, is_base, *args):
+        channels.clear()
+        real_repetition(ctx, players, partitions, is_base, *args)
+        assert all(is_base), "a recursive subset would add its own pool calls"
+        asked.append((list(channels), len(is_base)))
 
-    estimates, asked = _pool_calls_per_repetition(restored, monkeypatch)
-    assert [pool_calls for pool_calls, _ in asked] == [1] * len(asked)
-    expected = small_radius(
-        current, current.all_players(), current.all_objects(), diameter=8, budget=1
-    )
-    np.testing.assert_array_equal(estimates, expected)
-    assert_same_execution(restored, current)
+    monkeypatch.setattr(PlayerPool, "reports_block", recording_reports_block)
+    monkeypatch.setattr(_SMALL_RADIUS_MODULE, "_batched_base_repetition", spying_repetition)
+    small_radius(ctx, ctx.all_players(), ctx.all_objects(), diameter=8, budget=1)
+    assert asked
+    for repetition_channels, base_subsets in asked:
+        assert base_subsets > 1
+        assert repetition_channels == ["small-radius/zr/base", "small-radius/pub"]
 
 
 def _decode_block_keys(keys: np.ndarray, width: int) -> np.ndarray:
