@@ -9,19 +9,22 @@ state dir:
 * **replay** — no checkpoint on disk: recovery re-executes every journaled
   op against a fresh ``prepare(spec, seed)`` (the O(history) path);
 * **checkpoint** — a checkpoint written at the end of the op stream with
-  the journal compacted to the (empty) post-checkpoint tail: recovery
-  unpickles the snapshot and replays nothing (the O(checkpoint + tail)
-  path).
+  the journal compacted to the (empty) post-checkpoint tail: recovery runs
+  ``prepare(spec, seed)``, installs the snapshot (memo mask, request
+  counts, board channels, generator state) and replays nothing (the
+  O(checkpoint + tail) path).
 
-Both recoveries must land on bit-identical observable state (board channel
-stats + oracle probe accounting); the ``speedup_x`` column is the headline
-number — the acceptance gate wants the 10k-op restart at least 10x faster
-with a checkpoint.
+Both recoveries must land on bit-identical state (every board channel's
+packed rows, the oracle's memo mask, request and probe counts, and the
+shared generator's state); the ``speedup_x`` column is the headline number
+— the acceptance gate wants the 10k-op restart at least 10x faster with a
+checkpoint.
 
 Columns: ``mode`` (replay / checkpoint), ``ops`` (journaled op count),
 ``replayed`` (ops re-executed during recovery), ``ckpt_kib`` (checkpoint
-size on disk, 0 for replay rows), ``wall_s`` (recovery time) and
-``speedup_x`` (replay wall over checkpoint wall for the same op count).
+size on disk, 0 for replay rows), ``wall_s`` (recovery time, from the scan
+until the session worker has rebuilt the state) and ``speedup_x`` (replay
+wall over checkpoint wall for the same op count).
 """
 
 from __future__ import annotations
@@ -54,19 +57,32 @@ def _build_durable_session(state_dir: Path, n_ops: int) -> None:
 
 
 def _recover(state_dir: Path) -> tuple[float, PreferenceServer]:
-    """Time a cold recovery of the state dir (prepare + replay/restore)."""
+    """Time a cold recovery of the state dir.
+
+    The scan only queues each session's rebuild (``prepare`` plus the
+    checkpoint install, then the tail replay) on the session's worker, so
+    the clock stops at a barrier behind that work.
+    """
     server = PreferenceServer(state_dir=state_dir)
     start = time.perf_counter()
     server._recover_sessions()
+    for session in server.sessions.values():
+        session.submit(lambda: None).result()
     return time.perf_counter() - start, server
 
 
 def _observable_state(session: Session) -> tuple:
+    """Everything session ops change: board channels, memo, counts, RNG."""
     session.submit(lambda: None).result()  # settle replay
     context = session.prepared.context
+    channels = context.board.export_channels("")["reports"]
+    probed, requests = context.oracle.probe_state()
     return (
-        context.board.channel_stats(),
+        {name: (values.tobytes(), posted.tobytes()) for name, (values, posted) in channels.items()},
+        probed.tobytes(),
+        requests.tolist(),
         context.oracle.probes_used().tolist(),
+        context.randomness.generator.bit_generator.state,
     )
 
 
@@ -78,12 +94,13 @@ def recovery_benchmark(op_counts: tuple[int, ...] = OP_COUNTS) -> ExperimentTabl
         columns=["mode", "ops", "replayed", "ckpt_kib", "wall_s", "speedup_x"],
         notes=[
             f"scenario {SCENARIO!r}; journaled probe ops, 4 objects each; "
-            "recovery timed cold (includes prepare/unpickle).",
+            "recovery timed cold, from the scan until the session worker "
+            "settles (includes prepare, the snapshot install and any replay).",
             "checkpoint rows: snapshot written after the last op, journal "
             "compacted to the empty tail; replay rows: same journal, no "
             "checkpoint on disk.",
-            "both modes recover bit-identical observable state "
-            "(board channel stats + oracle probe accounting).",
+            "both modes recover bit-identical state (board channels, oracle "
+            "memo and counts, shared generator state).",
         ],
     )
     for n_ops in op_counts:
@@ -99,7 +116,8 @@ def recovery_benchmark(op_counts: tuple[int, ...] = OP_COUNTS) -> ExperimentTabl
             # Checkpoint the recovered session: snapshot + compaction.
             assert recovered.write_checkpoint() is True
             recovered._executor.shutdown(wait=True)
-            ckpt_bytes = session_checkpoint_path(state_dir, "bench").stat().st_size
+            journal_path = session_journal_path(state_dir, "bench")
+            ckpt_bytes = session_checkpoint_path(journal_path).stat().st_size
 
             ckpt_wall, server2 = _recover(state_dir)
             assert server2.recovery_stats["checkpoint_loads"] == 1

@@ -22,14 +22,16 @@ loading):
   the recovered high-water mark) yields a typed ``gap`` so the client
   knows to resnapshot instead of silently missing frames.
 * :class:`SessionCheckpoint` — bounded-time recovery.  Replaying a
-  lifetime of ops is O(lifetime); a checkpoint pickles the session's full
-  :class:`~repro.scenarios.engine.PreparedRun` (board, oracle memo +
-  budgets, RNG stream state) behind a checksummed header, written
-  atomically (tmp → fsync → read-back verify → rename), after which the
-  journal is **compacted** to the suffix past the checkpoint —
-  recovery becomes O(checkpoint + tail).  A torn or corrupt checkpoint
-  fails its checksum on load and recovery falls back to full replay with
-  a :class:`DurabilityWarning`; it can never produce wrong state.
+  lifetime of ops is O(lifetime); a checkpoint (format 4) stores the only
+  state session ops change — the oracle's memo mask and request counts,
+  every board channel, and the shared generator's state — as packed
+  arrays behind a checksummed JSON header, written atomically (tmp →
+  fsync → read-back verify → rename), after which the journal is
+  **compacted** to the suffix past the checkpoint.  Recovery runs
+  ``prepare(spec, seed)``, installs the snapshot and replays the tail:
+  O(checkpoint + tail).  A torn, corrupt or mismatched checkpoint fails
+  verification at load and recovery falls back to full replay with a
+  :class:`DurabilityWarning`; it can never produce wrong state.
 * :func:`clear_stale_socket` — UNIX-socket hygiene for restarts: a socket
   file left by a SIGKILLed predecessor is detected (nobody accepts on it)
   and removed, while a *live* server's socket raises instead of being
@@ -56,8 +58,8 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import math
 import os
-import pickle
 import re
 import socket
 import time
@@ -65,9 +67,14 @@ from pathlib import Path
 from threading import Lock
 from typing import Any
 
+import numpy as np
+
 from repro.errors import ExperimentError
 from repro.faults.journal import AppendOnlyLog, parse_records
 from repro.faults.runtime import disk_fault_gate
+from repro.protocols.context import ProtocolContext
+from repro.scenarios.engine import PreparedRun, prepare
+from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "CheckpointError",
@@ -85,14 +92,13 @@ __all__ = [
 ]
 
 _JOURNAL_VERSION = 1
-#: Version 2: the pickled oracle holds its observed matrix object-major.  A
-#: version-1 checkpoint (player-major) fails to load, and recovery replays
-#: the journal instead of restoring a matrix in the wrong orientation.
-#: Version 3: reporting strategies keep no state.  A version-2 random
-#: reporter pickled its generator and an adaptive strategy its report
-#: count, not the attributes the classes now read, so restoring one would
-#: raise ``AttributeError`` during an op; recovery replays instead.
-_CHECKPOINT_VERSION = 3
+#: Version 4 stores only the state session ops change: the payload is the
+#: oracle's memo mask and request counts, then every board channel's packed
+#: values and posted rows, and the header names the channels and carries the
+#: shared generator's state.  Versions 1-3 serialised the whole prepared run
+#: as a Python object graph; recovery refuses them and replays the journal
+#: instead.
+_CHECKPOINT_VERSION = 4
 
 
 class DurabilityWarning(UserWarning):
@@ -101,7 +107,7 @@ class DurabilityWarning(UserWarning):
     Emitted (never raised) when the durable path falls back without losing
     correctness: a journal append failed and the session continues
     ephemeral, a checkpoint could not be written and the full op log is
-    kept, a checkpoint failed its checksum and recovery fell back to full
+    kept, a checkpoint failed verification and recovery fell back to full
     replay, or a state-dir entry could not be recovered and boot skipped
     it.  Typed so tests and operators can filter them precisely
     (``-W error::DurabilityWarning`` turns any silent degradation into a
@@ -112,9 +118,9 @@ class DurabilityWarning(UserWarning):
 class CheckpointError(ExperimentError):
     """A session checkpoint failed verification (torn, corrupt, or stale).
 
-    Raised by :meth:`SessionCheckpoint.load`/:meth:`SessionCheckpoint.restore`
-    when the header is unreadable, the payload length or checksum disagrees
-    with the header, or the pickle cannot be rebuilt.  Always recoverable:
+    Raised by :class:`SessionCheckpoint` when the header is unreadable, the
+    payload length or checksum disagrees with the header, or the captured
+    state does not fit the session it would restore.  Always recoverable:
     the caller falls back to full journal replay.
     """
 
@@ -130,9 +136,10 @@ def session_journal_path(state_dir: Path | str, name: str) -> Path:
     return Path(state_dir) / "sessions" / f"{name}.jsonl"
 
 
-def session_checkpoint_path(state_dir: Path | str, name: str) -> Path:
-    """Where session ``name``'s state checkpoint lives under ``state_dir``."""
-    return Path(state_dir) / "sessions" / f"{name}.ckpt"
+def session_checkpoint_path(journal_path: Path | str) -> Path:
+    """Where the checkpoint of the session logging to ``journal_path`` lives
+    (``<name>.ckpt`` beside ``<name>.jsonl``)."""
+    return Path(journal_path).with_suffix(".ckpt")
 
 
 def session_archive_dir(state_dir: Path | str, name: str) -> Path:
@@ -165,15 +172,16 @@ def archive_session_state(state_dir: Path | str, name: str) -> Path | None:
     reused after an earlier archive overwrites the earlier files
     (last-wins, like a re-run journal).
     """
-    sessions = Path(state_dir) / "sessions"
+    journal = session_journal_path(state_dir, name)
+    checkpoint = session_checkpoint_path(journal)
     archive = session_archive_dir(state_dir, name)
     moved = False
     for candidate in (
-        sessions / f"{name}.jsonl",
-        sessions / f"{name}.ckpt",
-        sessions / f"{name}.jsonl.tmp",
-        sessions / f"{name}.ckpt.tmp",
-        sessions / f"{name}.jsonl.broken",
+        journal,
+        checkpoint,
+        journal.with_name(journal.name + ".tmp"),
+        checkpoint.with_name(checkpoint.name + ".tmp"),
+        journal.with_name(journal.name + ".broken"),
     ):
         if candidate.is_file():
             archive.mkdir(parents=True, exist_ok=True)
@@ -194,17 +202,36 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _encode_state(context: ProtocolContext) -> tuple[dict[str, Any], bytes]:
+    """The header fields and payload bytes of the state ops change: the
+    memo mask, the request counts (little-endian int64), then each
+    channel's values and posted rows in channel-name order."""
+    probed, requests = context.oracle.probe_state()
+    reports = context.board.export_channels("")["reports"]
+    channels = sorted(reports)
+    arrays = [probed, requests.astype("<i8")]
+    for channel in channels:
+        arrays.extend(reports[channel])
+    fields = {
+        "channels": channels,
+        "generator": context.randomness.generator.bit_generator.state,
+    }
+    return fields, b"".join(array.tobytes() for array in arrays)
+
+
 class SessionCheckpoint:
-    """A checksummed snapshot of one session's full protocol state.
+    """A checksummed snapshot of the state one session's ops have changed.
 
     On disk: one JSON header line (session identity, the op seq the state
-    includes, the event-ring high-water mark, payload length and sha256)
-    followed by the raw pickle of the session's
-    :class:`~repro.scenarios.engine.PreparedRun` — board channels, oracle
-    memo + budgets, player pool, RNG stream state, everything an op can
-    have touched.  Pickling the prepared run whole (rather than exporting
-    piecemeal) is what makes checkpointed recovery *bit-identical*: the
-    restored object graph is exactly the one the worker mutated.
+    includes, the event-ring high-water mark, the board's channel names,
+    the shared generator's ``bit_generator.state``, payload length and
+    sha256) followed by a raw payload of packed arrays: the oracle's memo
+    mask and request counts, then every channel's values and posted rows.
+    Everything else in a session follows from its ``(spec, seed)`` pair, so
+    :meth:`restore` runs ``prepare(spec, seed)`` and installs these three
+    pieces; the restored session is bit-identical to the captured one.
+    Per-player probe counts are not stored: each is the popcount of that
+    player's memo row.
 
     Writes are atomic and self-verifying: payload → ``<path>.tmp`` →
     flush + fsync → **read back and re-verify the checksum** → rename over
@@ -213,9 +240,10 @@ class SessionCheckpoint:
     rename, so the previous checkpoint (and the uncompacted journal)
     stays authoritative; a crash at any point leaves either the old file
     or the new file, never a torn one under the live name.  Loads verify
-    header shape, payload length and checksum and raise
-    :class:`CheckpointError` on any disagreement — the recovery path's
-    cue to fall back to full replay.
+    header shape, version, payload length and checksum, and
+    :meth:`check_fits` verifies the captured state against the session's
+    dimensions; each raises :class:`CheckpointError` on any disagreement —
+    the recovery path's cue to fall back to full replay.
     """
 
     def __init__(self, path: Path, header: dict[str, Any], payload: bytes) -> None:
@@ -233,10 +261,6 @@ class SessionCheckpoint:
         """Event-ring high-water mark at capture time."""
         return max(1, int(self.header.get("events_next_seq", 1)))
 
-    @property
-    def session(self) -> str:
-        return str(self.header.get("session", ""))
-
     @classmethod
     def write(
         cls,
@@ -248,9 +272,9 @@ class SessionCheckpoint:
         seed: int,
         op_seq: int,
         events_next_seq: int,
-        prepared: Any,
+        prepared: PreparedRun,
     ) -> "SessionCheckpoint":
-        """Atomically persist ``prepared`` as the session's checkpoint.
+        """Atomically persist the changing state of ``prepared``'s context.
 
         Raises :class:`OSError` (write/fsync failed, including injected
         ``checkpoint.write`` faults) or :class:`CheckpointError` (the
@@ -259,7 +283,7 @@ class SessionCheckpoint:
         full journal.
         """
         path = Path(path)
-        payload = pickle.dumps(prepared, protocol=pickle.HIGHEST_PROTOCOL)
+        fields, payload = _encode_state(prepared.context)
         header = {
             "kind": "checkpoint",
             "version": _CHECKPOINT_VERSION,
@@ -269,6 +293,7 @@ class SessionCheckpoint:
             "seed": int(seed),
             "op_seq": int(op_seq),
             "events_next_seq": max(1, int(events_next_seq)),
+            **fields,
             "payload_bytes": len(payload),
             "sha256": hashlib.sha256(payload).hexdigest(),
             "created_unix_time": time.time(),
@@ -326,13 +351,13 @@ class SessionCheckpoint:
             ) from error
         if not isinstance(header, dict) or header.get("kind") != "checkpoint":
             raise CheckpointError(f"checkpoint {path} header has the wrong kind")
-        if int(header.get("version", -1)) != _CHECKPOINT_VERSION:
+        if header.get("version") != _CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"checkpoint {path} has unsupported version "
                 f"{header.get('version')!r}"
             )
         payload = raw[newline + 1:]
-        if len(payload) != int(header.get("payload_bytes", -1)):
+        if len(payload) != header.get("payload_bytes"):
             raise CheckpointError(
                 f"checkpoint {path} payload is torn "
                 f"({len(payload)} bytes, header says {header.get('payload_bytes')})"
@@ -341,17 +366,55 @@ class SessionCheckpoint:
             raise CheckpointError(f"checkpoint {path} fails its checksum")
         return cls(path, header, payload)
 
-    def restore(self) -> Any:
-        """Unpickle the captured :class:`PreparedRun` (the session state)."""
-        try:
-            return pickle.loads(self.payload)
-        except Exception as error:  # noqa: BLE001 - any unpickle failure
-            raise CheckpointError(
-                f"checkpoint {self.path} payload cannot be rebuilt: {error}"
-            ) from error
+    def check_fits(self, n_players: int, n_objects: int) -> None:
+        """Raise :class:`CheckpointError` unless the captured state fits a
+        session of ``n_players`` x ``n_objects``: a well-formed channel
+        list, the payload size that list and the dimensions imply, and a
+        generator state the shared generator accepts."""
+        self._state(n_players, n_objects)
 
-    def delete(self) -> None:
-        self.path.unlink(missing_ok=True)
+    def _state(self, n_players: int, n_objects: int) -> tuple[Any, ...]:
+        """Verified ``(memo mask, requests, channels)`` views of the payload."""
+        channels = self.header.get("channels")
+        if not (
+            isinstance(channels, list)
+            and all(isinstance(channel, str) for channel in channels)
+            and len(set(channels)) == len(channels)
+        ):
+            raise CheckpointError(f"checkpoint {self.path} has a malformed channel list")
+        mask_bytes, request_bytes = n_players * ((n_objects + 7) // 8), 8 * n_players
+        channel_shape = (len(channels), 2, n_objects, (n_players + 7) // 8)
+        expected = mask_bytes + request_bytes + math.prod(channel_shape)
+        if len(self.payload) != expected:
+            raise CheckpointError(
+                f"checkpoint {self.path} holds {len(self.payload)} payload bytes, "
+                f"but {len(channels)} channels at {n_players} x {n_objects} "
+                f"take {expected}"
+            )
+        try:
+            np.random.default_rng(0).bit_generator.state = self.header.get("generator")
+        except (TypeError, ValueError, KeyError, OverflowError) as error:
+            raise CheckpointError(
+                f"checkpoint {self.path} has an invalid generator state: {error!r}"
+            ) from error
+        payload = np.frombuffer(self.payload, dtype=np.uint8)
+        probed = payload[:mask_bytes].reshape(n_players, -1)
+        requests = payload[mask_bytes:mask_bytes + request_bytes].view("<i8")
+        rows = payload[mask_bytes + request_bytes:].reshape(channel_shape)
+        reports = {channel: (rows[i, 0], rows[i, 1]) for i, channel in enumerate(channels)}
+        return probed, requests, reports
+
+    def restore(self, spec: ScenarioSpec, seed: int) -> PreparedRun:
+        """Rebuild the session: ``prepare(spec, seed)``, then install the
+        captured memo mask, request counts, board channels and generator
+        state into its context.  Returns the :class:`PreparedRun`."""
+        prepared = prepare(spec, seed)
+        context = prepared.context
+        probed, requests, reports = self._state(context.n_players, context.n_objects)
+        context.oracle.install_probe_state(probed, requests)
+        context.board.absorb_channels({"reports": reports})
+        context.randomness.generator.bit_generator.state = self.header["generator"]
+        return prepared
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -415,7 +478,7 @@ class SessionJournal:
 
         The header stores the *wire-level* session description (scenario
         name + dotted-path overrides, exactly what the ``open`` op carried)
-        rather than a pickled spec: ``build_spec`` reconstructs the same
+        rather than a serialised spec object: ``build_spec`` reconstructs the same
         :class:`~repro.scenarios.spec.ScenarioSpec` on recovery, and the
         file stays human-readable JSON end to end.
         """

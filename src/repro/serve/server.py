@@ -29,12 +29,14 @@ frame instead of a dropped connection.
 
 Durability (``state_dir=``): sessions journal their mutating ops
 write-ahead via :mod:`repro.serve.durability`, periodically checkpoint
-their full protocol state and compact the log (``checkpoint_every=``), and
-a restarted server rebuilds each one from checkpoint + tail replay —
-falling back to full replay (or skipping, with a typed warning) when a
-checkpoint fails verification.  A stale UNIX socket file is cleared on
-boot, and graceful shutdown (SIGTERM/SIGINT or the ``shutdown`` op)
-flushes journals and broadcasts ``server-shutdown`` before exiting.
+the state their ops change (format 4: memo mask, request counts, board
+channels, generator state) and compact the log (``checkpoint_every=``),
+and a restarted server rebuilds each one from ``prepare`` + checkpoint +
+tail replay — falling back to full replay (or skipping, with a typed
+warning) when a checkpoint fails verification.  A stale UNIX socket file
+is cleared on boot, and graceful shutdown (SIGTERM/SIGINT or the
+``shutdown`` op) flushes journals and broadcasts ``server-shutdown``
+before exiting.
 Eviction and explicit close archive a session's files to
 ``sessions/<name>.evicted/``.
 
@@ -57,6 +59,7 @@ from repro.errors import ExperimentError, ReproError
 from repro.faults.chaos import degraded_payload
 from repro.obs.runtime import collecting, span
 from repro.obs.spans import Telemetry
+from repro.scenarios.spec import ScenarioSpec
 from repro.serve.durability import (
     CheckpointError,
     DurabilityWarning,
@@ -65,6 +68,7 @@ from repro.serve.durability import (
     archive_session_state,
     clear_stale_socket,
     scan_state_dir,
+    session_checkpoint_path,
     session_journal_path,
     session_ordinal,
 )
@@ -255,11 +259,13 @@ class PreferenceServer:
           ops exist nowhere trustworthy; skip the session with a warning
           rather than serve approximately-right state.
 
-        Each session's expensive work — ``prepare()``/checkpoint restore
-        plus the op replay — is queued on its own worker thread, so boot
-        (and the socket bind) is not delayed; client ops simply queue
-        behind the replay.  Runs under the server telemetry as the
-        ``serve.recovery`` span; nothing found in the scan can crash boot.
+        Every check that can reject a checkpoint runs here, before the
+        session is built.  Each session's expensive work — ``prepare()``
+        (plus the checkpoint install) and the op replay — is queued on its
+        own worker thread, so boot (and the socket bind) is not delayed;
+        client ops simply queue behind the replay.  Runs under the server
+        telemetry as the ``serve.recovery`` span; nothing found in the scan
+        can crash boot.
         """
         stats = self.recovery_stats
         for key in stats:
@@ -268,11 +274,15 @@ class PreferenceServer:
         max_ordinal = 0
         with collecting(self.telemetry), span("serve.recovery"):
             for path in scan_state_dir(self.state_dir):
+                journal = None
                 try:
                     journal = SessionJournal.load(path)
                     header = journal.header
                     name = str(header.get("session") or path.stem)
-                    checkpoint = self._load_checkpoint(path, name, journal)
+                    spec = build_spec(
+                        str(header["scenario"]), dict(header.get("overrides") or {})
+                    )
+                    checkpoint = self._load_checkpoint(name, journal, spec)
                     if checkpoint is None and journal.compacted_at_seq > 0:
                         journal.close()
                         self.telemetry.add("serve.recovery_skipped", 1)
@@ -285,9 +295,6 @@ class PreferenceServer:
                             stacklevel=2,
                         )
                         continue
-                    spec = build_spec(
-                        str(header["scenario"]), dict(header.get("overrides") or {})
-                    )
                     session = Session(
                         name,
                         spec,
@@ -306,6 +313,8 @@ class PreferenceServer:
                     # no longer registered, a directory wearing a .jsonl
                     # name...) must not take the whole server down; skip it
                     # and serve the rest.
+                    if journal is not None:
+                        journal.close()
                     self.telemetry.add("serve.recovery_skipped", 1)
                     stats["sessions_skipped"] += 1
                     warnings.warn(
@@ -330,31 +339,39 @@ class PreferenceServer:
         self._session_ids = itertools.count(max_ordinal + 1)
 
     def _load_checkpoint(
-        self, journal_path: Path, name: str, journal: SessionJournal
+        self, name: str, journal: SessionJournal, spec: ScenarioSpec
     ) -> SessionCheckpoint | None:
         """The session's verified checkpoint, or ``None`` (absent or bad).
 
-        Verification failures (torn payload, checksum mismatch, a
-        checkpoint naming a different session, or one older than the
-        journal's compaction point) count as ``checkpoint_fallbacks`` and
-        warn; whether full replay can stand in is the caller's call.
+        Verification failures — a torn payload, a checksum mismatch, another
+        format version, a checkpoint naming a different session, scenario,
+        overrides or seed than the journal, one older than the journal's
+        compaction point, or state that does not fit the spec's dimensions
+        — count as ``checkpoint_fallbacks`` and warn; whether full replay
+        can stand in is the caller's call.
         """
-        ckpt_path = journal_path.with_suffix(".ckpt")
+        ckpt_path = session_checkpoint_path(journal.path)
         if not ckpt_path.is_file():
             return None
         try:
             checkpoint = SessionCheckpoint.load(ckpt_path)
-            if checkpoint.session and checkpoint.session != name:
-                raise CheckpointError(
-                    f"checkpoint {ckpt_path} names session "
-                    f"{checkpoint.session!r}, journal says {name!r}"
-                )
+            expected = dict(journal.header, session=name)
+            for key in ("session", "scenario", "overrides", "seed"):
+                if checkpoint.header.get(key) != expected.get(key):
+                    raise CheckpointError(
+                        f"checkpoint {ckpt_path} names {key} "
+                        f"{checkpoint.header.get(key)!r}, journal says "
+                        f"{expected.get(key)!r}"
+                    )
             if checkpoint.op_seq < journal.compacted_at_seq:
                 raise CheckpointError(
                     f"checkpoint {ckpt_path} (op_seq {checkpoint.op_seq}) "
                     "is older than the journal's compaction point "
                     f"({journal.compacted_at_seq})"
                 )
+            checkpoint.check_fits(
+                int(spec.population.n_players), int(spec.population.n_objects)
+            )
         except CheckpointError as error:
             self.telemetry.add("serve.checkpoint_fallbacks", 1)
             self.recovery_stats["checkpoint_fallbacks"] += 1

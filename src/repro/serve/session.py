@@ -55,6 +55,7 @@ from repro.serve.durability import (
     EventRing,
     SessionCheckpoint,
     SessionJournal,
+    session_checkpoint_path,
 )
 from repro.serve.protocol import (
     Overloaded,
@@ -131,10 +132,10 @@ def build_spec(scenario: str, overrides: dict[str, Any] | None = None) -> Scenar
 def run_point_with_predictions(spec: ScenarioSpec, seed: int, trial: int) -> dict:
     """``run_point`` plus the wire-encoded prediction matrix.
 
-    Module-level so it pickles into pool workers.  The row portion is built
-    from the same :func:`~repro.scenarios.engine.execute` call that produced
-    the predictions (not a second execution), so row and matrix describe one
-    run and the row stays bit-identical to :func:`run_point`'s.
+    Module-level so process-pool workers can import it.  The row portion is
+    built from the same :func:`~repro.scenarios.engine.execute` call that
+    produced the predictions (not a second execution), so row and matrix
+    describe one run and the row stays bit-identical to :func:`run_point`'s.
     """
     run = execute(spec, seed)
     row = {"trial": trial, "trial_seed": seed}
@@ -187,7 +188,7 @@ class Session:
         # pushes both past everything its state already includes.
         self.journal = journal
         #: Every `checkpoint_every` journaled ops the worker snapshots the
-        #: prepared state and compacts the log (None = never checkpoint).
+        #: session state and compacts the log (None = never checkpoint).
         self.checkpoint_every = (
             max(1, int(checkpoint_every)) if checkpoint_every else None
         )
@@ -212,8 +213,12 @@ class Session:
         # prepare()/checkpoint.restore() runs on the session's own worker so
         # the event loop never blocks on instance generation; the executor
         # serialises it before any op that could race the construction.
+        # The server verified the checkpoint against this spec before
+        # building the session, so the restore cannot reject it here.
         if checkpoint is not None:
-            self._prepared_future = self._executor.submit(checkpoint.restore)
+            self._prepared_future = self._executor.submit(
+                checkpoint.restore, spec, self.seed
+            )
         else:
             self._prepared_future = self._executor.submit(prepare, spec, self.seed)
         if journal is not None:
@@ -261,7 +266,7 @@ class Session:
         self._executor.shutdown(wait=False, cancel_futures=True)
         if self.journal is not None:
             if remove_journal:
-                ckpt = self.journal.path.with_suffix(".ckpt")
+                ckpt = session_checkpoint_path(self.journal.path)
                 self.journal.delete()
                 ckpt.unlink(missing_ok=True)
             else:
@@ -429,13 +434,14 @@ class Session:
         self.write_checkpoint()
 
     def write_checkpoint(self) -> bool:
-        """Snapshot the prepared state and compact the journal to the tail.
+        """Snapshot the session state and compact the journal to the tail.
 
         Must run on the session worker (or with the session quiescent):
-        the pickle walks the live board/oracle/RNG graph, so nothing may
-        mutate it mid-capture.  The checkpoint covers every op executed so
-        far (``op_seq - 1``); only after its atomic write *and read-back
-        verification* succeed is the journal compacted.  Any failure —
+        the snapshot copies the live memo mask, board channels and
+        generator state, so nothing may mutate them mid-capture.  The
+        checkpoint covers every op executed so far (``op_seq - 1``); only
+        after its atomic write *and read-back verification* succeed is the
+        journal compacted.  Any failure —
         injected ``checkpoint.write`` faults, real ENOSPC, a failed
         compaction fsync — degrades to a typed :class:`DurabilityWarning`
         with the previous checkpoint and the full journal intact.
@@ -448,7 +454,7 @@ class Session:
         header = journal.header
         try:
             checkpoint = SessionCheckpoint.write(
-                journal.path.with_suffix(".ckpt"),
+                session_checkpoint_path(journal.path),
                 session=self.name,
                 scenario=str(header.get("scenario", self.spec.name)),
                 overrides=dict(header.get("overrides") or {}),

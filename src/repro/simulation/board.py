@@ -358,10 +358,9 @@ class BulletinBoard:
 
         Returns ``{"reports": {channel: (values, posted)}}``, private copies
         of the packed rows, for :meth:`absorb_channels`.  No protocol reads
-        it.  The tests read and compare whole boards through it, and the
-        snapshot-based checkpoint restore planned in ROADMAP.md stores the
-        board as ``export_channels("")`` and installs it with
-        :meth:`absorb_channels`.
+        it.  ``export_channels("")`` is the whole board: the tests read and
+        compare boards through it, and :meth:`absorb_channels` installs it
+        into a fresh board of the same shape.
         """
         return {
             "reports": {
@@ -377,11 +376,12 @@ class BulletinBoard:
         Each channel is installed wholesale, replacing any channel of the
         same name; nothing is merged cell-wise.
         """
+        expected = (self.n_objects, self._player_bytes)
         for channel, (matrix, posted) in payload.get("reports", {}).items():
-            if matrix.shape != (self.n_objects, self._player_bytes):
+            if matrix.shape != expected or posted.shape != expected:
                 raise ConfigurationError(
-                    f"absorbed channel {channel!r} has shape {matrix.shape}, "
-                    f"expected {(self.n_objects, self._player_bytes)}"
+                    f"absorbed channel {channel!r} has shapes {matrix.shape} and "
+                    f"{posted.shape}, expected {expected}"
                 )
             self._reports[channel] = (matrix.copy(), posted.copy())
 

@@ -31,9 +31,8 @@ or the truth through the noisy channel) is held once, **object-major**: row
 the bulletin board's orientation.  A collective probe of ``k`` objects thus
 gathers ``k`` contiguous rows, and :meth:`ProbeOracle.probe_block` hands the
 logical ``(players, objects)`` block back as a transposed view of them.
-Without noise the observed matrix *is* the ground truth, one array that a
-pickle stores once; with noise the ground truth is a second object-major
-matrix.  :meth:`ProbeOracle.ground_truth` returns it as a transposed view.
+Without noise the observed matrix *is* the ground truth, one array held
+once; with noise the ground truth is a second object-major matrix.  :meth:`ProbeOracle.ground_truth` returns it as a transposed view.
 The memoisation mask is player-major and **bit-packed** (one bit per cell,
 ``repro.perf.bitset`` bytes): a probe block tests and marks the contiguous
 byte span its objects cover, so the block paths move byte-wide slices
@@ -526,18 +525,37 @@ class ProbeOracle:
         return self.memo_hits() / total if total else 0.0
 
     # ------------------------------------------------------------------
-    # Memo snapshot (for tests)
+    # Memo snapshot
     # ------------------------------------------------------------------
     def probe_state(self) -> tuple[np.ndarray, np.ndarray]:
         """Snapshot ``(packed probe mask, per-player requests)``.
 
         The mask is the bit-packed memoisation state: which (player, object)
-        cells have been charged.  Nothing in the library reads it; the tests
-        compare a bulk probe path's memo with its looped reference through
-        it, because equal counts alone would not show that the same cells
-        were charged.
+        cells have been charged.  Together with the request counts it is all
+        the accounting state probes change; :meth:`install_probe_state`
+        puts a snapshot back.  The tests also compare a bulk probe path's
+        memo with its looped reference through it, because equal counts
+        alone would not show that the same cells were charged.
         """
         return self._probed.copy(), self._requests.copy()
+
+    def install_probe_state(self, probed: np.ndarray, requests: np.ndarray) -> None:
+        """Replace the accounting with a :meth:`probe_state` snapshot.
+
+        Every charge sets exactly the memo bits it counts, so each player's
+        distinct-probe count is the popcount of its mask row and is rebuilt
+        from the mask rather than stored.
+        """
+        probed = np.asarray(probed, dtype=np.uint8)
+        requests = np.asarray(requests, dtype=np.int64)
+        if probed.shape != self._probed.shape or requests.shape != self._requests.shape:
+            raise ConfigurationError(
+                f"probe state of shapes {probed.shape} and {requests.shape} does not "
+                f"fit an oracle of shapes {self._probed.shape} and {self._requests.shape}"
+            )
+        self._probed = probed.copy()
+        self._requests = requests.copy()
+        self._counts = popcount(self._probed).sum(axis=1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Ground-truth access for *evaluation only*

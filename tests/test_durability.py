@@ -19,13 +19,15 @@ The load-bearing properties from the durability acceptance criteria:
 * **Restart hygiene** — a stale socket file from a killed server is
   cleared at boot, a live server's socket is never stolen, and graceful
   shutdown broadcasts ``server-shutdown`` and keeps journals recoverable.
-* **Bounded-time recovery** — periodic checkpoints snapshot the full
-  protocol state behind a checksummed, atomically-written header and the
-  journal compacts to the post-checkpoint suffix; recovery from
+* **Bounded-time recovery** — periodic checkpoints snapshot the state
+  session ops change (memo mask, request counts, board channels,
+  generator state) behind a checksummed, atomically-written header and
+  the journal compacts to the post-checkpoint suffix; recovery from
   checkpoint + tail is bit-identical to full replay and to a
   never-crashed twin, for crash points including mid-checkpoint and
-  mid-compaction.  A torn/corrupt checkpoint degrades to full replay (or
-  a skipped session when the journal was already compacted) with a typed
+  mid-compaction.  A torn, corrupt, older-format or mismatched
+  checkpoint degrades to full replay (or a skipped session when the
+  journal was already compacted) with a typed
   :class:`DurabilityWarning` — never wrong state.
 * **Disk-fault hardening** — injected ``journal.append`` /
   ``journal.fsync`` / ``checkpoint.write`` faults degrade durability
@@ -40,7 +42,9 @@ The load-bearing properties from the durability acceptance criteria:
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
+import pickle
 import socket
 import threading
 import time
@@ -50,6 +54,7 @@ import pytest
 
 from repro.errors import ConnectionLost, ExperimentError
 from repro.faults import FaultInjector, FaultPlan, PlannedFault, installed
+from repro.scenarios.engine import prepare
 from repro.serve.client import (
     AsyncPreferenceClient,
     PreferenceClient,
@@ -76,9 +81,16 @@ from repro.serve.session import Session, _OpQuota, build_spec
 SCENARIO = "zero-radius-exact"
 
 #: A mixed mutating-op script against SCENARIO; every entry is journaled.
+#: The select samples 5 of its 16 objects, so it draws from the shared
+#: generator (and probes and posts on the board).
 OP_SCRIPT = [
     ("probe", {"player": 0, "objects": [0, 1, 2]}),
     ("report", {"channel": "c1", "player": 1, "objects": [0, 1], "values": [1, 0]}),
+    ("select", {
+        "objects": list(range(16)),
+        "candidates": [[0] * 16, [1] * 16, [0, 1] * 8],
+        "sample_size": 5,
+    }),
     ("probe", {"player": 2, "objects": [3, 7]}),
     ("election", {"seed": 5}),
     ("report", {"channel": "c2", "player": 0, "objects": [2, 4], "values": [1, 1]}),
@@ -96,14 +108,31 @@ def _settle(session: Session) -> None:
     session.submit(lambda: None).result()
 
 
-def _session_state(session: Session) -> tuple:
-    """The observable state a recovered session must reproduce exactly."""
-    _settle(session)
-    context = session.prepared.context
+def _ckpt_path(state_dir, name: str = "s1"):
+    return session_checkpoint_path(session_journal_path(state_dir, name))
+
+
+def _context_state(context) -> tuple:
+    """Everything session ops change: every board channel's packed rows,
+    the oracle's memo mask and request counts, and the shared generator."""
+    channels = context.board.export_channels("")["reports"]
+    probed, requests = context.oracle.probe_state()
     return (
-        context.board.channel_stats(),
+        {
+            channel: (values.tobytes(), posted.tobytes())
+            for channel, (values, posted) in channels.items()
+        },
+        probed.tobytes(),
+        requests.tolist(),
         context.oracle.probes_used().tolist(),
+        context.randomness.generator.bit_generator.state,
     )
+
+
+def _session_state(session: Session) -> tuple:
+    """The state a recovered session must reproduce exactly."""
+    _settle(session)
+    return _context_state(session.prepared.context)
 
 
 def _disk_fault(site: str, action: str, occurrence: int = 0):
@@ -639,31 +668,94 @@ class TestAsyncClientReconnect:
         assert set(threading.enumerate()) <= before
 
 
+def _edit_header(path, **changes) -> None:
+    """Rewrite a checkpoint's JSON header line, keeping its payload bytes."""
+    raw = path.read_bytes()
+    newline = raw.find(b"\n")
+    header = json.loads(raw[:newline])
+    header.update(changes)
+    path.write_bytes(json.dumps(header).encode("utf-8") + raw[newline:])
+
+
 class TestSessionCheckpoint:
-    def _write(self, tmp_path, payload=None, op_seq=7):
+    OVERRIDES = {"population.n_players": 16}
+
+    def _prepared(self):
+        """A prepared run whose probes, posts and draws moved every piece
+        of the state a checkpoint keeps."""
+        prepared = prepare(build_spec(SCENARIO, self.OVERRIDES), 3)
+        context = prepared.context
+        context.oracle.probe_objects(1, np.asarray([0, 5, 9, 5]))
+        context.oracle.probe_block(np.arange(4), np.asarray([2, 40, 95]))
+        context.board.post_reports("c1", 2, np.asarray([0, 4]), np.asarray([1, 0]))
+        context.board.post_reports("a0", 15, np.asarray([95]), np.asarray([1]))
+        context.randomness.generator.random(3)
+        return prepared
+
+    def _write(self, tmp_path, prepared=None, op_seq=7):
         return SessionCheckpoint.write(
-            session_checkpoint_path(tmp_path, "s1"),
+            _ckpt_path(tmp_path),
             session="s1",
             scenario=SCENARIO,
-            overrides={"population.n_players": 16},
+            overrides=self.OVERRIDES,
             seed=3,
             op_seq=op_seq,
             events_next_seq=4,
-            prepared=payload if payload is not None else {"state": list(range(8))},
+            prepared=prepared if prepared is not None else self._prepared(),
         )
 
     def test_write_load_restore_roundtrip(self, tmp_path):
-        written = self._write(tmp_path, payload={"board": np.arange(6)})
+        prepared = self._prepared()
+        written = self._write(tmp_path, prepared)
         loaded = SessionCheckpoint.load(written.path)
         assert loaded.op_seq == 7
         assert loaded.events_next_seq == 4
-        assert loaded.session == "s1"
+        assert loaded.header["session"] == "s1"
         assert loaded.header["scenario"] == SCENARIO
-        assert loaded.header["overrides"] == {"population.n_players": 16}
-        restored = loaded.restore()
-        assert np.array_equal(restored["board"], np.arange(6))
+        assert loaded.header["overrides"] == self.OVERRIDES
+        assert loaded.header["channels"] == ["a0", "c1"]
+        restored = loaded.restore(build_spec(SCENARIO, self.OVERRIDES), 3)
+        assert _context_state(restored.context) == _context_state(prepared.context)
+        # The restored session goes on exactly like the captured one.
+        for context in (restored.context, prepared.context):
+            context.oracle.probe_objects(1, np.asarray([5, 6]))
+        assert _context_state(restored.context) == _context_state(prepared.context)
         # Atomic write leaves no temporary behind.
         assert not written.path.with_name(written.path.name + ".tmp").exists()
+
+    def test_payload_holds_only_the_changing_state(self, tmp_path):
+        """At 1024 x 2048 with an empty board the payload is the memo mask
+        (one bit per cell) plus one int64 request count per player."""
+        spec = build_spec("honest-planted", {
+            "population.n_players": 1024, "population.n_objects": 2048,
+        })
+        written = SessionCheckpoint.write(
+            _ckpt_path(tmp_path), session="s1", scenario="honest-planted",
+            overrides=None, seed=0, op_seq=0, events_next_seq=1,
+            prepared=prepare(spec, 0),
+        )
+        assert len(written.payload) == 1024 * 2048 // 8 + 8 * 1024
+        assert written.header["channels"] == []
+        assert written.path.stat().st_size < 500_000
+
+    def test_state_that_does_not_fit_the_session_is_rejected(self, tmp_path):
+        path = self._write(tmp_path).path
+        loaded = SessionCheckpoint.load(path)
+        loaded.check_fits(16, 96)
+        with pytest.raises(CheckpointError, match="payload bytes"):
+            loaded.check_fits(24, 96)
+        _edit_header(path, channels=["c1"])
+        with pytest.raises(CheckpointError, match="payload bytes"):
+            SessionCheckpoint.load(path).check_fits(16, 96)
+        for channels in (["c1", "c1"], "c1", [3, "c1"]):
+            _edit_header(path, channels=channels)
+            with pytest.raises(CheckpointError, match="channel list"):
+                SessionCheckpoint.load(path).check_fits(16, 96)
+        _edit_header(path, channels=["a0", "c1"])
+        for state in (None, {"bit_generator": "MT19937"}, {"bit_generator": "PCG64"}):
+            _edit_header(path, generator=state)
+            with pytest.raises(CheckpointError, match="generator state"):
+                SessionCheckpoint.load(path).check_fits(16, 96)
 
     def test_corrupt_payload_fails_checksum(self, tmp_path):
         path = self._write(tmp_path).path
@@ -680,7 +772,7 @@ class TestSessionCheckpoint:
             SessionCheckpoint.load(path)
 
     def test_garbage_headers_are_rejected(self, tmp_path):
-        path = session_checkpoint_path(tmp_path, "s1")
+        path = _ckpt_path(tmp_path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"all one line, no header separator")
         with pytest.raises(CheckpointError, match="no header"):
@@ -696,22 +788,17 @@ class TestSessionCheckpoint:
 
     def test_unsupported_version_is_rejected(self, tmp_path):
         path = self._write(tmp_path).path
-        raw = path.read_bytes()
-        newline = raw.find(b"\n")
-        header = json.loads(raw[:newline])
-        header["version"] = 99
-        path.write_bytes(
-            json.dumps(header).encode("utf-8") + raw[newline:]
-        )
-        with pytest.raises(CheckpointError, match="unsupported version"):
-            SessionCheckpoint.load(path)
+        for version in (99, "4", None):
+            _edit_header(path, version=version)
+            with pytest.raises(CheckpointError, match="unsupported version"):
+                SessionCheckpoint.load(path)
 
     @pytest.mark.parametrize("action", ["error", "enospc", "short-write"])
     def test_injected_write_faults_leave_no_live_file(self, tmp_path, action):
         with _disk_fault("checkpoint.write", action):
             with pytest.raises(OSError):
                 self._write(tmp_path)
-        path = session_checkpoint_path(tmp_path, "s1")
+        path = _ckpt_path(tmp_path)
         assert not path.exists()
         assert not path.with_name(path.name + ".tmp").exists()
 
@@ -811,15 +898,17 @@ class TestCheckpointedRecovery:
         server._recover_sessions()
         return server
 
-    @pytest.mark.parametrize("prefix", [2, 3, 5, 6])
+    @pytest.mark.parametrize("prefix", [2, 3, 5, 6, 7])
     def test_checkpointed_recovery_is_bit_identical(self, tmp_path, prefix):
         """Crash after any prefix (checkpointing every 2 ops): recovery
         restores the checkpoint, replays only the post-checkpoint tail,
         and matches a never-crashed twin bit for bit — board, oracle
-        accounting, seq continuity, and a full run's rows."""
+        memo and accounting, generator state, seq continuity, and a full
+        run's rows.  The select (op 3) lands in the replayed tail at
+        prefix 3 and inside the checkpoint from prefix 4 on."""
         ops = OP_SCRIPT[:prefix]
         self._crashed_session(tmp_path, ops, checkpoint_every=2)
-        assert session_checkpoint_path(tmp_path, "s1").is_file()
+        assert _ckpt_path(tmp_path).is_file()
 
         server = self._recover(tmp_path)
         stats = server.recovery_stats
@@ -845,7 +934,7 @@ class TestCheckpointedRecovery:
         session recovers by full replay with no fallback warning."""
         ops = OP_SCRIPT[:3]
         self._crashed_session(tmp_path, ops)
-        ckpt = session_checkpoint_path(tmp_path, "s1")
+        ckpt = _ckpt_path(tmp_path)
         ckpt.with_name(ckpt.name + ".tmp").write_bytes(b'{"kind":"checkpoi')
 
         server = self._recover(tmp_path)
@@ -887,7 +976,7 @@ class TestCheckpointedRecovery:
 
         server = self._recover(tmp_path)
         assert server.recovery_stats["checkpoint_loads"] == 1
-        assert server.recovery_stats["ops_replayed"] == 2  # tail only
+        assert server.recovery_stats["ops_replayed"] == len(OP_SCRIPT) - 4  # tail only
         recovered = server.sessions["s1"]
         reference = self._reference(OP_SCRIPT)
         state = _session_state(recovered)
@@ -896,7 +985,7 @@ class TestCheckpointedRecovery:
 
         # Third leg: delete the checkpoint and recover again by pure full
         # replay — same state, so checkpointed recovery changed nothing.
-        session_checkpoint_path(tmp_path, "s1").unlink()
+        _ckpt_path(tmp_path).unlink()
         replay_only = self._recover(tmp_path)
         assert replay_only.recovery_stats["checkpoint_loads"] == 0
         assert replay_only.recovery_stats["ops_replayed"] == len(OP_SCRIPT)
@@ -904,86 +993,98 @@ class TestCheckpointedRecovery:
         replay_only.sessions["s1"].close(remove_journal=True)
         reference.close()
 
-    def test_corrupt_checkpoint_falls_back_to_full_replay(self, tmp_path):
-        """A checkpoint that fails its checksum degrades to full replay
-        (typed warning + fallback counter), never to wrong state."""
+    def _checkpoint_over_full_journal(self, tmp_path, ops) -> Session:
+        """Crash a session that checkpointed after ``ops`` but kept its full
+        journal (the compaction failed), so full replay can stand in for a
+        checkpoint recovery rejects."""
         journal = SessionJournal.create(
             session_journal_path(tmp_path, "s1"), session="s1",
             scenario=SCENARIO, overrides=None, seed=3, max_pending=32,
         )
         session = Session("s1", build_spec(SCENARIO), 3, journal=journal)
-        ops = OP_SCRIPT[:4]
         _drive(session, ops)
         _settle(session)
-        with _disk_fault("journal.fsync", "error"):  # keep the journal full
-            with pytest.warns(DurabilityWarning):
-                session.write_checkpoint()
+        with _disk_fault("journal.fsync", "error"):
+            with pytest.warns(DurabilityWarning, match="compaction failed"):
+                assert session.write_checkpoint() is True
         session._executor.shutdown(wait=True)
-        ckpt = session_checkpoint_path(tmp_path, "s1")
+        return session
+
+    def _recover_by_full_replay(self, tmp_path, ops, reason):
+        """Recover, expecting the checkpoint rejected for ``reason`` and a
+        full replay bit-identical to a never-crashed twin."""
+        with pytest.warns(DurabilityWarning, match=f"{reason}.*full replay"):
+            server = self._recover(tmp_path)
+        assert server.recovery_stats == {
+            "sessions_recovered": 1, "ops_replayed": len(ops),
+            "checkpoint_loads": 0, "checkpoint_fallbacks": 1,
+            "sessions_skipped": 0,
+        }
+        recovered = server.sessions["s1"]
+        reference = self._reference(ops)
+        assert _session_state(recovered) == _session_state(reference)
+        return recovered, reference
+
+    def test_corrupt_checkpoint_falls_back_to_full_replay(self, tmp_path):
+        """A checkpoint that fails its checksum degrades to full replay
+        (typed warning + fallback counter), never to wrong state."""
+        ops = OP_SCRIPT[:4]
+        self._checkpoint_over_full_journal(tmp_path, ops)
+        ckpt = _ckpt_path(tmp_path)
         raw = bytearray(ckpt.read_bytes())
         raw[-1] ^= 0xFF
         ckpt.write_bytes(bytes(raw))
 
-        with pytest.warns(DurabilityWarning, match="full replay"):
-            server = self._recover(tmp_path)
-        stats = server.recovery_stats
-        assert stats["checkpoint_fallbacks"] == 1
-        assert stats["checkpoint_loads"] == 0
-        assert stats["ops_replayed"] == len(ops)
-        assert stats["sessions_recovered"] == 1
-        recovered = server.sessions["s1"]
-        reference = self._reference(ops)
-        assert _session_state(recovered) == _session_state(reference)
+        recovered, reference = self._recover_by_full_replay(tmp_path, ops, "checksum")
         recovered.close(remove_journal=True)
         reference.close()
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_version_1_checkpoint_falls_back_to_full_replay(self, tmp_path, version):
-        """An older checkpoint is rejected, and the session comes back by
-        full replay, bit-identical to a never-crashed twin — accounting,
-        board and a full run's rows.  Version 1 pickles the oracle's
-        observed matrix player-major, which the object-major layout would
-        read from the wrong cells; version 2 pickles strategies with state
-        the stateless classes no longer read."""
-        journal = SessionJournal.create(
-            session_journal_path(tmp_path, "s1"), session="s1",
-            scenario=SCENARIO, overrides=None, seed=3, max_pending=32,
-        )
-        session = Session("s1", build_spec(SCENARIO), 3, journal=journal)
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_pickled_checkpoint_of_an_older_version_falls_back(self, tmp_path, version):
+        """Versions 1-3 stored a pickle of the whole prepared run.  Such a
+        file is refused without being unpickled, and the session comes
+        back by full replay, bit-identical to a never-crashed twin — state
+        and a full run's rows."""
         ops = OP_SCRIPT[:4]
-        _drive(session, ops)
-        _settle(session)
-        with _disk_fault("journal.fsync", "error"):  # keep the journal full
-            with pytest.warns(DurabilityWarning):
-                assert session.write_checkpoint() is True
-        session._executor.shutdown(wait=True)
-        ckpt = session_checkpoint_path(tmp_path, "s1")
+        session = self._checkpoint_over_full_journal(tmp_path, ops)
+        ckpt = _ckpt_path(tmp_path)
         raw = ckpt.read_bytes()
-        newline = raw.find(b"\n")
-        header = json.loads(raw[:newline])
-        assert header["version"] == 3
-        header["version"] = version
-        ckpt.write_bytes(json.dumps(header).encode("utf-8") + raw[newline:])
+        header = json.loads(raw[:raw.find(b"\n")])
+        for key in ("channels", "generator"):
+            del header[key]
+        payload = pickle.dumps(session.prepared, protocol=pickle.HIGHEST_PROTOCOL)
+        header.update(
+            version=version, payload_bytes=len(payload),
+            sha256=hashlib.sha256(payload).hexdigest(),
+        )
+        ckpt.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
 
-        with pytest.warns(
-            DurabilityWarning, match=f"unsupported version {version}.*full replay"
-        ):
-            server = self._recover(tmp_path)
-        stats = server.recovery_stats
-        assert stats["checkpoint_fallbacks"] == 1
-        assert stats["checkpoint_loads"] == 0
-        assert stats["ops_replayed"] == len(ops)
-        assert stats["sessions_recovered"] == 1
-        recovered = server.sessions["s1"]
-        reference = self._reference(ops)
-        assert _session_state(recovered) == _session_state(reference)
-        assert (
-            recovered.prepared.context.oracle.requests_used().tolist()
-            == reference.prepared.context.oracle.requests_used().tolist()
+        recovered, reference = self._recover_by_full_replay(
+            tmp_path, ops, f"unsupported version {version}"
         )
         run_a = recovered.submit_op("run", {"trials": 2}).result()
         run_b = reference.submit_op("run", {"trials": 2}).result()
         assert run_a["rows"] == run_b["rows"]
+        recovered.close(remove_journal=True)
+        reference.close()
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"seed": 4}, "names seed 4"),
+        ({"scenario": "small-radius-planted"}, "names scenario"),
+        ({"overrides": {"population.n_objects": 64}}, "names overrides"),
+        ({"session": "s9"}, "names session"),
+        ({"channels": []}, "payload bytes"),
+    ])
+    def test_mismatched_checkpoint_is_rejected_at_load(self, tmp_path, change, reason):
+        """A well-formed checkpoint that does not belong to the journal's
+        ``(scenario, overrides, seed)`` session, or whose payload does not
+        fit its channel list at the spec's dimensions, is rejected before
+        the session is built: a fallback, then full replay."""
+        ops = OP_SCRIPT[:4]
+        self._checkpoint_over_full_journal(tmp_path, ops)
+        _edit_header(_ckpt_path(tmp_path), **change)
+
+        recovered, reference = self._recover_by_full_replay(tmp_path, ops, reason)
         recovered.close(remove_journal=True)
         reference.close()
 
@@ -992,7 +1093,7 @@ class TestCheckpointedRecovery:
         early ops exist nowhere trustworthy: the session is skipped with
         a typed warning — approximately-right state is never served."""
         self._crashed_session(tmp_path, OP_SCRIPT[:4], checkpoint_every=2)
-        ckpt = session_checkpoint_path(tmp_path, "s1")
+        ckpt = _ckpt_path(tmp_path)
         raw = bytearray(ckpt.read_bytes())
         raw[-1] ^= 0xFF
         ckpt.write_bytes(bytes(raw))
@@ -1066,7 +1167,7 @@ class TestDiskFaultDegradation:
             with pytest.warns(DurabilityWarning, match="checkpoint failed"):
                 assert session.write_checkpoint() is False
         assert session.checkpoint_seq == 0
-        assert not session_checkpoint_path(tmp_path, "s1").exists()
+        assert not _ckpt_path(tmp_path).exists()
         counters = session.telemetry.snapshot().counters
         assert counters["serve.checkpoint_errors"] == 1
         # The clean retry checkpoints and compacts.
@@ -1156,7 +1257,7 @@ class TestArchiveLifecycle:
         name = server._op_open({"scenario": SCENARIO, "seed": 1})["session"]
         session = server.sessions[name]
         session.submit_op("probe", {"player": 0, "objects": [0]}).result()
-        assert session_checkpoint_path(tmp_path, name).is_file()
+        assert _ckpt_path(tmp_path, name).is_file()
 
         server._evict(session, reason="closed")
         archive = session_archive_dir(tmp_path, name)
@@ -1301,7 +1402,7 @@ class TestCheckpointedRestartEndToEnd:
             # 6 journaled ops at checkpoint_every=2: compacted at seq 6.
             srv.request_shutdown()
             thread.join(timeout=30)
-            assert session_checkpoint_path(state, session).is_file()
+            assert _ckpt_path(state, session).is_file()
             journal = SessionJournal.load(session_journal_path(state, session))
             assert journal.compacted_at_seq == 6
             assert journal.recovered_ops == []  # the whole log compacted away

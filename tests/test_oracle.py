@@ -49,8 +49,9 @@ class TestConstruction:
                 oracle.ground_truth()[0, 0] = 1
 
     def test_noise_free_oracle_pickles_one_matrix(self):
-        # Without noise the probes read the ground truth itself, so a
-        # checkpoint carries the n x m matrix once, not twice.
+        # Without noise the probes read the ground truth itself, so the
+        # oracle holds (and a pickle carries) the n x m matrix once, not
+        # twice.
         truth = np.random.default_rng(0).integers(0, 2, size=(64, 512), dtype=np.uint8)
         assert len(pickle.dumps(ProbeOracle(truth))) < 1.5 * truth.size
         assert len(pickle.dumps(ProbeOracle(truth, noise_rate=0.1, noise_seed=1))) > 2 * truth.size
@@ -127,6 +128,30 @@ class TestAccounting:
         assert oracle.total_probes() == 4
         assert oracle.mean_probes() == pytest.approx(0.5)
         assert oracle.max_requests() == 2
+
+    def test_installed_probe_state_reproduces_the_accounting(self, oracle, truth):
+        # Every probe path, then a fresh oracle takes the snapshot: distinct
+        # counts are rebuilt as the popcount of each memo row.
+        oracle.probe_objects(0, np.asarray([1, 1, 11]))
+        oracle.probe_block(np.asarray([1, 3]), np.asarray([0, 4, 9]))
+        oracle.probe_pairs(np.asarray([2, 2, 5]), np.asarray([7, 7, 3]))
+        oracle.probe_pairs(np.arange(8).repeat(2), np.tile([6, 10], 8))
+        oracle.probe_ragged(np.asarray([4, 6]), np.asarray([2, 2, 8, 0]), np.asarray([3, 1]))
+        restored = ProbeOracle(truth)
+        restored.install_probe_state(*oracle.probe_state())
+        for probed in (oracle, restored):
+            probed.probe_block(np.arange(8), np.asarray([3, 4]))
+        np.testing.assert_array_equal(restored.probes_used(), oracle.probes_used())
+        np.testing.assert_array_equal(restored.requests_used(), oracle.requests_used())
+        for got, want in zip(restored.probe_state(), oracle.probe_state()):
+            np.testing.assert_array_equal(got, want)
+
+    def test_install_rejects_a_state_of_another_shape(self, oracle):
+        probed, requests = ProbeOracle(np.zeros((8, 20), dtype=np.uint8)).probe_state()
+        with pytest.raises(ConfigurationError):
+            oracle.install_probe_state(probed, requests)
+        with pytest.raises(ConfigurationError):
+            oracle.install_probe_state(oracle.probe_state()[0], np.zeros(7))
 
 
 class TestBudgetEnforcement:

@@ -10,8 +10,6 @@ per-player budgets, batched work sharing and scenario probe limits.
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -190,26 +188,6 @@ class TestBoardReads:
         np.testing.assert_array_equal(support, np.zeros(6, dtype=np.int64))
         assert board.channels() == channels == ["ch"]
         assert board.channel_stats() == stats
-
-    def test_board_pickled_with_a_dense_cache_restores(self):
-        # Checkpoints pickle the whole prepared run.  A board pickled by a
-        # build that cached dense views carries a `_dense_cache` attribute,
-        # and one pickled by a build with a scalar channel carries a
-        # `_scalar` dict (always empty in production).
-        rng = np.random.default_rng(4)
-        players, objects = np.arange(6), np.asarray([1, 4, 8])
-        first, second = rng.integers(0, 2, size=(2, 6, 3), dtype=np.uint8)
-        old, fresh = BulletinBoard(6, 9), BulletinBoard(6, 9)
-        for board in (old, fresh):
-            board.post_report_block("ch", players, objects, first)
-        old.__dict__["_dense_cache"] = {"ch": board_reports(old, "ch")}
-        old.__dict__["_scalar"] = {}
-        restored = pickle.loads(pickle.dumps(old))
-        for board in (restored, fresh):
-            board.post_report_block("ch", players[:4], objects[1:], second[:4, 1:])
-        assert_same_board(restored, fresh)
-        assert restored.channels() == fresh.channels()
-        assert restored.channel_stats() == fresh.channel_stats()
 
 
 class TestBoardSnapshots:
