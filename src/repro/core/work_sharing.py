@@ -15,11 +15,12 @@ the attack surface the robust wrapper's leader election closes.
 :func:`share_work` runs the whole phase **cross-cluster batched**: the
 assignments are still drawn cluster by cluster (the shared-randomness order
 is part of the protocol's determinism contract), but the probes of *all*
-clusters resolve through one ``probe_pairs`` call, and each cluster's
-reports are produced for and posted to its own channel.  Clusters are
-disjoint, so the batched accounting, board state and majorities are
-bit-identical to voting one cluster at a time (property-tested against that
-loop, kept in the tests as the reference).
+clusters resolve through one ``probe_assignment`` call on the assignments
+laid side by side, and each cluster's reports are produced for and posted
+to its own channel.  Clusters are disjoint, so the batched accounting,
+board state and majorities are bit-identical to voting one cluster at a
+time (tested against that loop, kept in the tests as the reference, which
+probes, reports and posts one pair at a time).
 """
 
 from __future__ import annotations
@@ -82,29 +83,30 @@ def share_work(
     if not populated:
         return predictions
 
-    # Draw every cluster's assignment first (cluster order — the draws are
-    # the protocol-visible part), then resolve all probes in one call.
-    objects = np.repeat(np.arange(n_objects, dtype=np.int64), redundancy)
-    prober_blocks = [
+    # Draw every cluster's (n_objects, redundancy) assignment first (cluster
+    # order — the draws are the protocol-visible part), then resolve all
+    # probes in one call on the assignments laid side by side.
+    assignments = [
         ctx.randomness.assign_probers(
             clustering.members(cluster_id), n_objects, redundancy
-        ).reshape(-1)
+        )
         for cluster_id in populated
     ]
-    probers = np.concatenate(prober_blocks)
-    true_values = ctx.oracle.probe_pairs(probers, np.tile(objects, len(populated)))
+    true_values = ctx.oracle.probe_assignment(np.concatenate(assignments, axis=1))
 
-    span = n_objects * redundancy
+    objects = np.repeat(np.arange(n_objects, dtype=np.int64), redundancy)
     for index, cluster_id in enumerate(populated):
-        block = slice(index * span, (index + 1) * span)
+        # The cluster's flat pairs, object-major: entry o * redundancy + r is
+        # object o's r-th prober and its answer.
+        columns = slice(index * redundancy, (index + 1) * redundancy)
+        probers = assignments[index].reshape(-1)
+        answers = true_values[:, columns].reshape(-1)
         cluster_channel = f"{channel}/c{cluster_id}"
-        reported = ctx.pool.reports_pairs(
-            cluster_channel, probers[block], objects, true_values[block]
-        )
+        reported = ctx.pool.reports_pairs(cluster_channel, probers, objects, answers)
         # A report is a function of its cell and channel, so duplicate
         # pairs carry equal values and the board may skip its dedup sort.
         ctx.board.post_report_pairs(
-            cluster_channel, probers[block], objects, reported, consistent=True
+            cluster_channel, probers, objects, reported, consistent=True
         )
         predictions[clustering.members(cluster_id)] = _majority_from_votes(
             reported, n_objects, redundancy

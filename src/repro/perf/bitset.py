@@ -124,6 +124,15 @@ def _as_words(data: np.ndarray) -> np.ndarray:
     return data.view(np.dtype(f"u{itemsize}"))
 
 
+def _row_popcounts(data: np.ndarray) -> np.ndarray:
+    """Set bits of each packed row (``int64``, the last axis summed).
+
+    Counts on the word view of :func:`_as_words`, so a wide row takes one
+    popcount per 64-bit word instead of one per byte.
+    """
+    return _popcount_words(_as_words(data)).sum(axis=-1, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class PackedBits:
     """A binary array packed eight positions per byte along its last axis.

@@ -259,11 +259,13 @@ class PreferenceServer:
           ops exist nowhere trustworthy; skip the session with a warning
           rather than serve approximately-right state.
 
-        Every check that can reject a checkpoint runs here, before the
-        session is built.  Each session's expensive work — ``prepare()``
-        (plus the checkpoint install) and the op replay — is queued on its
-        own worker thread, so boot (and the socket bind) is not delayed;
-        client ops simply queue behind the replay.  Runs under the server
+        :meth:`serve_forever` calls this on the event loop *before* it binds
+        the socket, so the bind waits for the scan: every journal is parsed
+        here (:meth:`SessionJournal.load`, which grows with the journal's
+        length), and every checkpoint is loaded and checked here, before
+        its session is built.  What moves to each session's own worker
+        thread is ``prepare()``, the checkpoint install and the op replay;
+        client ops queue behind the replay.  Runs under the server
         telemetry as the ``serve.recovery`` span; nothing found in the scan
         can crash boot.
         """

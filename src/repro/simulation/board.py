@@ -56,6 +56,18 @@ from repro.perf import (
 __all__ = ["BulletinBoard"]
 
 
+def _has_repeats(indices: np.ndarray, bound: int) -> bool:
+    """Whether an index in ``[0, bound)`` occurs more than once.
+
+    Marks every index in a ``bound``-long mask and counts the marks, as
+    :meth:`~repro.simulation.oracle.ProbeOracle.probe_block` builds its
+    cover: no sort.
+    """
+    marks = np.zeros(bound, dtype=bool)
+    marks[indices] = True
+    return int(np.count_nonzero(marks)) != indices.size
+
+
 def _keep_last(keys: np.ndarray) -> np.ndarray:
     """Indices keeping the *last* occurrence of each key, in first-seen order
     of the surviving keys' original positions (ascending index order).
@@ -138,7 +150,7 @@ class BulletinBoard:
         if obs._AMBIENT.telemetry is not None:
             obs.add("board.posts")
             obs.add("board.cells", int(objects.size))
-        if np.unique(objects).size != objects.size:
+        if _has_repeats(objects, self.n_objects):
             keep = _keep_last(objects)
             if obs._AMBIENT.telemetry is not None:
                 obs.add("board.dedup_dropped", int(objects.size - keep.size))
@@ -170,11 +182,23 @@ class BulletinBoard:
         can only be written by) the player in that pair, and owner indices
         are range-checked.  Duplicate pairs resolve in order (last wins),
         matching a sequential posting loop; callers no longer need to
-        pre-group pairs by player.  A caller that *knows* duplicate pairs
-        always carry equal values (e.g. honest reports, which are a pure
-        function of the cell) may pass ``consistent=True`` to skip the
-        last-wins deduplication sort — the unbuffered bit updates then land
-        the same result in one pass.
+        pre-group pairs by player.
+
+        ``consistent=True`` is the caller's promise that equal cells carry
+        equal values, and it skips the last-wins deduplication sort.  A
+        repeated cell that breaks the promise is left with an unspecified
+        value bit (its posted bit is set either way).  Reports keep the
+        promise because each is a function of (channel, player, object,
+        true value); ``test_report_is_a_function_of_its_key`` holds every
+        reporting strategy to that.
+
+        The pairs are written one bit plane at a time.  They are grouped by
+        ``players & 7`` (a stable sort of a ``uint8`` key, which NumPy runs
+        as a radix sort); every cell of a group sets the same bit weight,
+        so two of them that share a byte index are the same cell.  With
+        unique cells (or equal values on repeats), one buffered
+        read-modify-write of the value bytes and one of the posted bytes
+        per plane land every cell exactly.
         """
         faulted = board_fault_gate()
         if faulted == "drop":
@@ -209,15 +233,19 @@ class BulletinBoard:
                     obs.add("board.dedup_dropped", int(players.size - keep.size))
                 players, objects, values = players[keep], objects[keep], values[keep]
         matrix, posted = self._report_channel(channel)
-        byte_pos = objects * self._player_bytes + (players >> 3)
-        weights = np.uint8(128) >> (players & 7).astype(np.uint8)
-        # Cells are unique but may share a byte, so the updates must be
-        # unbuffered: clear each cell's bit, then OR in its value and mark it
-        # posted.  A duplicated delivery repeats the idempotent writes.
+        bits = (players & 7).astype(np.uint8)
+        order = np.argsort(bits, kind="stable")
+        bounds = np.r_[0, np.cumsum(np.bincount(bits, minlength=8))]
+        byte_pos = (objects * self._player_bytes + (players >> 3))[order]
+        values = values[order]
+        flat_values, flat_posted = matrix.reshape(-1), posted.reshape(-1)
+        # A duplicated delivery repeats the idempotent writes.
         for _ in range(2 if faulted == "duplicate" else 1):
-            np.bitwise_and.at(matrix.reshape(-1), byte_pos, ~weights)
-            np.bitwise_or.at(matrix.reshape(-1), byte_pos, weights * values)
-            np.bitwise_or.at(posted.reshape(-1), byte_pos, weights)
+            for bit in range(8):
+                plane = slice(bounds[bit], bounds[bit + 1])
+                cells, weight = byte_pos[plane], np.uint8(128 >> bit)
+                flat_values[cells] = (flat_values[cells] & ~weight) | (values[plane] * weight)
+                flat_posted[cells] |= weight
 
     def _prepare_block(
         self,
@@ -242,12 +270,12 @@ class BulletinBoard:
         if objects.size and (objects.min() < 0 or objects.max() >= self.n_objects):
             raise ConfigurationError(f"object index out of range in {where}")
         player_keep = object_keep = None
-        if players.size and np.unique(players).size != players.size:
+        if players.size and _has_repeats(players, self.n_players):
             player_keep = _keep_last(players)
             if obs._AMBIENT.telemetry is not None:
                 obs.add("board.dedup_dropped", int(players.size - player_keep.size))
             players = players[player_keep]
-        if objects.size and np.unique(objects).size != objects.size:
+        if objects.size and _has_repeats(objects, self.n_objects):
             object_keep = _keep_last(objects)
             if obs._AMBIENT.telemetry is not None:
                 obs.add("board.dedup_dropped", int(objects.size - object_keep.size))

@@ -50,7 +50,8 @@ from repro._typing import CountVector, ObjectIndices, PreferenceMatrix, SeedLike
 from repro.errors import BudgetExceededError, ConfigurationError
 from repro.faults.runtime import oracle_fault_gate
 from repro.obs import runtime as obs
-from repro.perf import PackedBits, popcount
+from repro.perf import PackedBits
+from repro.perf.bitset import _row_popcounts
 
 __all__ = ["ProbeOracle"]
 
@@ -227,10 +228,10 @@ class ProbeOracle:
         :class:`PackedBits` stack of zero-padded rows (row ``i`` holds player
         ``i``'s answers on its first ``lengths[i]`` positions, zero beyond) —
         the exact operand shape of :func:`repro.perf.packed_pair_vote`.
-        Every index, and under budget enforcement (like :meth:`probe_pairs`)
-        the whole batch's budget, is checked before anything is charged; the
-        loop would charge earlier players first, and outside those error
-        paths the two are bit-identical.
+        Every index, and under budget enforcement (like
+        :meth:`probe_assignment`) the whole batch's budget, is checked
+        before anything is charged; the loop would charge earlier players
+        first, and outside those error paths the two are bit-identical.
         """
         oracle_fault_gate()
         players = np.asarray(players, dtype=np.int64)
@@ -277,7 +278,7 @@ class ProbeOracle:
             np.uint8(128) >> (objects & 7).astype(np.uint8),
         )
         probed_rows = self._probed[players]
-        counts = popcount(scratch & ~probed_rows).sum(axis=1, dtype=np.int64)
+        counts = _row_popcounts(scratch & ~probed_rows)
         self._charge(players, counts, unique_players=True)
         self._requests[players] += lengths
         if obs._AMBIENT.telemetry is not None:
@@ -299,62 +300,51 @@ class ProbeOracle:
         )
 
     @obs.traced("oracle.pairs")
-    def probe_pairs(self, players: np.ndarray, objects: np.ndarray) -> np.ndarray:
-        """Probe an arbitrary batch of (player, object) pairs.
+    def probe_assignment(self, probers: np.ndarray) -> np.ndarray:
+        """Probe an assignment of players to objects.
 
-        ``players`` and ``objects`` must have equal length; the return value
-        gives the true preference of each pair in order.  Duplicated pairs are
-        charged once.
+        Row ``o`` of ``probers``, shape ``(n_objects, k)``, lists the players
+        that probe object ``o`` (the shape
+        :meth:`~repro.simulation.randomness.SharedRandomness.assign_probers`
+        returns); players may repeat.  Returns the ``(n_objects, k)``
+        answers: entry ``[o, j]`` is player ``probers[o, j]``'s answer for
+        object ``o``.  Equivalent to looping ``probe_objects`` over the
+        entries: each entry is a request, and each new (player, object) pair
+        is charged once.  Under budget enforcement the whole batch is
+        checked before anything is charged.
+
+        The new pairs are marked in a packed ``(n_players, object_bytes)``
+        scratch mask one bit plane at a time.  Plane ``b`` holds the object
+        rows ``o ≡ b (mod 8)``, which all set the bit weight ``128 >> b``,
+        so two entries of a plane that name one scratch byte name one cell
+        and a buffered fancy OR marks every cell exactly.
         """
         oracle_fault_gate()
-        players = np.asarray(players, dtype=np.int64)
-        objects = np.asarray(objects, dtype=np.int64)
-        if players.shape != objects.shape:
+        probers = np.asarray(probers, dtype=np.int64)
+        if probers.ndim != 2 or probers.shape[0] != self.n_objects:
             raise ConfigurationError(
-                "players and objects must have the same shape: "
-                f"{players.shape} vs {objects.shape}"
+                f"probers must have shape ({self.n_objects}, k), got {probers.shape}"
             )
-        if players.size == 0:
-            return np.zeros(0, dtype=np.uint8)
-        if players.min() < 0 or players.max() >= self.n_players:
-            raise ConfigurationError("player index out of range in probe_pairs")
-        if objects.min() < 0 or objects.max() >= self.n_objects:
-            raise ConfigurationError("object index out of range in probe_pairs")
+        if probers.size == 0:
+            return np.zeros(probers.shape, dtype=np.uint8)
+        if probers.min() < 0 or probers.max() >= self.n_players:
+            raise ConfigurationError("player index out of range in probe_assignment")
 
-        # Identify pairs not yet probed and charge per player through the
-        # packed scratch-mask trick: mark the requested cells in a scratch
-        # mask (duplicate pairs collapse for free), drop the already-probed
-        # bits, and popcount.  Batches at least as large as the player set
-        # (the collective work-sharing shape) sweep the full mask — no sort
-        # at all — and build it as one dense boolean scatter packed
-        # big-endian like the memo; smaller batches on big instances build
-        # the scratch over the involved players' rows only, so the work
-        # stays O(batch).
-        obs.add("oracle.requests", int(players.size))
-        if players.size >= self.n_players:
-            self._requests += np.bincount(players, minlength=self.n_players)
-            requested = np.zeros((self.n_players, self.n_objects), dtype=bool)
-            requested[players, objects] = True
-            new_bits = np.packbits(requested, axis=1) & ~self._probed
-            counts = popcount(new_bits).sum(axis=1, dtype=np.int64)
-            if counts.any():
-                self._charge_all(counts)
-                self._probed |= new_bits
-        else:
-            involved, req_counts = np.unique(players, return_counts=True)
-            self._requests[involved] += req_counts
-            rows = np.searchsorted(involved, players)
-            scratch = np.zeros((involved.size, self._object_bytes), dtype=np.uint8)
-            np.bitwise_or.at(
-                scratch.reshape(-1),
-                rows * self._object_bytes + (objects >> 3),
-                np.uint8(128) >> (objects & 7).astype(np.uint8),
-            )
-            probed_rows = self._probed[involved]
-            counts = popcount(scratch & ~probed_rows).sum(axis=1, dtype=np.int64)
-            self._charge(involved, counts, unique_players=True)
-            self._probed[involved] = probed_rows | scratch
-        return self._observed.reshape(-1)[objects * self.n_players + players]
+        obs.add("oracle.requests", int(probers.size))
+        self._requests += np.bincount(probers.reshape(-1), minlength=self.n_players)
+        scratch = np.zeros((self.n_players, self._object_bytes), dtype=np.uint8)
+        for bit in range(8):
+            # Row i of the plane is object 8i + bit, which lies in byte i.
+            cells = probers[bit::8] * self._object_bytes
+            cells += np.arange(cells.shape[0])[:, None]
+            scratch.reshape(-1)[cells] |= np.uint8(128 >> bit)
+        new_bits = scratch & ~self._probed
+        counts = _row_popcounts(new_bits)
+        if counts.any():
+            self._charge_all(counts)
+            self._probed |= new_bits
+        offsets = np.arange(self.n_objects, dtype=np.int64)[:, None] * self.n_players
+        return self._observed.reshape(-1)[probers + offsets]
 
     @obs.traced("oracle.block")
     def probe_block(
@@ -374,7 +364,7 @@ class ProbeOracle:
         Equivalent to looping ``probe_objects(players[i], objects)`` in
         order: a repeated object or player is charged its distinct pairs
         once, and every requested cell counts as a request.  Like
-        :meth:`probe_pairs`, budget enforcement checks the whole batch
+        :meth:`probe_assignment`, budget enforcement checks the whole batch
         before charging anything.  The memoisation test and mark run on the
         byte span of the packed probe mask the objects fall into, with a
         cover mask that is zero on the untouched bytes.
@@ -410,7 +400,7 @@ class ProbeOracle:
             distinct, repeats = np.unique(players, return_counts=True)
         mask_rows = slice(None) if all_players else distinct
         span = self._probed[mask_rows, low:high]
-        new_counts = n_distinct - popcount(span & cover).sum(axis=1, dtype=np.int64)
+        new_counts = n_distinct - _row_popcounts(span & cover)
         self._charge(distinct, new_counts, unique_players=True)
         self._requests[mask_rows] += repeats * objects.size
         self._probed[mask_rows, low:high] = span | cover
@@ -455,9 +445,9 @@ class ProbeOracle:
     def _charge_all(self, counts: np.ndarray) -> None:
         """Charge a full-length per-player count vector (mostly zeros).
 
-        The bulk pair paths produce their distinct-probe counts as a dense
-        vector straight from the packed scratch mask; adding it in place
-        skips the per-player grouping a sparse charge would need.
+        :meth:`probe_assignment` produces its distinct-probe counts as a
+        dense vector straight from the packed scratch mask; adding it in
+        place skips the per-player grouping a sparse charge would need.
         """
         if self.enforce_budget and self.budget is not None:
             prospective = self._counts + counts
@@ -555,7 +545,7 @@ class ProbeOracle:
             )
         self._probed = probed.copy()
         self._requests = requests.copy()
-        self._counts = popcount(self._probed).sum(axis=1, dtype=np.int64)
+        self._counts = _row_popcounts(self._probed)
 
     # ------------------------------------------------------------------
     # Ground-truth access for *evaluation only*

@@ -8,8 +8,10 @@ shared-randomness draws in the order the protocol describes them, so a
 batched path is correct exactly when it matches its reference bit for bit
 (outputs, probe accounting, randomness state, strategies and board
 contents).  :func:`block_words_reduceat` is the player-major ``reduceat``
-form of SmallRadius' block-word builder, and :func:`board_reports` reads a
-report channel back as dense matrices.  Nothing in ``src/`` calls them.
+form of SmallRadius' block-word builder, :class:`DenseReferenceBoard` is
+the bulletin board as dense matrices written cell by cell, and
+:func:`board_reports` reads a report channel back as dense matrices.
+Nothing in ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,29 @@ from repro.protocols.rselect import _player_rngs, rselect
 from repro.protocols.select import select_collective, select_per_player
 from repro.protocols.zero_radius import popular_vectors, zero_radius
 from repro.simulation.board import BulletinBoard
+
+
+class DenseReferenceBoard:
+    """The pre-packed board semantics: dense matrices written one cell at a
+    time in call order, so a repeated cell keeps its last value."""
+
+    def __init__(self, n_players: int, n_objects: int) -> None:
+        self.values = np.zeros((n_players, n_objects), dtype=np.uint8)
+        self.posted = np.zeros((n_players, n_objects), dtype=bool)
+
+    def post_reports(self, player, objects, values):
+        for obj, value in zip(objects, values):
+            self.values[player, obj] = value
+            self.posted[player, obj] = True
+
+    def post_pairs(self, players, objects, values):
+        for player, obj, value in zip(players, objects, values):
+            self.values[player, obj] = value
+            self.posted[player, obj] = True
+
+    def post_block(self, players, objects, values):
+        for i, player in enumerate(players):
+            self.post_reports(player, objects, values[i])
 
 
 def board_reports(board: BulletinBoard, channel: str) -> tuple[np.ndarray, np.ndarray]:
@@ -139,16 +164,21 @@ def cluster_majority_vote(
     """One cluster's shared prediction vector by redundant probing: for
     every object, ``redundancy`` members chosen by the shared randomness
     (with replacement) probe it and post their reports, and the prediction
-    is the majority of the posted reports (ties go to 1)."""
+    is the majority of the posted reports (ties go to 1).  Each (member,
+    object) pair is probed, reported and posted on its own, through the
+    one-player paths ``probe_objects``, ``reports_for`` and
+    ``post_reports``."""
     members = np.asarray(members, dtype=np.int64)
     n_objects = ctx.n_objects
     assignment = ctx.randomness.assign_probers(members, n_objects, redundancy)
-    objects = np.repeat(np.arange(n_objects, dtype=np.int64), redundancy)
-    probers = assignment.reshape(-1)
-    true_values = ctx.oracle.probe_pairs(probers, objects)
-    reported = ctx.pool.reports_pairs(channel, probers, objects, true_values)
-    ctx.board.post_report_pairs(channel, probers, objects, reported, consistent=True)
-    likes = reported.reshape(n_objects, redundancy).sum(axis=1, dtype=np.int64)
+    reported = np.empty((n_objects, redundancy), dtype=np.uint8)
+    for obj in range(n_objects):
+        cell = np.asarray([obj])
+        for slot, player in enumerate(assignment[obj].tolist()):
+            true_value = ctx.oracle.probe_objects(player, cell)
+            reported[obj, slot] = ctx.pool.reports_for(channel, player, cell, true_value)[0]
+            ctx.board.post_reports(channel, player, cell, reported[obj, slot : slot + 1])
+    likes = reported.sum(axis=1, dtype=np.int64)
     return (2 * likes >= redundancy).astype(np.uint8)
 
 

@@ -16,8 +16,15 @@ replaces:
   compared with ``t``, at every occurring distance and between them,
   below zero, NaN, and at or above the row width, on uniform rows and on
   clustered rows whose pivot bounds rule out groups of pairs uncounted;
-* ``ProbeOracle.probe_pairs`` against a ``probe_objects`` loop, with
-  already-probed and repeated pairs, on both of its scratch branches;
+* ``ProbeOracle.probe_assignment`` against a ``probe_objects`` loop over
+  its entries: object counts that leave the last mask byte partial, rows
+  of 0 to ``3·n_players`` probers with repeats, already-probed cells,
+  noisy answers, several batches and both popcounts;
+* ``BulletinBoard.post_report_pairs`` against the dense reference board
+  written pair by pair, under both values of ``consistent`` (repeated
+  cells carry equal values, or conflict and the last wins), with player
+  counts that are not multiples of eight, pairs crowded into one byte, and
+  duplicated deliveries;
 * batched ``small_radius`` against ``small_radius_per_subset`` (ZeroRadius,
   publish and Select one subset after another): outputs and the whole
   execution state, with Select samples on both sides of the subset widths
@@ -25,9 +32,10 @@ replaces:
   kinds of strategy pool; and one fixed input whose single repetition
   takes every route.
 
-The SmallRadius property takes its example count from the Hypothesis
-profile (``tests/hypothesis_profiles.py``): ``tier1`` by default, ten times
-deeper under ``HYPOTHESIS_PROFILE=ci``.  The others fix theirs.
+The SmallRadius, assignment-probe and pair-post properties take their
+example count from the Hypothesis profile (``tests/hypothesis_profiles.py``):
+``tier1`` by default, ten times deeper under ``HYPOTHESIS_PROFILE=ci``.  The
+others fix theirs.
 """
 
 from __future__ import annotations
@@ -52,10 +60,18 @@ from repro import (
 from repro.perf import pack_bits, pairwise_hamming
 from repro.players.adversaries import InvertingStrategy, RandomReportStrategy, build_coalition
 from repro.preferences.generators import PlantedInstance
+from repro.faults import FaultInjector, FaultPlan, PlannedFault, installed
 from repro.protocols.rselect import rselect_collective
+from repro.simulation.board import BulletinBoard
 from repro.simulation.oracle import ProbeOracle
 from hypothesis_profiles import PROFILE
-from reference_loops import assert_same_execution, rselect_collective_serial, small_radius_per_subset
+from reference_loops import (
+    DenseReferenceBoard,
+    assert_same_execution,
+    board_reports,
+    rselect_collective_serial,
+    small_radius_per_subset,
+)
 
 # The package re-exports the functions under the modules' names.
 _RSELECT_MODULE = importlib.import_module("repro.protocols.rselect")
@@ -327,39 +343,98 @@ def test_pairwise_hamming_matches_dense_distances_on_clustered_rows(
 
 
 # ---------------------------------------------------------------------------
-# probe_pairs == a probe_objects loop
+# probe_assignment == a probe_objects loop
 # ---------------------------------------------------------------------------
-@settings(max_examples=40, deadline=None)
+@settings(PROFILE)
 @given(data=st.data())
-def test_probe_pairs_matches_probe_objects_loop(data):
+def test_probe_assignment_matches_probe_objects_loop(data):
     n_players = data.draw(st.integers(1, 20), label="n_players")
+    # Widths that are not multiples of eight leave the last byte partial.
     n_objects = data.draw(st.integers(1, 40), label="n_objects")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     noisy = data.draw(st.booleans(), label="noisy")
+    lookup_table = data.draw(st.booleans(), label="lookup_table")
     rng = np.random.default_rng(seed)
     truth = rng.integers(0, 2, size=(n_players, n_objects), dtype=np.uint8)
     kwargs = dict(noise_rate=0.2 if noisy else 0.0, noise_seed=seed)
     bulk, looped = ProbeOracle(truth, **kwargs), ProbeOracle(truth, **kwargs)
 
-    # Earlier probes leave memo bits that later pairs must not charge again.
+    # Earlier probes leave memo bits that later entries must not charge again.
     for player in np.flatnonzero(rng.random(n_players) < 0.5):
         already = rng.integers(0, n_objects, size=int(rng.integers(1, n_objects + 1)))
         bulk.probe_objects(int(player), already)
         looped.probe_objects(int(player), already)
 
-    # Batches below n_players take the involved-rows scratch; batches of at
-    # least n_players build the full mask.  Pairs repeat within a batch and
-    # across batches.
-    for _ in range(data.draw(st.integers(1, 3), label="batches")):
-        n_pairs = data.draw(st.integers(1, 3 * n_players), label="n_pairs")
-        players = rng.integers(0, n_players, size=n_pairs)
-        objects = rng.integers(0, n_objects, size=n_pairs)
-        got = bulk.probe_pairs(players, objects)
-        want = [looped.probe_objects(int(p), np.asarray([o]))[0] for p, o in zip(players, objects)]
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(bulk.probes_used(), looped.probes_used())
-        np.testing.assert_array_equal(bulk.requests_used(), looped.requests_used())
-        np.testing.assert_array_equal(bulk.probe_state()[0], looped.probe_state()[0])
+    # Rows of 0 to 3·n_players probers: players repeat within a row, and
+    # cells repeat across batches.
+    with pytest.MonkeyPatch.context() as patch:
+        if lookup_table:  # the popcount fallback for NumPy without bitwise_count
+            patch.setattr(bitset, "_HAS_BITWISE_COUNT", False)
+        for _ in range(data.draw(st.integers(1, 3), label="batches")):
+            k = data.draw(st.integers(0, 3 * n_players), label="k")
+            probers = rng.integers(0, n_players, size=(n_objects, k))
+            got = bulk.probe_assignment(probers)
+            want = np.asarray(
+                [
+                    looped.probe_objects(int(player), np.asarray([obj]))[0]
+                    for obj in range(n_objects)
+                    for player in probers[obj]
+                ],
+                dtype=np.uint8,
+            ).reshape(n_objects, k)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(bulk.probes_used(), looped.probes_used())
+            np.testing.assert_array_equal(bulk.requests_used(), looped.requests_used())
+            np.testing.assert_array_equal(bulk.probe_state()[0], looped.probe_state()[0])
+
+
+# ---------------------------------------------------------------------------
+# post_report_pairs == the dense board written pair by pair
+# ---------------------------------------------------------------------------
+@settings(PROFILE)
+@given(data=st.data())
+def test_post_report_pairs_matches_dense_reference(data):
+    # Player counts that are not multiples of eight: the last byte of every
+    # packed row is partial.
+    n_players = 8 * data.draw(st.integers(0, 4), label="full_bytes") + data.draw(
+        st.integers(1, 7), label="tail_bits"
+    )
+    n_objects = data.draw(st.integers(1, 20), label="n_objects")
+    consistent = data.draw(st.booleans(), label="consistent")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    board = BulletinBoard(n_players, n_objects)
+    reference = DenseReferenceBoard(n_players, n_objects)
+    # Under consistent=True a report is a function of its cell.
+    cell_values = rng.integers(0, 2, size=(n_players, n_objects), dtype=np.uint8)
+    for _ in range(data.draw(st.integers(1, 4), label="posts")):
+        n_pairs = data.draw(st.integers(1, 4 * n_players), label="n_pairs")
+        if data.draw(st.booleans(), label="crowded"):
+            # Pairs crowd into one byte of players and a few objects, so
+            # many pairs share a byte and cells repeat.
+            byte = int(rng.integers(0, (n_players + 7) // 8))
+            low, high = 8 * byte, min(8 * byte + 8, n_players)
+            players = rng.integers(low, high, size=n_pairs)
+            objects = rng.integers(0, min(n_objects, 2), size=n_pairs)
+        else:
+            players = rng.integers(0, n_players, size=n_pairs)
+            objects = rng.integers(0, n_objects, size=n_pairs)
+        if consistent:
+            values = cell_values[players, objects]
+        else:  # repeated cells conflict, and the last one wins
+            values = rng.integers(0, 2, size=n_pairs, dtype=np.uint8)
+        duplicate = data.draw(st.booleans(), label="duplicate delivery")
+        plan = FaultPlan(
+            faults=(PlannedFault(site="board.post", point=0, action="duplicate"),)
+            if duplicate
+            else ()
+        )
+        with installed(FaultInjector(plan, point=0, attempt=0)):
+            board.post_report_pairs("ch", players, objects, values, consistent=consistent)
+        reference.post_pairs(players, objects, values)
+        got_values, got_posted = board_reports(board, "ch")
+        np.testing.assert_array_equal(got_values, reference.values)
+        np.testing.assert_array_equal(got_posted, reference.posted)
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ class TestRuntimeGates:
         ))
         with installed(FaultInjector(plan, point=0, attempt=0)):
             oracle.probe_objects(0, np.arange(2))      # occurrence 0
-            oracle.probe_pairs(np.array([1]), np.array([3]))  # occurrence 1
+            oracle.probe_assignment(np.ones((16, 1), dtype=np.int64))  # occurrence 1
             with pytest.raises(OracleTimeout):
                 oracle.probe_block(np.arange(2), np.arange(2))  # occurrence 2
 

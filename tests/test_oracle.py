@@ -76,10 +76,13 @@ class TestProbing:
             oracle.probe_block(players, objs), truth[np.ix_(players, objs)]
         )
 
-    def test_probe_pairs_values(self, oracle, truth):
-        players = np.asarray([0, 0, 6])
-        objs = np.asarray([1, 2, 3])
-        np.testing.assert_array_equal(oracle.probe_pairs(players, objs), truth[players, objs])
+    def test_probe_assignment_values(self, oracle, truth):
+        # Row o lists the players probing object o; player 0 probes twice.
+        probers = np.arange(36).reshape(12, 3) % 8
+        probers[1] = 0
+        np.testing.assert_array_equal(
+            oracle.probe_assignment(probers), truth[probers, np.arange(12)[:, None]]
+        )
 
     def test_out_of_range_rejected(self, oracle):
         with pytest.raises(ConfigurationError):
@@ -88,10 +91,13 @@ class TestProbing:
             oracle.probe_objects(0, np.asarray([999]))
         with pytest.raises(ConfigurationError):
             oracle.probe_block(np.asarray([0]), np.asarray([-1]))
-
-    def test_probe_pairs_shape_mismatch(self, oracle):
         with pytest.raises(ConfigurationError):
-            oracle.probe_pairs(np.asarray([0, 1]), np.asarray([0]))
+            oracle.probe_assignment(np.full((12, 1), 8))
+
+    def test_probe_assignment_needs_one_row_per_object(self, oracle):
+        for shape in [(11, 2), (13, 2), (12,)]:
+            with pytest.raises(ConfigurationError):
+                oracle.probe_assignment(np.zeros(shape, dtype=np.int64))
 
 
 class TestAccounting:
@@ -117,10 +123,14 @@ class TestAccounting:
         oracle.probe_block(np.asarray([0]), np.asarray([2, 3]))
         assert oracle.probes_used()[0] == 4
 
-    def test_pairs_memoise(self, oracle):
-        oracle.probe_pairs(np.asarray([0, 0]), np.asarray([5, 5]))
+    def test_assignment_memoises(self, oracle):
+        probers = np.ones((12, 2), dtype=np.int64)
+        probers[5] = 0  # player 0 probes object 5 twice
+        oracle.probe_assignment(probers)
         assert oracle.probes_used()[0] == 1
         assert oracle.requests_used()[0] == 2
+        assert oracle.probes_used()[1] == 11
+        assert oracle.requests_used()[1] == 22
 
     def test_summaries(self, oracle):
         oracle.probe_block(np.asarray([0, 1]), np.asarray([0, 1]))
@@ -134,8 +144,8 @@ class TestAccounting:
         # counts are rebuilt as the popcount of each memo row.
         oracle.probe_objects(0, np.asarray([1, 1, 11]))
         oracle.probe_block(np.asarray([1, 3]), np.asarray([0, 4, 9]))
-        oracle.probe_pairs(np.asarray([2, 2, 5]), np.asarray([7, 7, 3]))
-        oracle.probe_pairs(np.arange(8).repeat(2), np.tile([6, 10], 8))
+        oracle.probe_assignment(np.arange(36).reshape(12, 3) % 8)
+        oracle.probe_assignment(np.full((12, 2), 2))
         oracle.probe_ragged(np.asarray([4, 6]), np.asarray([2, 2, 8, 0]), np.asarray([3, 1]))
         restored = ProbeOracle(truth)
         restored.install_probe_state(*oracle.probe_state())

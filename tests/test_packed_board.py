@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import BudgetExceededError, ConfigurationError
+from repro.obs.runtime import collecting
 from repro.perf import (
     PackedBits,
     bit_cover,
@@ -38,33 +39,12 @@ from repro.scenarios.spec import PopulationSpec, ProtocolSpec, ScenarioSpec
 from repro.simulation.board import BulletinBoard
 from repro.simulation.oracle import ProbeOracle
 from reference_loops import (
+    DenseReferenceBoard,
     assert_same_board,
     assert_same_execution,
     board_reports,
     share_work_per_cluster,
 )
-
-
-class DenseReferenceBoard:
-    """The pre-packed board semantics, kept as the property-test reference."""
-
-    def __init__(self, n_players: int, n_objects: int) -> None:
-        self.values = np.zeros((n_players, n_objects), dtype=np.uint8)
-        self.posted = np.zeros((n_players, n_objects), dtype=bool)
-
-    def post_reports(self, player, objects, values):
-        for obj, value in zip(objects, values):
-            self.values[player, obj] = value
-            self.posted[player, obj] = True
-
-    def post_pairs(self, players, objects, values):
-        for player, obj, value in zip(players, objects, values):
-            self.values[player, obj] = value
-            self.posted[player, obj] = True
-
-    def post_block(self, players, objects, values):
-        for i, player in enumerate(players):
-            self.post_reports(player, objects, values[i])
 
 
 # Widths deliberately not multiples of eight: pad bits must never leak.
@@ -93,13 +73,13 @@ def test_random_posting_history_matches_dense_reference(n_players, n_objects):
             board.post_report_pairs("ch", players, objects, values)
             reference.post_pairs(players, objects, values)
         else:
+            # Full-player posts, or unsorted players with repeats; objects
+            # unsorted with repeats.  Repeats keep their last row/column.
             if rng.random() < 0.5:
                 players = np.arange(n_players, dtype=np.int64)
             else:
-                count = int(rng.integers(1, n_players + 1))
-                players = np.sort(rng.choice(n_players, size=count, replace=False))
-            count = int(rng.integers(1, n_objects + 1))
-            objects = np.sort(rng.choice(n_objects, size=count, replace=False))
+                players = rng.integers(0, n_players, size=int(rng.integers(1, n_players + 1)))
+            objects = rng.integers(0, n_objects, size=int(rng.integers(1, n_objects + 1)))
             values = rng.integers(0, 2, size=(players.size, objects.size), dtype=np.uint8)
             board.post_report_block("ch", players, objects, values)
             reference.post_block(players, objects, values)
@@ -140,6 +120,20 @@ def test_duplicate_pairs_resolve_last_wins_like_a_loop():
     assert_same_board(board, loop_board)
     # The final duplicate (2, 4) carries 0 — last wins.
     assert board_reports(board, "ch")[0][2, 4] == 0
+
+
+def test_every_dropped_repeat_counts_as_dedup_dropped():
+    board = BulletinBoard(6, 10)
+    with collecting() as telemetry:
+        board.post_reports("ch", 2, np.asarray([4, 1, 4, 4]), np.asarray([1, 0, 1, 0]))
+        board.post_report_block(
+            "ch", np.asarray([3, 0, 3]), np.asarray([5, 5, 2]), np.zeros((3, 3), dtype=np.uint8)
+        )
+        board.post_report_pairs("ch", np.asarray([1, 1, 5]), np.asarray([7, 7, 7]), np.ones(3))
+        # Distinct indices drop nothing.
+        board.post_reports("ch", 0, np.asarray([9, 8]), np.asarray([1, 1]))
+    # Two repeats of object 4, a repeated player and object, a repeated cell.
+    assert telemetry.report().counters["board.dedup_dropped"] == 2 + 2 + 1
 
 
 def test_consistent_flag_matches_dedup_for_equal_valued_duplicates():
@@ -430,9 +424,14 @@ class TestOraclePackedPaths:
         oracle = ProbeOracle(
             truth, budget=np.asarray([1, 8, 8, 8]), enforce_budget=True
         )
+        # Player 0 probes objects 1 and 2; nobody else passes 3 probes.
+        probers = np.asarray([[1], [0], [0], [2], [3], [1], [2], [3], [1], [2]])
         with pytest.raises(BudgetExceededError) as info:
-            oracle.probe_pairs(np.asarray([0, 0]), np.asarray([1, 2]))
+            oracle.probe_assignment(probers)
         assert info.value.player == 0
+        # The whole batch is checked before any charge.
+        assert not oracle.probes_used().any()
+        assert not oracle.probe_state()[0].any()
 
     def test_per_player_budget_validation(self):
         truth = np.ones((3, 4), dtype=np.uint8)
