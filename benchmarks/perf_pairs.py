@@ -20,8 +20,12 @@ table's ``metrics`` block keeps every run's result line and the per-layer
 deltas of the traced runs.  A verdict is ``faster`` (or ``slower``) only
 when the change is better (or worse) in at least nine tenths of the pairs
 and the medians differ by more than the base side's interquartile range;
-otherwise it is ``unresolved``.  ``--workload`` and ``--pairs`` take
-several values: one pair count for all workloads, or one per workload.
+otherwise it is ``unresolved``.  Each row also carries the metric's
+``bound`` from ``BENCHMARK.json`` (the share of the base median by which
+the change may be worse) and ``beyond_bound``, whether the change's median
+is worse than that; a ``slower`` verdict is a regression only beyond the
+bound.  ``--workload`` and ``--pairs`` take several values: one pair count
+for all workloads, or one per workload.
 """
 
 from __future__ import annotations
@@ -49,6 +53,13 @@ FIRST_SEED = 101
 
 #: Share of the pairs the change must win (or lose) for a verdict.
 WIN_SHARE = 0.9
+
+#: The ledger table's columns: one row per workload and end-to-end metric.
+COLUMNS = [
+    "workload", "metric", "unit", "base_q1", "base_median", "base_q3", "change_q1",
+    "change_median", "change_q3", "change_pct", "wins", "pairs", "verdict", "bound",
+    "beyond_bound",
+]
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -115,6 +126,18 @@ def verdict(wins: int, losses: int, pairs: int, gap: float, base_iqr: float) -> 
     return "unresolved"
 
 
+def beyond_bound(gap: float, base_median: float, bound: float) -> bool:
+    """Whether the change's median is worse than the base median by more
+    than ``bound`` times it; ``gap`` is positive when the change is
+    better."""
+    return -gap > bound * abs(base_median)
+
+
+def is_regression(row: dict[str, Any]) -> bool:
+    """A ``slower`` verdict on a move beyond the metric's bound."""
+    return row["verdict"] == "slower" and row["beyond_bound"]
+
+
 def compare(
     runs: list[dict], workload: str, metrics: list[dict], table: ExperimentTable
 ) -> None:
@@ -150,6 +173,8 @@ def compare(
             wins=wins,
             pairs=len(gains),
             verdict=verdict(wins, losses, len(gains), gap, base_q3 - base_q1),
+            bound=metric["bound"],
+            beyond_bound=beyond_bound(gap, base_median, metric["bound"]),
         )
 
 
@@ -209,9 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     table = ExperimentTable(
         experiment_id=f"perf_{args.label}",
         title="Paired benchmark runs: base revision vs change",
-        columns=["workload", "metric", "unit", "base_q1", "base_median", "base_q3",
-                 "change_q1", "change_median", "change_q3", "change_pct", "wins",
-                 "pairs", "verdict"],
+        columns=COLUMNS,
         notes=[
             f"base {base_rev}; change {change_rev}"
             + (" plus uncommitted edits" if dirty else ""),
@@ -222,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
             "wins: pairs where the change reads better (ties count for neither); "
             f"verdict faster/slower needs {WIN_SHARE:.0%} of the pairs and a median "
             "gap above the base IQR, else unresolved.",
+            "bound: BENCHMARK.json's bound, a share of the base median; beyond_bound: "
+            "the change's median is worse than that.  A slower verdict is a "
+            "regression only beyond the bound.",
             "end-to-end times are perfbench's normalised figures (harness.HostSpeed).",
         ],
     )
@@ -238,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['change_median']:10.4g} ({row['change_pct']:+.1f} %, "
               f"{row['wins']}/{row['pairs']}, base IQR "
               f"{row['base_q3'] - row['base_q1']:.3g}): "
-              f"{row['verdict']}")
+              f"{row['verdict']}" + (" REGRESSION" if is_regression(row) else ""))
     print(f"wrote {path}")
     return 0
 

@@ -34,16 +34,15 @@ from repro.protocols.context import ProtocolContext
 __all__ = ["share_work"]
 
 
-def _majority_from_votes(reported: np.ndarray, n_objects: int, redundancy: int) -> np.ndarray:
+def _majority_from_votes(reported: np.ndarray, redundancy: int) -> np.ndarray:
     """Majority of the redundancy votes per object (ties go to 1).
 
-    ``reported`` holds the object-major flat votes: entry ``o * redundancy +
-    r`` is the ``r``-th vote for object ``o``.  Votes are a multiset — the
-    same member drawn twice counts twice — which is why the majority is
-    taken here and not from the board's distinct-cell state.
+    Row ``o`` of ``reported``, shape ``(n_objects, redundancy)``, holds the
+    votes for object ``o``.  Votes are a multiset — the same member drawn
+    twice counts twice — which is why the majority is taken here and not
+    from the board's distinct-cell state.
     """
-    votes = reported.reshape(n_objects, redundancy).astype(np.int64)
-    likes = votes.sum(axis=1)
+    likes = reported.sum(axis=1, dtype=np.int64)
     return (2 * likes >= redundancy).astype(np.uint8)
 
 
@@ -96,19 +95,19 @@ def share_work(
 
     objects = np.repeat(np.arange(n_objects, dtype=np.int64), redundancy)
     for index, cluster_id in enumerate(populated):
-        # The cluster's flat pairs, object-major: entry o * redundancy + r is
-        # object o's r-th prober and its answer.
         columns = slice(index * redundancy, (index + 1) * redundancy)
-        probers = assignments[index].reshape(-1)
-        answers = true_values[:, columns].reshape(-1)
+        probers = assignments[index]
         cluster_channel = f"{channel}/c{cluster_id}"
-        reported = ctx.pool.reports_pairs(cluster_channel, probers, objects, answers)
-        # A report is a function of its cell and channel, so duplicate
-        # pairs carry equal values and the board may skip its dedup sort.
-        ctx.board.post_report_pairs(
-            cluster_channel, probers, objects, reported, consistent=True
-        )
+        # The pool reports on the flat pairs, object-major: entry
+        # o * redundancy + r is object o's r-th prober and its answer.
+        reported = ctx.pool.reports_pairs(
+            cluster_channel,
+            probers.reshape(-1),
+            objects,
+            true_values[:, columns].reshape(-1),
+        ).reshape(n_objects, redundancy)
+        ctx.board.post_report_assignment(cluster_channel, probers, reported)
         predictions[clustering.members(cluster_id)] = _majority_from_votes(
-            reported, n_objects, redundancy
+            reported, redundancy
         )
     return predictions

@@ -121,11 +121,16 @@ def _flip_within_radius(
     if radius == 0 or count == 0:
         return out
     flips_per_row = rng.integers(0, radius + 1, size=count)
-    for row, flips in enumerate(flips_per_row):
-        if flips == 0:
-            continue
-        positions = rng.choice(n_objects, size=int(flips), replace=False)
-        out[row, positions] ^= 1
+    # One draw per row with flips, in row order; a row's positions are
+    # distinct, so one flat scatter applies every flip exactly.
+    rows = np.flatnonzero(flips_per_row)
+    if rows.size:
+        positions = [
+            rng.choice(n_objects, size=int(flips), replace=False)
+            for flips in flips_per_row[rows].tolist()
+        ]
+        offsets = np.repeat(rows * n_objects, flips_per_row[rows])
+        out.reshape(-1)[np.concatenate(positions) + offsets] ^= 1
     return out
 
 

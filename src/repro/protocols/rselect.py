@@ -13,14 +13,18 @@ Two entry points are provided:
   where one player holds its *own* candidate list (the E1 driver).
 * :func:`rselect_collective` — runs the tournament for every player at once.
   The pair schedule is shared (all players walk the same ``(a, b)`` nested
-  order, skipping pairs they already eliminated), so each round vectorises:
-  one XOR of the packed candidate words gives every player's differing-bit
-  count as a popcount; the drawing players' keys land in one flat buffer,
-  whose ``sample_size`` smallest per player are selected exactly (a fixed
-  key prefilter, then one small padded argsort); a rank-select over the
-  XOR's word popcounts turns each sampled rank into its object position
-  without unpacking the XOR; every player's sample probes are charged
-  through a single flat
+  order, skipping pairs they already eliminated), so each round vectorises.
+  Players often share candidate rows (CalculatePreferences hands every
+  member of a work-sharing cluster its cluster's vector), so each slot's
+  distinct packed rows get labels first, and each round does its XOR, its
+  popcount and its ascending list of differing positions (the unpacked XOR
+  bits through one ``flatnonzero``) once per distinct pair of rows; every
+  voting player then reads its differing-bit count, and its sampled
+  positions by rank, from its pair's.  The drawing players' keys land in
+  one flat buffer, reused from round to round, whose ``sample_size``
+  smallest per player are selected exactly (a fixed key prefilter, then one
+  small padded argsort); every player's sample probes are charged through
+  a single flat
   :meth:`~repro.simulation.oracle.ProbeOracle.probe_ragged` call; and the
   votes are counted by :func:`repro.perf.packed_pair_vote`.  The only step
   that walks the players in Python is one ``random`` call per drawing
@@ -61,7 +65,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from repro.errors import ProtocolError
 from repro.obs.runtime import traced
-from repro.perf import pack_bits, packed_pair_vote, popcount
+from repro.perf import pack_bits, packed_pair_vote
 from repro.perf.bitset import _as_words, _popcount_words
 from repro.protocols.context import ProtocolContext
 
@@ -75,19 +79,9 @@ __all__ = ["rselect", "rselect_collective"]
 #: (the Poisson tail of the passing count).
 _PREFILTER = 3.0
 
-
-def _select_bit_table() -> np.ndarray:
-    """``table[byte, r]``: the bit position (most significant first, the
-    ``packbits`` order) of the ``r``-th set bit of ``byte``."""
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    rank = np.cumsum(bits, axis=1) - 1
-    byte, position = np.nonzero(bits)
-    table = np.zeros((256, 8), dtype=np.uint8)
-    table[byte, rank[byte, position]] = position
-    return table
-
-
-_SELECT_BIT = _select_bit_table()
+#: Odd multiplier of the candidate-row hash: word ``i`` of a packed row is
+#: weighted by its ``i + 1``-th power, modulo 2**64.
+_ROW_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
 
 
 #: ``SeedSequence``'s hash constants (NumPy's ``bit_generator.pyx``): the
@@ -225,31 +219,35 @@ def _smallest_keys(keys: np.ndarray, widths: np.ndarray, sample_size: int) -> np
     return chosen
 
 
-def _set_bit_positions(
-    words: np.ndarray, word_counts: np.ndarray, ranks: np.ndarray
-) -> np.ndarray:
-    """In-row positions of set bits of packed rows, named by their rank.
+def _slot_labels(words: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Label the distinct candidate rows of every slot.
 
-    ``words`` holds C-contiguous packed rows viewed as unsigned words (see
-    :func:`repro.perf.bitset._as_words`) and ``word_counts`` their
-    popcounts; ``ranks`` counts set bits across the raveled rows (row after
-    row, positions ascending).  Returns the bit position, within its row, of
-    each ranked set bit: one ``searchsorted`` over the running word
-    popcounts finds its word, the running popcounts of that word's bytes
-    its byte, and a 256 × 8 select table its bit within the byte.
+    ``words`` is the packed ``(P, k, n_words)`` candidate stack.  Within each
+    slot the rows are sorted by a hash of their words, and a new label
+    starts wherever a row differs from its predecessor (a different hash,
+    or an equal hash and different words), so equal labels always mean
+    equal rows.  (Equal rows that a colliding row separates in that order
+    get two labels, which costs work, never a wrong answer.)  Returns
+    ``labels``, the ``(P, k)`` label of every row, and per slot the words of
+    each label's row, ``(n_labels, n_words)``.
     """
-    running = np.cumsum(word_counts, axis=None, dtype=np.int64)
-    word = np.searchsorted(running, ranks, side="right")
-    within = ranks - running[word] + word_counts.reshape(-1)[word]
-    # The ranked bit's word as bytes, in memory (packbits) order.
-    word_bytes = words.reshape(-1)[word].view(np.uint8).reshape(word.size, -1)
-    byte_counts = popcount(word_bytes)
-    ends = np.cumsum(byte_counts, axis=1, dtype=np.int64)
-    byte = (ends <= within[:, None]).sum(axis=1)
-    pick = np.arange(word.size)
-    within -= ends[pick, byte] - byte_counts[pick, byte]
-    bit = _SELECT_BIT[word_bytes[pick, byte], within]
-    return ((word % words.shape[-1]) * words.itemsize + byte) * 8 + bit
+    multipliers = np.cumprod(
+        np.full(words.shape[-1], _ROW_HASH_MULTIPLIER, dtype=np.uint64)
+    )
+    hashes = words @ multipliers  # integer arithmetic, modulo 2**64
+    order = np.argsort(hashes, axis=0, kind="stable")
+    ordered_hashes = np.take_along_axis(hashes, order, axis=0)
+    starts = np.ones(order.shape, dtype=bool)
+    starts[1:] = ordered_hashes[1:] != ordered_hashes[:-1]
+    row, slot = np.nonzero(~starts)
+    starts[row, slot] = (
+        words[order[row, slot], slot] != words[order[row - 1, slot], slot]
+    ).any(axis=-1)
+    labels = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(labels, order, np.cumsum(starts, axis=0) - 1, axis=0)
+    return labels, [
+        words[order[starts[:, slot], slot], slot] for slot in range(words.shape[1])
+    ]
 
 
 def _pair_vote(
@@ -402,6 +400,11 @@ def rselect_collective(
     rngs = _player_rngs(ctx, n_players)
     majority = ctx.constants.rselect_majority
     words = _as_words(pack_bits(candidates_per_player).data)  # (P, k, n_words)
+    labels, label_words = _slot_labels(words)
+    # Bits per unpacked XOR row: a differing position's flat index in the
+    # unpacked pair rows is its pair's row times this, plus the position.
+    row_bits = 8 * words.itemsize * words.shape[-1]
+    keys = np.empty(0)
     alive = np.ones((n_players, k), dtype=bool)
     last_eliminated = np.full(n_players, -1, dtype=np.int64)
     for a in range(k):
@@ -409,13 +412,17 @@ def rselect_collective(
             active = np.flatnonzero(alive[:, a] & alive[:, b])
             if active.size == 0:
                 continue
-            # Differing-bit counts for every active player at once: one XOR
-            # of the packed candidate words and its popcounts.  A player
-            # whose candidates are identical has a (0, 0) tie: no draw, no
-            # probe.
-            xor = words[active, a] ^ words[active, b]
-            word_counts = _popcount_words(xor)
-            diff_counts = word_counts.sum(axis=-1, dtype=np.int64)
+            # Players holding the same two rows share the round's XOR: its
+            # popcount and its differing positions are computed once per
+            # distinct (row a, row b) pair.  A player whose candidates are
+            # identical has a (0, 0) tie: no draw, no probe.
+            n_b = label_words[b].shape[0]
+            pairs, pair_of = np.unique(
+                labels[active, a] * n_b + labels[active, b], return_inverse=True
+            )
+            xor = label_words[a][pairs // n_b] ^ label_words[b][pairs % n_b]
+            pair_counts = _popcount_words(xor).sum(axis=-1, dtype=np.int64)
+            diff_counts = pair_counts[pair_of]
             voting = np.flatnonzero(diff_counts)
             if voting.size == 0:
                 continue
@@ -427,23 +434,26 @@ def rselect_collective(
             # all of them (ascending) when they fit, else the smallest keys
             # of one draw from its own substream — one `random` call per
             # drawing player, in ascending player order, written in place
-            # into one flat key buffer.
+            # into the key buffer.
             ranks = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
             drawing = np.flatnonzero(diff_counts[voting] > sample_size)
             if drawing.size:
                 widths = diff_counts[voting[drawing]]
-                keys = np.empty(int(widths.sum()))
                 stops = np.cumsum(widths).tolist()
+                if keys.size < stops[-1]:
+                    keys = np.empty(stops[-1])
                 for row, start, stop in zip(voter_rows[drawing].tolist(), [0, *stops], stops):
                     rngs[row].random(out=keys[start:stop])
                 ranks[starts[drawing][:, None] + np.arange(sample_size)] = _smallest_keys(
-                    keys, widths, sample_size
+                    keys[: stops[-1]], widths, sample_size
                 )
-            # Ranks among all the XOR's set bits -> object positions, in the
-            # order rselect's pair vote probes them.
-            diff_starts = np.cumsum(diff_counts) - diff_counts
-            picked = _set_bit_positions(
-                xor, word_counts, np.repeat(diff_starts[voting], lengths) + ranks
+            # Ranks -> object positions, in the order rselect's pair vote
+            # probes them: every distinct pair's differing positions,
+            # ascending, lie in one flat list, its rows one after another.
+            positions = np.flatnonzero(np.unpackbits(xor.view(np.uint8)).view(bool))
+            pair_starts = np.cumsum(pair_counts) - pair_counts
+            picked = (
+                positions[np.repeat(pair_starts[pair_of[voting]], lengths) + ranks] % row_bits
             )
             # The oracle answers the whole ragged batch as zero-padded packed
             # rows — the vote kernel's operand shape — so the probed values

@@ -164,87 +164,66 @@ class BulletinBoard:
             matrix[objects, byte] = (matrix[objects, byte] & ~weight) | (values * weight)
             posted[objects, byte] |= weight
 
-    def post_report_pairs(
+    def post_report_assignment(
         self,
         channel: str,
-        players: np.ndarray,
-        objects: np.ndarray,
+        probers: np.ndarray,
         values: np.ndarray,
-        consistent: bool = False,
     ) -> None:
-        """Post reports for an arbitrary batch of (player, object) pairs.
+        """Post the reports of an assignment of players to objects.
 
-        ``values[i]`` is player ``players[i]``'s report for ``objects[i]``.
-        This is the bulk path for phases where each object is probed by a
-        different subset of players (work sharing): one vectorised call
-        replaces a per-player posting loop.  Ownership is enforced the same
-        way as :meth:`post_reports` — every pair's cell is attributed to (and
-        can only be written by) the player in that pair, and owner indices
-        are range-checked.  Duplicate pairs resolve in order (last wins),
-        matching a sequential posting loop; callers no longer need to
-        pre-group pairs by player.
+        Row ``o`` of ``probers``, shape ``(n_objects, k)``, lists the players
+        reporting on object ``o`` (the shape
+        :meth:`~repro.simulation.randomness.SharedRandomness.assign_probers`
+        returns, and the one
+        :meth:`~repro.simulation.oracle.ProbeOracle.probe_assignment` takes);
+        ``values[o, j]`` is player ``probers[o, j]``'s report for object
+        ``o``.  This is the bulk path of work sharing, where each object is
+        reported by its own few players.  Equivalent to posting the entries
+        one at a time in row order: a player repeated within a row keeps its
+        last value there.  Ownership is enforced as in :meth:`post_reports`:
+        every entry writes only its own player's cell, and player indices
+        are range-checked before anything is written.
 
-        ``consistent=True`` is the caller's promise that equal cells carry
-        equal values, and it skips the last-wins deduplication sort.  A
-        repeated cell that breaks the promise is left with an unspecified
-        value bit (its posted bit is set either way).  Reports keep the
-        promise because each is a function of (channel, player, object,
-        true value); ``test_report_is_a_function_of_its_key`` holds every
-        reporting strategy to that.
-
-        The pairs are written one bit plane at a time.  They are grouped by
-        ``players & 7`` (a stable sort of a ``uint8`` key, which NumPy runs
-        as a radix sort); every cell of a group sets the same bit weight,
-        so two of them that share a byte index are the same cell.  With
-        unique cells (or equal values on repeats), one buffered
-        read-modify-write of the value bytes and one of the posted bytes
-        per plane land every cell exactly.
+        The entries are written one column at a time.  A column names every
+        object row once, so its cells are distinct and each lies in its own
+        packed byte; one buffered read-modify-write of the value bytes and
+        one of the posted bytes per column land every cell exactly, and the
+        later columns overwrite the earlier ones, which is last-wins.
         """
         faulted = board_fault_gate()
         if faulted == "drop":
             return
-        players = np.asarray(players, dtype=np.int64)
-        objects = np.asarray(objects, dtype=np.int64)
+        probers = np.asarray(probers, dtype=np.int64)
         values = np.asarray(values)
-        if not (players.shape == objects.shape == values.shape) or players.ndim != 1:
+        if probers.ndim != 2 or probers.shape[0] != self.n_objects:
             raise ConfigurationError(
-                "players, objects and values must be aligned 1-D arrays: "
-                f"{players.shape}, {objects.shape}, {values.shape}"
+                f"probers must have shape ({self.n_objects}, k), got {probers.shape}"
             )
-        if players.size == 0:
+        if values.shape != probers.shape:
+            raise ConfigurationError(
+                f"values must have the probers' shape {probers.shape}, got {values.shape}"
+            )
+        if probers.size == 0:
             return
-        if players.min() < 0 or players.max() >= self.n_players:
-            raise ConfigurationError("player index out of range in post_report_pairs")
-        if objects.min() < 0 or objects.max() >= self.n_objects:
-            raise ConfigurationError("object index out of range in post_report_pairs")
-        check_binary(values, "post_report_pairs")
-        values = np.asarray(values, dtype=np.uint8)
+        if probers.min() < 0 or probers.max() >= self.n_players:
+            raise ConfigurationError("player index out of range in post_report_assignment")
+        check_binary(values, "post_report_assignment")
         if obs._AMBIENT.telemetry is not None:
             obs.add("board.posts")
-            obs.add("board.cells", int(players.size))
-        if not consistent:
-            cells = objects * self.n_players + players
-            order = np.argsort(cells, kind="stable")
-            sorted_cells = cells[order]
-            if np.any(sorted_cells[1:] == sorted_cells[:-1]):
-                is_last = np.r_[sorted_cells[1:] != sorted_cells[:-1], True]
-                keep = np.sort(order[is_last])
-                if obs._AMBIENT.telemetry is not None:
-                    obs.add("board.dedup_dropped", int(players.size - keep.size))
-                players, objects, values = players[keep], objects[keep], values[keep]
+            obs.add("board.cells", int(probers.size))
+        # Column-major copies, so each column is one contiguous row.
+        columns = np.ascontiguousarray(probers.T)
+        bytes_at = columns >> 3
+        bytes_at += np.arange(self.n_objects) * self._player_bytes
+        weights = np.right_shift(np.uint8(128), (columns & 7).astype(np.uint8))
+        set_bits = np.ascontiguousarray(values.T, dtype=np.uint8) * weights
         matrix, posted = self._report_channel(channel)
-        bits = (players & 7).astype(np.uint8)
-        order = np.argsort(bits, kind="stable")
-        bounds = np.r_[0, np.cumsum(np.bincount(bits, minlength=8))]
-        byte_pos = (objects * self._player_bytes + (players >> 3))[order]
-        values = values[order]
         flat_values, flat_posted = matrix.reshape(-1), posted.reshape(-1)
         # A duplicated delivery repeats the idempotent writes.
         for _ in range(2 if faulted == "duplicate" else 1):
-            for bit in range(8):
-                plane = slice(bounds[bit], bounds[bit + 1])
-                cells, weight = byte_pos[plane], np.uint8(128 >> bit)
-                flat_values[cells] = (flat_values[cells] & ~weight) | (values[plane] * weight)
+            for cells, weight, bits in zip(bytes_at, weights, set_bits):
+                flat_values[cells] = (flat_values[cells] & ~weight) | bits
                 flat_posted[cells] |= weight
 
     def _prepare_block(

@@ -51,7 +51,7 @@ from repro.errors import BudgetExceededError, ConfigurationError
 from repro.faults.runtime import oracle_fault_gate
 from repro.obs import runtime as obs
 from repro.perf import PackedBits
-from repro.perf.bitset import _row_popcounts
+from repro.perf.bitset import _row_popcounts, _transpose
 
 __all__ = ["ProbeOracle"]
 
@@ -96,9 +96,13 @@ class ProbeOracle:
             )
         if truth.size == 0:
             raise ConfigurationError("truth matrix must be non-empty")
-        # Two comparisons instead of sorting every cell; the sort only names
-        # the offending values.
-        if not ((truth == 0) | (truth == 1)).all():
+        # One max for unsigned (and bool) cells, else two comparisons; no
+        # sort of every cell, which only names the offending values.
+        if truth.dtype.kind in "bu":
+            binary = truth.max() <= 1
+        else:
+            binary = ((truth == 0) | (truth == 1)).all()
+        if not binary:
             raise ConfigurationError(
                 "truth matrix must be binary (0/1); found values "
                 f"{np.unique(truth)[:10].tolist()}"
@@ -128,14 +132,14 @@ class ProbeOracle:
 
         n_players, n_objects = truth.shape
         # Object-major: row ``o`` is every player's value for object ``o``.
-        self._truth = truth.T.astype(np.uint8, order="C", copy=True)
+        self._truth = _transpose(truth, np.empty((n_objects, n_players), dtype=np.uint8))
         self._truth.setflags(write=False)
         self.noise_rate = float(noise_rate)
         # The matrix the probes read: the truth itself unless noisy.
         self._observed = self._truth
         if noise_rate > 0.0:
             flips = as_generator(noise_seed).random((n_players, n_objects)) < noise_rate
-            self._observed = self._truth ^ np.ascontiguousarray(flips.T, dtype=np.uint8)
+            self._observed = self._truth ^ _transpose(flips)
             self._observed.setflags(write=False)
         # Bit-packed memoisation mask: bit ``o`` of player ``p``'s row says
         # whether the (p, o) pair was already charged.

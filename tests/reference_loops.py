@@ -9,9 +9,10 @@ batched path is correct exactly when it matches its reference bit for bit
 (outputs, probe accounting, randomness state, strategies and board
 contents).  :func:`block_words_reduceat` is the player-major ``reduceat``
 form of SmallRadius' block-word builder, :class:`DenseReferenceBoard` is
-the bulletin board as dense matrices written cell by cell, and
-:func:`board_reports` reads a report channel back as dense matrices.
-Nothing in ``src/`` calls them.
+the bulletin board as dense matrices written cell by cell,
+:func:`board_reports` reads a report channel back as dense matrices, and
+:func:`planted_clusters_per_row` builds the planted instance's preferences
+flipping one row at a time.  Nothing in ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pickle
 
 import numpy as np
 
+from repro._typing import SeedLike, as_generator
 from repro.core.clustering import Clustering
 from repro.protocols.context import ProtocolContext
 from repro.protocols.rselect import _player_rngs, rselect
@@ -49,6 +51,51 @@ class DenseReferenceBoard:
     def post_block(self, players, objects, values):
         for i, player in enumerate(players):
             self.post_reports(player, objects, values[i])
+
+    def post_assignment(self, probers, values):
+        """Row ``o`` of ``probers`` reports ``values[o]`` on object ``o``,
+        entry after entry in row order."""
+        for obj, (row_players, row_values) in enumerate(zip(probers, values)):
+            for player, value in zip(row_players, row_values):
+                self.values[player, obj] = value
+                self.posted[player, obj] = True
+
+
+def flip_within_radius_per_row(
+    center: np.ndarray, radius: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` copies of ``center``, each flipping its own draw of
+    positions, written row by row: per row a flip count of at most
+    ``min(radius, len(center))``, then for a row with flips one ``choice``
+    of that many distinct positions."""
+    n_objects = center.shape[0]
+    radius = min(radius, n_objects)
+    out = np.tile(center, (count, 1))
+    if radius == 0 or count == 0:
+        return out
+    for row, flips in enumerate(rng.integers(0, radius + 1, size=count)):
+        if flips:
+            out[row, rng.choice(n_objects, size=int(flips), replace=False)] ^= 1
+    return out
+
+
+def planted_clusters_per_row(
+    n_players: int, n_objects: int, n_clusters: int, diameter: int, seed: SeedLike
+) -> np.ndarray:
+    """The preferences of ``planted_clusters_instance`` with the same draws
+    (the balanced assignment, the centres, then cluster by cluster its
+    members' flips), each row flipped on its own."""
+    rng = as_generator(seed)
+    base = np.repeat(np.arange(n_clusters), int(np.ceil(n_players / n_clusters)))
+    assignment = rng.permutation(base[:n_players])
+    centers = rng.integers(0, 2, size=(n_clusters, n_objects), dtype=np.uint8)
+    preferences = np.empty((n_players, n_objects), dtype=np.uint8)
+    for cluster_id in range(n_clusters):
+        members = np.flatnonzero(assignment == cluster_id)
+        preferences[members] = flip_within_radius_per_row(
+            centers[cluster_id], diameter // 2, members.size, rng
+        )
+    return preferences
 
 
 def board_reports(board: BulletinBoard, channel: str) -> tuple[np.ndarray, np.ndarray]:

@@ -74,7 +74,10 @@ class TestReportChannels:
         objects = np.asarray([0, 3, 9])
         board.post_reports("c", 1, objects, np.asarray([1, 1, 1]))
         board.post_reports("c", 2, objects, np.asarray([0, 0, 0]))
-        board.post_report_pairs("c", np.asarray([2, 2]), np.asarray([0, 9]), np.asarray([1, 0]))
+        # Player 2 reports on every object, 1 only on object 0.
+        reports = np.zeros((10, 1), dtype=np.uint8)
+        reports[0] = 1
+        board.post_report_assignment("c", np.full((10, 1), 2), reports)
         board.post_report_block(
             "c", np.asarray([0, 3]), objects, np.zeros((2, 3), dtype=np.uint8)
         )
@@ -82,16 +85,16 @@ class TestReportChannels:
         np.testing.assert_array_equal(values[1, objects], [1, 1, 1])
         np.testing.assert_array_equal(values[2, objects], [1, 0, 0])
         assert posted[[0, 1, 2, 3]][:, objects].all()
+        assert posted[2].all() and not posted[1, [1, 2]].any()
         assert not posted[[4, 5]].any()
 
-    def test_rejected_pair_post_writes_nothing(self, board):
+    def test_rejected_assignment_post_writes_nothing(self, board):
         board.post_reports("c", 0, np.asarray([1]), np.asarray([1]))
         before = board_reports(board, "c")
+        probers = np.tile(np.asarray([0, 3]), (10, 1))
+        probers[9, 1] = 6  # the last entry names a player outside the board
         with pytest.raises(ConfigurationError):
-            # The last pair names a player outside the board.
-            board.post_report_pairs(
-                "c", np.asarray([0, 3, 6]), np.asarray([1, 2, 2]), np.asarray([0, 1, 1])
-            )
+            board.post_report_assignment("c", probers, np.ones((10, 2), dtype=np.uint8))
         after = board_reports(board, "c")
         for got, want in zip(after, before):
             np.testing.assert_array_equal(got, want)
@@ -106,10 +109,11 @@ class TestChannels:
 
     def test_channel_stats_carry_only_posted_cell_counts(self, board):
         board.post_reports("a", 2, np.asarray([1, 4, 4]), np.asarray([1, 0, 1]))
-        board.post_report_pairs(
-            "b", np.asarray([0, 5, 5]), np.asarray([9, 9, 2]), np.asarray([1, 1, 0])
-        )
-        expected = {"a": {"report_cells": 2}, "b": {"report_cells": 3}}
+        # Players 0 and 5 report on every object, player 5 twice on object 9.
+        probers = np.tile(np.asarray([0, 5]), (10, 1))
+        probers[9] = 5
+        board.post_report_assignment("b", probers, np.ones((10, 2), dtype=np.uint8))
+        expected = {"a": {"report_cells": 2}, "b": {"report_cells": 19}}
         assert board.channel_stats() == expected
         restored = BulletinBoard(n_players=6, n_objects=10)
         restored.absorb_channels(board.export_channels(""))
@@ -118,7 +122,9 @@ class TestChannels:
     def test_empty_posts_create_no_channel(self, board):
         empty = np.asarray([], dtype=np.int64)
         board.post_reports("a", 0, empty, empty)
-        board.post_report_pairs("b", empty, empty, empty)
+        board.post_report_assignment(
+            "b", np.zeros((10, 0), dtype=np.int64), np.zeros((10, 0), dtype=np.uint8)
+        )
         board.post_report_block("c", np.asarray([0, 1]), empty, np.zeros((2, 0), dtype=np.uint8))
         assert board.channels() == []
         assert board.channel_stats() == {}

@@ -5,7 +5,9 @@ replaces:
 
 * ``rselect_collective`` against ``rselect_collective_serial`` (one
   ``rselect`` per player on its own substream): outputs, probe accounting,
-  the oracle's memo masks and the shared randomness left behind — also with
+  the oracle's memo masks and the shared randomness left behind, on stacks
+  with a row per player or rows shared across players (1 to ``n`` distinct
+  rows per slot, identical slots, pairs that do not differ) — also with
   the key prefilter forced to send every drawing row to its fallback, or to
   keep every key;
 * the per-player substreams: ``_seed_states`` against
@@ -20,11 +22,11 @@ replaces:
   its entries: object counts that leave the last mask byte partial, rows
   of 0 to ``3·n_players`` probers with repeats, already-probed cells,
   noisy answers, several batches and both popcounts;
-* ``BulletinBoard.post_report_pairs`` against the dense reference board
-  written pair by pair, under both values of ``consistent`` (repeated
-  cells carry equal values, or conflict and the last wins), with player
-  counts that are not multiples of eight, pairs crowded into one byte, and
-  duplicated deliveries;
+* ``BulletinBoard.post_report_assignment`` against the dense reference
+  board written entry by entry in row order (a player repeated within an
+  object row, with conflicting values, keeps its last), with player counts
+  that are not multiples of eight, probers crowded into one byte, and
+  duplicated and dropped deliveries;
 * batched ``small_radius`` against ``small_radius_per_subset`` (ZeroRadius,
   publish and Select one subset after another): outputs and the whole
   execution state, with Select samples on both sides of the subset widths
@@ -32,8 +34,8 @@ replaces:
   kinds of strategy pool; and one fixed input whose single repetition
   takes every route.
 
-The SmallRadius, assignment-probe and pair-post properties take their
-example count from the Hypothesis profile (``tests/hypothesis_profiles.py``):
+The RSelect, SmallRadius, assignment-probe and assignment-post properties
+take their example count from the Hypothesis profile (``tests/hypothesis_profiles.py``):
 ``tier1`` by default, ten times deeper under ``HYPOTHESIS_PROFILE=ci``.  The
 others fix theirs.
 """
@@ -113,7 +115,7 @@ def _assert_collective_matches_serial(truth, players, stack, sample_size, noisy,
     assert next_draw == ctx_serial.randomness.generator.integers(0, 2**63)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(PROFILE)
 @given(data=st.data())
 def test_rselect_collective_matches_serial(data):
     n_players = data.draw(st.integers(1, 12), label="n_players")
@@ -132,7 +134,17 @@ def test_rselect_collective_matches_serial(data):
     truth = rng.integers(0, 2, size=(n_players, n_objects), dtype=np.uint8)
     # Candidates near each player's truth, so votes are not all one-sided.
     stack = (truth[:, None, :] ^ (rng.random((n_players, k, n_objects)) < 0.3)).astype(np.uint8)
-    # Duplicated candidate rows give (0, 0)-tie rounds: no draw, no probe.
+    if data.draw(st.booleans(), label="cluster_shared"):
+        # Shared rows, as CalculatePreferences hands every member of a
+        # cluster its cluster's vector: per slot, 1 to n_players distinct
+        # rows, each player holding a drawn one.  Every slot draws from one
+        # pool, so some players' pairs do not differ at all.
+        pool = stack[rng.integers(0, n_players, size=n_players + k), rng.integers(0, k)]
+        for slot in range(k):
+            n_distinct = data.draw(st.integers(1, n_players), label="n_distinct")
+            rows = rng.choice(pool.shape[0], size=n_distinct, replace=False)
+            stack[:, slot] = pool[rows[rng.integers(0, n_distinct, size=n_players)]]
+    # Identical slots give (0, 0)-tie rounds: no draw, no probe.
     for source, target in data.draw(
         st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=3),
         label="duplicates",
@@ -389,49 +401,43 @@ def test_probe_assignment_matches_probe_objects_loop(data):
 
 
 # ---------------------------------------------------------------------------
-# post_report_pairs == the dense board written pair by pair
+# post_report_assignment == the dense board written entry by entry
 # ---------------------------------------------------------------------------
 @settings(PROFILE)
 @given(data=st.data())
-def test_post_report_pairs_matches_dense_reference(data):
+def test_post_report_assignment_matches_dense_reference(data):
     # Player counts that are not multiples of eight: the last byte of every
     # packed row is partial.
     n_players = 8 * data.draw(st.integers(0, 4), label="full_bytes") + data.draw(
         st.integers(1, 7), label="tail_bits"
     )
     n_objects = data.draw(st.integers(1, 20), label="n_objects")
-    consistent = data.draw(st.booleans(), label="consistent")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     rng = np.random.default_rng(seed)
     board = BulletinBoard(n_players, n_objects)
     reference = DenseReferenceBoard(n_players, n_objects)
-    # Under consistent=True a report is a function of its cell.
-    cell_values = rng.integers(0, 2, size=(n_players, n_objects), dtype=np.uint8)
     for _ in range(data.draw(st.integers(1, 4), label="posts")):
-        n_pairs = data.draw(st.integers(1, 4 * n_players), label="n_pairs")
+        k = data.draw(st.integers(0, 2 * n_players), label="k")
         if data.draw(st.booleans(), label="crowded"):
-            # Pairs crowd into one byte of players and a few objects, so
-            # many pairs share a byte and cells repeat.
+            # Every prober comes from one byte of players, so object rows
+            # repeat players and a column's cells share a bit position.
             byte = int(rng.integers(0, (n_players + 7) // 8))
             low, high = 8 * byte, min(8 * byte + 8, n_players)
-            players = rng.integers(low, high, size=n_pairs)
-            objects = rng.integers(0, min(n_objects, 2), size=n_pairs)
+            probers = rng.integers(low, high, size=(n_objects, k))
         else:
-            players = rng.integers(0, n_players, size=n_pairs)
-            objects = rng.integers(0, n_objects, size=n_pairs)
-        if consistent:
-            values = cell_values[players, objects]
-        else:  # repeated cells conflict, and the last one wins
-            values = rng.integers(0, 2, size=n_pairs, dtype=np.uint8)
-        duplicate = data.draw(st.booleans(), label="duplicate delivery")
+            probers = rng.integers(0, n_players, size=(n_objects, k))
+        # A repeated player's entries may conflict; the last one wins.
+        values = rng.integers(0, 2, size=(n_objects, k), dtype=np.uint8)
+        action = data.draw(st.sampled_from([None, "duplicate", "drop"]), label="delivery")
         plan = FaultPlan(
-            faults=(PlannedFault(site="board.post", point=0, action="duplicate"),)
-            if duplicate
+            faults=(PlannedFault(site="board.post", point=0, action=action),)
+            if action
             else ()
         )
         with installed(FaultInjector(plan, point=0, attempt=0)):
-            board.post_report_pairs("ch", players, objects, values, consistent=consistent)
-        reference.post_pairs(players, objects, values)
+            board.post_report_assignment("ch", probers, values)
+        if action != "drop":
+            reference.post_assignment(probers, values)
         got_values, got_posted = board_reports(board, "ch")
         np.testing.assert_array_equal(got_values, reference.values)
         np.testing.assert_array_equal(got_posted, reference.posted)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.preferences.generators import (
+    _flip_within_radius,
     claim2_lower_bound_instance,
     heterogeneous_cluster_instance,
     mixture_model_instance,
@@ -17,6 +18,7 @@ from repro.preferences.generators import (
     zero_radius_instance,
 )
 from repro.preferences.metrics import set_diameter
+from reference_loops import flip_within_radius_per_row, planted_clusters_per_row
 
 
 class TestZeroRadius:
@@ -56,6 +58,30 @@ class TestPlantedClusters:
         sizes = np.bincount(inst.cluster_of)
         assert sizes.min() >= 31 // 4
         assert sizes.sum() == 31
+
+    # Diameters 0 (no draw at all), 1 (radius 0), 2 (most rows flip 0 or
+    # 1 positions), wider ones, and the whole width.
+    @pytest.mark.parametrize("diameter", [0, 1, 2, 9, 40, 57])
+    @pytest.mark.parametrize("n_clusters", [1, 3, 7])
+    def test_matches_the_per_row_flip_loop(self, diameter, n_clusters):
+        inst = planted_clusters_instance(45, 57, n_clusters, diameter, seed=diameter)
+        want = planted_clusters_per_row(45, 57, n_clusters, diameter, seed=diameter)
+        np.testing.assert_array_equal(inst.preferences, want)
+
+    @pytest.mark.parametrize("radius", [0, 1, 3, 16, 17, 40])
+    def test_flips_match_the_per_row_loop_at_any_radius(self, radius):
+        # Radii at and beyond the width of 17 flip at most every position;
+        # radius 1 leaves about half the rows unflipped.
+        center = np.random.default_rng(1).integers(0, 2, size=17, dtype=np.uint8)
+        rng, reference_rng = np.random.default_rng(radius), np.random.default_rng(radius)
+        got = _flip_within_radius(center, radius, 30, rng)
+        want = flip_within_radius_per_row(center, radius, 30, reference_rng)
+        np.testing.assert_array_equal(got, want)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        distances = (got != center).sum(axis=1)
+        assert distances.max() <= min(radius, 17)
+        if radius == 1:
+            assert (distances == 0).any() and (distances == 1).any()
 
     def test_invalid_diameter(self):
         with pytest.raises(ConfigurationError):

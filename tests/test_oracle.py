@@ -31,6 +31,21 @@ class TestConstruction:
             with pytest.raises(ConfigurationError, match="binary"):
                 ProbeOracle(truth)
 
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.uint8])
+    def test_accepts_a_binary_truth_of_any_integer_dtype(self, truth, dtype):
+        oracle = ProbeOracle(truth.astype(dtype))
+        assert oracle.ground_truth().dtype == np.uint8
+        np.testing.assert_array_equal(oracle.ground_truth(), truth)
+
+    @pytest.mark.parametrize(
+        "value,dtype", [(2, np.uint8), (-1, np.int64), (0.5, np.float64)]
+    )
+    def test_rejects_a_non_binary_cell_of_each_dtype(self, value, dtype):
+        truth = np.zeros((3, 70), dtype=dtype)
+        truth[2, 69] = value
+        with pytest.raises(ConfigurationError, match="binary"):
+            ProbeOracle(truth)
+
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ConfigurationError):
             ProbeOracle(np.zeros(5))

@@ -66,12 +66,12 @@ def test_random_posting_history_matches_dense_reference(n_players, n_objects):
             board.post_reports("ch", player, objects, values)
             reference.post_reports(player, objects, values)
         elif kind == 1:
-            m = int(rng.integers(1, 3 * n_objects))
-            players = rng.integers(0, n_players, size=m)
-            objects = rng.integers(0, n_objects, size=m)
-            values = rng.integers(0, 2, size=m, dtype=np.uint8)
-            board.post_report_pairs("ch", players, objects, values)
-            reference.post_pairs(players, objects, values)
+            # An assignment: a player may repeat within an object row.
+            k = int(rng.integers(0, 4))
+            probers = rng.integers(0, n_players, size=(n_objects, k))
+            values = rng.integers(0, 2, size=(n_objects, k), dtype=np.uint8)
+            board.post_report_assignment("ch", probers, values)
+            reference.post_assignment(probers, values)
         else:
             # Full-player posts, or unsorted players with repeats; objects
             # unsorted with repeats.  Repeats keep their last row/column.
@@ -108,18 +108,23 @@ def test_full_player_block_posts_alike_in_either_memory_order(n_players, n_objec
     np.testing.assert_array_equal(got_posted, reference.posted)
 
 
-def test_duplicate_pairs_resolve_last_wins_like_a_loop():
+def test_player_repeated_in_an_object_row_resolves_last_wins_like_a_loop():
     board = BulletinBoard(6, 10)
     loop_board = BulletinBoard(6, 10)
-    players = np.asarray([2, 2, 3, 2, 3, 2])
-    objects = np.asarray([4, 4, 4, 4, 7, 4])
-    values = np.asarray([1, 0, 1, 1, 0, 0], dtype=np.uint8)
-    board.post_report_pairs("ch", players, objects, values)
-    for player, obj, value in zip(players, objects, values):
-        loop_board.post_reports("ch", int(player), np.asarray([obj]), np.asarray([value]))
+    probers = np.tile(np.asarray([1, 4, 1, 0, 1]), (10, 1))
+    probers[4] = [2, 2, 3, 2, 2]
+    probers[7] = [3, 3, 3, 3, 3]
+    values = np.random.default_rng(4).integers(0, 2, size=(10, 5), dtype=np.uint8)
+    values[4] = [1, 0, 1, 1, 0]
+    values[7] = [0, 1, 1, 0, 1]
+    board.post_report_assignment("ch", probers, values)
+    for obj in range(10):
+        for player, value in zip(probers[obj], values[obj]):
+            loop_board.post_reports("ch", int(player), np.asarray([obj]), np.asarray([value]))
     assert_same_board(board, loop_board)
-    # The final duplicate (2, 4) carries 0 — last wins.
-    assert board_reports(board, "ch")[0][2, 4] == 0
+    # The last entries of (2, 4) and (3, 7) carry 0 and 1: last wins.
+    reported = board_reports(board, "ch")[0]
+    assert reported[2, 4] == 0 and reported[3, 4] == 1 and reported[3, 7] == 1
 
 
 def test_every_dropped_repeat_counts_as_dedup_dropped():
@@ -129,23 +134,12 @@ def test_every_dropped_repeat_counts_as_dedup_dropped():
         board.post_report_block(
             "ch", np.asarray([3, 0, 3]), np.asarray([5, 5, 2]), np.zeros((3, 3), dtype=np.uint8)
         )
-        board.post_report_pairs("ch", np.asarray([1, 1, 5]), np.asarray([7, 7, 7]), np.ones(3))
-        # Distinct indices drop nothing.
+        # Distinct indices drop nothing, and an assignment post writes
+        # every entry, a player repeated in a row included.
         board.post_reports("ch", 0, np.asarray([9, 8]), np.asarray([1, 1]))
-    # Two repeats of object 4, a repeated player and object, a repeated cell.
-    assert telemetry.report().counters["board.dedup_dropped"] == 2 + 2 + 1
-
-
-def test_consistent_flag_matches_dedup_for_equal_valued_duplicates():
-    rng = np.random.default_rng(0)
-    truth = rng.integers(0, 2, size=(9, 15), dtype=np.uint8)
-    players = rng.integers(0, 9, size=60)
-    objects = rng.integers(0, 15, size=60)
-    values = truth[players, objects]  # pure function of the cell
-    fast, slow = BulletinBoard(9, 15), BulletinBoard(9, 15)
-    fast.post_report_pairs("ch", players, objects, values, consistent=True)
-    slow.post_report_pairs("ch", players, objects, values)
-    assert_same_board(fast, slow)
+        board.post_report_assignment("ch", np.full((10, 2), 1), np.ones((10, 2)))
+    # Two repeats of object 4, a repeated player and object.
+    assert telemetry.report().counters["board.dedup_dropped"] == 2 + 2
 
 
 class TestOwnershipAndIntegrity:
@@ -156,7 +150,9 @@ class TestOwnershipAndIntegrity:
         with pytest.raises(ConfigurationError):
             board.post_reports("ch", 0, np.asarray([6]), np.asarray([1]))
         with pytest.raises(ConfigurationError):
-            board.post_report_pairs("ch", np.asarray([4]), np.asarray([0]), np.asarray([1]))
+            board.post_report_assignment("ch", np.full((6, 1), 4), np.ones((6, 1)))
+        with pytest.raises(ConfigurationError):
+            board.post_report_assignment("ch", np.full((6, 1), -1), np.ones((6, 1)))
         with pytest.raises(ConfigurationError):
             board.post_report_block(
                 "ch", np.asarray([0]), np.asarray([9]), np.zeros((1, 1), dtype=np.uint8)
@@ -164,8 +160,16 @@ class TestOwnershipAndIntegrity:
 
     def test_non_binary_and_misaligned_rejected(self):
         board = BulletinBoard(4, 6)
+        values = np.ones((6, 2), dtype=np.uint8)
+        values[3, 1] = 5
         with pytest.raises(ConfigurationError):
-            board.post_report_pairs("ch", np.asarray([0]), np.asarray([0]), np.asarray([5]))
+            board.post_report_assignment("ch", np.zeros((6, 2), dtype=np.int64), values)
+        with pytest.raises(ConfigurationError):  # not one row per object
+            board.post_report_assignment("ch", np.zeros((5, 2), dtype=np.int64), values[:5])
+        with pytest.raises(ConfigurationError):  # values not aligned
+            board.post_report_assignment("ch", np.zeros((6, 2), dtype=np.int64), values[:, :1])
+        with pytest.raises(ConfigurationError):  # not an assignment matrix
+            board.post_report_assignment("ch", np.zeros(6, dtype=np.int64), np.ones(6))
         with pytest.raises(ConfigurationError):
             board.post_report_block(
                 "ch", np.asarray([0, 1]), np.asarray([0]), np.zeros((1, 1), dtype=np.uint8)
@@ -215,10 +219,9 @@ class TestBoardSnapshots:
         rng = np.random.default_rng(11)
         source, target = BulletinBoard(13, 21), BulletinBoard(13, 21)
         for channel in ("d1/a", "d1/b"):
-            players = rng.integers(0, 13, size=40)
-            objects = rng.integers(0, 21, size=40)
-            values = rng.integers(0, 2, size=40, dtype=np.uint8)
-            source.post_report_pairs(channel, players, objects, values)
+            probers = rng.integers(0, 13, size=(21, 2))
+            values = rng.integers(0, 2, size=(21, 2), dtype=np.uint8)
+            source.post_report_assignment(channel, probers, values)
         target.absorb_channels(source.export_channels("d1/"))
         assert_same_board(target, source)
         assert target.channel_stats() == source.channel_stats()
@@ -281,12 +284,11 @@ class TestBoardReductions:
         board = BulletinBoard(n_players, n_objects)
         reference = DenseReferenceBoard(n_players, n_objects)
         for _ in range(12):
-            m = int(rng.integers(1, 40))
-            players = rng.integers(0, n_players, size=m)
-            objects = rng.integers(0, n_objects, size=m)
-            values = rng.integers(0, 2, size=m, dtype=np.uint8)
-            board.post_report_pairs("ch", players, objects, values)
-            reference.post_pairs(players, objects, values)
+            k = int(rng.integers(1, 4))
+            probers = rng.integers(0, n_players, size=(n_objects, k))
+            values = rng.integers(0, 2, size=(n_objects, k), dtype=np.uint8)
+            board.post_report_assignment("ch", probers, values)
+            reference.post_assignment(probers, values)
         _, posted = board_reports(board, "ch")
         for obj in range(n_objects):
             np.testing.assert_array_equal(

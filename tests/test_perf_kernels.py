@@ -28,13 +28,19 @@ from repro.perf import (
     pairwise_hamming,
     popcount,
 )
+from repro.perf.bitset import _transpose
 from repro.players.base import ReportingStrategy
 from repro.preferences.generators import planted_clusters_instance
 from repro.protocols.context import make_context
 from repro.protocols.small_radius import small_radius
 from repro.simulation.board import BulletinBoard
 from repro.simulation.oracle import ProbeOracle
-from reference_loops import assert_same_execution, board_reports, small_radius_per_subset
+from reference_loops import (
+    assert_same_board,
+    assert_same_execution,
+    board_reports,
+    small_radius_per_subset,
+)
 
 # Widths straddling byte boundaries, including non-multiples of 8.
 WIDTHS = [1, 3, 7, 8, 9, 13, 16, 17, 31, 64, 65, 100, 130]
@@ -320,40 +326,68 @@ def test_cluster_players_incremental_matches_recompute_reference():
 
 
 # ---------------------------------------------------------------------------
-# Board bulk pairs API and oracle fast path
+# Blocked transpose
 # ---------------------------------------------------------------------------
-def test_post_report_pairs_matches_per_player_loop():
+# Row and column counts below, at and beyond one block of 64 rows.
+@pytest.mark.parametrize("shape", [(1, 1), (5, 130), (63, 2), (64, 64), (65, 7), (200, 129)])
+@pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64])
+def test_blocked_transpose_equals_dot_t(shape, dtype):
+    matrix = np.random.default_rng(shape[0]).integers(0, 2, size=shape).astype(dtype)
+    got = _transpose(matrix)
+    assert got.dtype == matrix.dtype and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, matrix.T)
+    # Into a uint8 array, as the oracle stores its truth of any dtype.
+    out = np.empty(shape[::-1], dtype=np.uint8)
+    assert _transpose(matrix, out) is out
+    np.testing.assert_array_equal(out, matrix.T)
+
+
+def test_noisy_oracle_answers_the_transposed_truth_through_its_flips():
+    # The noisy channel transposes its player-major flip draw with the
+    # blocked helper; shapes that are not multiples of 64.
+    truth = np.random.default_rng(2).integers(0, 2, size=(70, 131), dtype=np.uint8)
+    oracle = ProbeOracle(truth, noise_rate=0.3, noise_seed=9)
+    flips = np.random.default_rng(9).random(truth.shape) < 0.3
+    block = oracle.probe_block(np.arange(70), np.arange(131))
+    np.testing.assert_array_equal(block, truth ^ flips)
+    np.testing.assert_array_equal(oracle.ground_truth(), truth)
+
+
+# ---------------------------------------------------------------------------
+# Board assignment post and oracle fast path
+# ---------------------------------------------------------------------------
+def test_post_report_assignment_matches_per_player_loop():
     rng = np.random.default_rng(10)
     n_players, n_objects = 12, 20
-    players = rng.integers(0, n_players, size=60)
-    objects = rng.integers(0, n_objects, size=60)
-    values = rng.integers(0, 2, size=60)
+    # Players repeat within object rows (last wins) and across them.
+    probers = rng.integers(0, n_players, size=(n_objects, 3))
+    values = rng.integers(0, 2, size=(n_objects, 3))
 
     loop_board = BulletinBoard(n_players, n_objects)
+    players = probers.reshape(-1)
+    objects = np.repeat(np.arange(n_objects), 3)
     for player in np.unique(players):
         mask = players == player
-        loop_board.post_reports("ch", int(player), objects[mask], values[mask])
+        loop_board.post_reports("ch", int(player), objects[mask], values.reshape(-1)[mask])
 
     bulk_board = BulletinBoard(n_players, n_objects)
-    order = np.argsort(players, kind="stable")
-    bulk_board.post_report_pairs("ch", players[order], objects[order], values[order])
+    bulk_board.post_report_assignment("ch", probers, values)
 
-    loop_matrix, loop_posted = board_reports(loop_board, "ch")
-    bulk_matrix, bulk_posted = board_reports(bulk_board, "ch")
-    assert np.array_equal(loop_posted, bulk_posted)
-    assert np.array_equal(loop_matrix[loop_posted], bulk_matrix[bulk_posted])
+    assert_same_board(bulk_board, loop_board)
 
 
-def test_post_report_pairs_validates():
+def test_post_report_assignment_validates():
     board = BulletinBoard(4, 4)
+    ones = np.ones((4, 1), dtype=np.uint8)
     with pytest.raises(ConfigurationError):
-        board.post_report_pairs("ch", np.asarray([5]), np.asarray([0]), np.asarray([1]))
+        board.post_report_assignment("ch", np.full((4, 1), 5), ones)
     with pytest.raises(ConfigurationError):
-        board.post_report_pairs("ch", np.asarray([0]), np.asarray([9]), np.asarray([1]))
+        board.post_report_assignment("ch", np.zeros((9, 1), dtype=np.int64), np.ones((9, 1)))
     with pytest.raises(ConfigurationError):
-        board.post_report_pairs("ch", np.asarray([0]), np.asarray([0]), np.asarray([2]))
+        board.post_report_assignment("ch", np.zeros((4, 1), dtype=np.int64), 2 * ones)
     with pytest.raises(ConfigurationError):
-        board.post_report_pairs("ch", np.asarray([0, 1]), np.asarray([0]), np.asarray([1]))
+        board.post_report_assignment("ch", np.zeros((4, 2), dtype=np.int64), ones)
+    assert board.channels() == []
 
 
 def test_probe_block_duplicate_and_unsorted_objects_charge_once():

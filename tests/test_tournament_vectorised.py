@@ -15,7 +15,8 @@ on random instances including dishonest reporters and the noisy oracle:
 Plus the ``packed_pair_vote`` kernel against an unpacked reference, the
 RSelect survivor-fallback regression, and the collective tournament's two
 helpers: the exact smallest-key selection (including rows its prefilter
-leaves short) and the rank-select of differing positions.
+leaves short) and the labelling of each slot's distinct candidate rows
+(also with every row forced to one hash).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.players.adversaries import (
 )
 from repro.preferences.generators import PlantedInstance, planted_clusters_instance
 from repro.protocols.rselect import (
-    _set_bit_positions,
+    _slot_labels,
     _smallest_keys,
     rselect,
     rselect_collective,
@@ -53,6 +54,7 @@ from reference_loops import (
 )
 
 _SMALL_RADIUS_MODULE = sys.modules["repro.protocols.small_radius"]
+_RSELECT_MODULE = sys.modules["repro.protocols.rselect"]
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +172,38 @@ def test_smallest_keys_matches_per_row_selection_when_the_prefilter_falls_short(
         np.testing.assert_array_equal(got, smallest[np.argsort(row_keys[smallest])])
 
 
-@pytest.mark.parametrize("n_bits", [1, 7, 8, 13, 64, 65, 200])
-def test_set_bit_positions_match_unpacked_flatnonzero(n_bits):
+@pytest.mark.parametrize("hashed", [True, False], ids=["row-hash", "one-hash"])
+@pytest.mark.parametrize("n_bits", [1, 7, 64, 65, 200])
+def test_slot_labels_name_equal_rows_alike_and_unequal_rows_apart(
+    n_bits, hashed, monkeypatch
+):
+    # A zero multiplier hashes every row to 0, so the sort keeps the player
+    # order and equal rows lie apart: the labels must still never join two
+    # unequal rows, and each label's words must be its rows' words.
+    if not hashed:
+        monkeypatch.setattr(_RSELECT_MODULE, "_ROW_HASH_MULTIPLIER", 0)
     rng = np.random.default_rng(n_bits)
-    bits = (rng.random((6, n_bits)) < 0.4).astype(np.uint8)
-    bits[2] = 0  # a row without set bits
-    bits[4] = 1  # a row with every bit set
-    words = _as_words(pack_bits(bits).data)
-    flat = np.flatnonzero(bits.ravel())
-    got = _set_bit_positions(words, _popcount_words(words), np.arange(flat.size))
-    np.testing.assert_array_equal(got, flat % n_bits)
+    n_players, k = 40, 4
+    # Per slot a few distinct rows (slot 0: one; the last slot: every row
+    # its own), drawn in a random order.
+    stack = np.empty((n_players, k, n_bits), dtype=np.uint8)
+    for slot, n_distinct in enumerate((1, 3, 7, n_players)):
+        distinct = rng.integers(0, 2, size=(n_distinct, n_bits), dtype=np.uint8)
+        stack[:, slot] = distinct[rng.integers(0, n_distinct, size=n_players)]
+    words = _as_words(pack_bits(stack).data)
+    labels, label_words = _slot_labels(words)
+    assert labels.shape == (n_players, k)
+    for slot in range(k):
+        rows = stack[:, slot]
+        same_label = labels[:, slot, None] == labels[None, :, slot]
+        same_row = (rows[:, None, :] == rows[None, :, :]).all(axis=-1)
+        # Equal labels mean equal rows: unequal rows never share a label.
+        assert not (same_label & ~same_row).any()
+        if hashed:
+            # Without collisions every distinct row has exactly one label.
+            np.testing.assert_array_equal(same_label, same_row)
+        assert sorted(set(labels[:, slot].tolist())) == list(range(len(label_words[slot])))
+        np.testing.assert_array_equal(label_words[slot][labels[:, slot]], words[:, slot])
 
 
 # ---------------------------------------------------------------------------
