@@ -11,8 +11,10 @@ parameter point, or instance size.  This module fans them across a
   stream, both built on :func:`repro._typing.spawn_generators`), never
   from execution order;
 * results are returned in submission order, not completion order;
-* ``n_workers=1`` (the default) bypasses the pool entirely and runs the
-  exact serial path the seed implementation ran;
+* ``n_workers=1`` (the default) bypasses the pool entirely: the same retry
+  loop runs each point in-process when it collects it, which with no
+  resilience feature engaged is the exact serial path the seed
+  implementation ran;
 * a failed attempt leaves no trace — trials are pure functions of their
   arguments, so re-running a crashed, timed-out or transiently-failed point
   from scratch reproduces exactly what an undisturbed run would have
@@ -51,10 +53,11 @@ traceback.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -62,6 +65,7 @@ from typing import Any, Callable, Sequence
 
 from repro._typing import spawn_seeds
 from repro.errors import ExperimentError, InjectedCrash, OracleTimeout
+from repro.faults.chaos import STAT_KEYS
 from repro.faults.journal import TrialJournal, point_key, resolve_trial_ref
 from repro.faults.plan import FaultPlan
 from repro.faults.runtime import FaultInjector, installed
@@ -79,15 +83,6 @@ __all__ = [
 
 #: Upper bound on one backoff sleep, whatever the attempt count.
 BACKOFF_CAP_S = 2.0
-
-#: Keys guaranteed present in a ``stats=`` dictionary after a run.
-STAT_KEYS: tuple[str, ...] = (
-    "injected",
-    "retried",
-    "pool_restarts",
-    "timeouts",
-    "journal_flushes",
-)
 
 
 def default_worker_count() -> int:
@@ -190,76 +185,30 @@ def _init_stats(stats: dict | None) -> dict:
     return stats
 
 
-def _run_serial(
-    trial: Callable[..., Any],
-    tasks: list[tuple],
-    remaining: list[int],
-    results: dict[int, Any],
-    retries: int,
-    backoff: float,
-    plan: FaultPlan | None,
-    journal: TrialJournal | None,
-    stats: dict,
-    telemetry: Telemetry | None,
-    on_result,
-) -> None:
-    """The in-process path: the exact seed execution when no resilience
-    features are engaged, and the same retry semantics as the pool when
-    they are (injected crashes are simulated as exceptions).
+class _Deferred(functools.partial):
+    """A point that :class:`_InProcess` runs when its result is collected."""
 
-    Under an ambient telemetry collection each trial still runs in its own
-    window (``collect=True``) and is absorbed on success, exactly like the
-    pool path — the uniformity is what makes the merged telemetry identical
-    for every worker count, and it discards failed attempts' telemetry on
-    the retry path for free.
+    def result(self, timeout: float | None = None) -> Any:
+        return self()
+
+    def cancel(self) -> bool:
+        return True
+
+
+class _InProcess(Executor):
+    """The executor of the in-process path (its ``shutdown`` is a no-op).
+
+    A submitted point runs only when the loop collects its result, so the
+    points run one at a time in point order, each result lands before the
+    next point starts, and a failure that exhausts its attempts leaves the
+    later points unstarted.
     """
-    plain = retries == 0 and plan is None
-    collect = telemetry is not None
-    for index in remaining:
-        task = tasks[index]
-        attempt = 0
-        while True:
-            try:
-                _, result, events, report = _execute_point(
-                    trial, task, index, attempt, plan, in_worker=False,
-                    collect=collect,
-                )
-            except Exception as error:
-                if journal is not None:
-                    journal.record_event(
-                        event="attempt-failed",
-                        index=index,
-                        attempt=attempt,
-                        error=repr(error),
-                    )
-                if plain:
-                    # Historical contract: the serial engine propagates the
-                    # trial's own exception untouched.
-                    raise
-                stats["injected"] += isinstance(error, (InjectedCrash, OracleTimeout))
-                if attempt >= retries:
-                    raise ExperimentError(
-                        f"trial failed at point {index} with arguments "
-                        f"{task!r} after {attempt + 1} attempt(s)"
-                    ) from error
-                _sleep_backoff(backoff, attempt)
-                attempt += 1
-                stats["retried"] += 1
-                continue
-            stats["injected"] += len(events)
-            if journal is not None:
-                for event in events:
-                    journal.record_event(event="fault", **event)
-                journal.record_result(index, attempt, point_key(task), result)
-            if telemetry is not None and report is not None:
-                telemetry.absorb(report)
-            results[index] = result
-            if on_result is not None:
-                on_result(index, result)
-            break
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> _Deferred:
+        return _Deferred(fn, *args)
 
 
-def _run_pool(
+def _run_points(
     trial: Callable[..., Any],
     tasks: list[tuple],
     remaining: list[int],
@@ -274,32 +223,48 @@ def _run_pool(
     telemetry: Telemetry | None,
     on_result,
 ) -> None:
-    """The process-pool path with pool-restart, retry and timeout handling.
+    """The retry loop: run the remaining points and collect them in point
+    order, retrying failed attempts.
 
-    Worker processes have no ambient telemetry of their own, so when the
-    parent is collecting, each point runs with ``collect=True`` and ships
-    its :class:`TraceReport` back through the result pickle; the parent
-    absorbs reports at the same submission-order collection point where
-    results land, so the merged telemetry is deterministic.
+    With ``n_workers > 1`` and more than one point the points fan across a
+    process pool, with pool-restart and timeout handling.  Otherwise they
+    run in-process (:class:`_InProcess`) under the same bookkeeping: a
+    planned crash raises :class:`~repro.errors.InjectedCrash` instead of
+    killing a worker, ``timeout_s`` is ignored (a single process cannot
+    preempt itself), and with no resilience feature engaged the trial's own
+    exception propagates untouched, the historical serial contract.
+
+    Under an ambient telemetry collection every point runs in its own
+    window (``collect=True``), in-process or in a worker, and its
+    :class:`TraceReport` is absorbed when the point's result lands, in
+    submission order.  That uniformity makes the merged telemetry identical
+    for every worker count and discards failed attempts' telemetry for free.
     """
-    _check_picklable(trial, tasks[remaining[0]])
-    width = min(n_workers, len(remaining))
-    pool = ProcessPoolExecutor(max_workers=width)
+    pooled = n_workers > 1 and len(remaining) > 1
+    if pooled:
+        _check_picklable(trial, tasks[remaining[0]])
+        executor = ProcessPoolExecutor(max_workers=min(n_workers, len(remaining)))
+    else:
+        executor = _InProcess()
+    plain = not pooled and retries == 0 and plan is None
+    # Only a pool wait can time out; an in-process trial's own TimeoutError
+    # is an ordinary failure.
+    wait_timeout = (FuturesTimeout,) if pooled else ()
     attempts = {index: 0 for index in remaining}
     saw_timeout = False
     collect = telemetry is not None
 
     def submit(index: int):
-        return pool.submit(
+        return executor.submit(
             _execute_point, trial, tasks[index], index, attempts[index], plan,
-            True, collect,
+            pooled, collect,
         )
 
     def abandon(error: BaseException, index: int) -> ExperimentError:
         """Cancel every pending sibling and wrap the failure with context."""
         for future in futures.values():
             future.cancel()
-        pool.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=False, cancel_futures=True)
         return ExperimentError(
             f"trial failed at point {index} with arguments {tasks[index]!r} "
             f"after {attempts[index] + 1} attempt(s)"
@@ -311,7 +276,7 @@ def _run_pool(
             index = min(futures)  # collect in submission (point) order
             try:
                 _, result, events, report = futures[index].result(timeout=timeout_s)
-            except FuturesTimeout as error:
+            except wait_timeout as error:
                 saw_timeout = True
                 stats["timeouts"] += 1
                 if journal is not None:
@@ -353,8 +318,8 @@ def _run_pool(
                 for i in blamed:
                     attempts[i] += 1
                     stats["retried"] += 1
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(
+                executor.shutdown(wait=False, cancel_futures=True)
+                executor = ProcessPoolExecutor(
                     max_workers=min(n_workers, len(futures))
                 )
                 futures = {i: submit(i) for i in sorted(futures)}
@@ -367,6 +332,10 @@ def _run_pool(
                         attempt=attempts[index],
                         error=repr(error),
                     )
+                if plain:
+                    # Historical contract: the in-process engine propagates
+                    # the trial's own exception untouched.
+                    raise
                 stats["injected"] += isinstance(error, (InjectedCrash, OracleTimeout))
                 if attempts[index] >= retries:
                     raise abandon(error, index) from error
@@ -392,7 +361,7 @@ def _run_pool(
         # A timed-out worker may still be inside its stalled trial; waiting
         # for it would block the caller on exactly the hang the timeout was
         # meant to survive.
-        pool.shutdown(wait=not saw_timeout, cancel_futures=True)
+        executor.shutdown(wait=not saw_timeout, cancel_futures=True)
 
 
 def run_trials(
@@ -486,19 +455,12 @@ def run_trials(
         remaining = [index for index in range(len(tasks)) if index not in results]
         if not remaining:
             return [results[index] for index in range(len(tasks))]
-        if n_workers <= 1 or len(remaining) <= 1:
-            _run_serial(
-                trial, tasks, remaining, results,
-                retries, backoff, fault_plan, journal_obj, stats, telemetry,
-                on_result,
-            )
-        else:
-            _run_pool(
-                trial, tasks, remaining, results,
-                n_workers, retries, backoff, timeout_s,
-                fault_plan, journal_obj, stats, telemetry,
-                on_result,
-            )
+        _run_points(
+            trial, tasks, remaining, results,
+            n_workers, retries, backoff, timeout_s,
+            fault_plan, journal_obj, stats, telemetry,
+            on_result,
+        )
     finally:
         if journal_obj is not None:
             stats["journal_flushes"] += journal_obj.flushes

@@ -5,9 +5,10 @@ The package splits chaos into four small layers:
 * :mod:`~repro.faults.plan` — *what* breaks: picklable
   :class:`~repro.faults.plan.FaultPlan` schedules addressing faults by
   ``(site, point, attempt, occurrence)``;
-* :mod:`~repro.faults.runtime` — *how* it fires: the ambient
-  :class:`~repro.faults.runtime.FaultInjector` the oracle/board gates
-  consult (a single ``is None`` check when no chaos is active);
+* :mod:`~repro.faults.runtime` — *how* it fires: the
+  :class:`~repro.faults.runtime.FaultInjector` installed in the calling
+  thread's ambient slot, which the oracle, board and disk gates consult (a
+  single ``is None`` check when no chaos is active);
 * :mod:`~repro.faults.journal` — crash-safety: the append-only JSONL
   :class:`~repro.faults.journal.TrialJournal` behind ``run_trials``'s
   ``journal=`` checkpointing and ``resume_trials``;
@@ -46,8 +47,7 @@ from repro.faults.plan import (
 from repro.faults.runtime import (
     FaultEvent,
     FaultInjector,
-    board_fault_gate,
-    disk_fault_gate,
+    fault_gate,
     installed,
     oracle_fault_gate,
 )
@@ -62,9 +62,8 @@ __all__ = [
     "FaultPlan",
     "PlannedFault",
     "TrialJournal",
-    "board_fault_gate",
     "degraded_payload",
-    "disk_fault_gate",
+    "fault_gate",
     "fault_metrics",
     "fault_stats_note",
     "installed",

@@ -18,7 +18,17 @@ from typing import Any, Mapping
 from repro._typing import SeedLike
 from repro.faults.plan import FaultPlan, make_fault_plan
 
-__all__ = ["plan_from_spec", "fault_stats_note", "degraded_payload"]
+__all__ = [
+    "STAT_KEYS",
+    "plan_from_spec",
+    "fault_stats_note",
+    "degraded_payload",
+    "fault_metrics",
+]
+
+#: The trial engine's counters: every key is present in a ``stats=``
+#: dictionary after :func:`repro.analysis.runner.run_trials` returns.
+STAT_KEYS = ("injected", "retried", "pool_restarts", "timeouts", "journal_flushes")
 
 
 def plan_from_spec(faults: Any, n_points: int, seed: SeedLike = None) -> FaultPlan:
@@ -76,10 +86,9 @@ def degraded_payload(row: Mapping[str, Any]) -> dict[str, Any] | None:
 def fault_metrics(stats: Mapping[str, int]) -> dict[str, int]:
     """Structured fault/engine telemetry for the results-JSON ``metrics`` block.
 
-    Carries every :data:`repro.analysis.runner.STAT_KEYS` counter (injected
-    faults, retries, pool restarts, timeouts, journal flushes) as plain
-    integers, so downstream tooling parses numbers instead of scraping the
-    :func:`fault_stats_note` free text.
+    Carries every :data:`STAT_KEYS` counter (injected faults, retries, pool
+    restarts, timeouts, journal flushes) as plain integers, so downstream
+    tooling parses numbers instead of scraping the :func:`fault_stats_note`
+    free text.
     """
-    fields = ("injected", "retried", "pool_restarts", "timeouts", "journal_flushes")
-    return {name: int(stats.get(name, 0)) for name in fields}
+    return {name: int(stats.get(name, 0)) for name in STAT_KEYS}

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.errors import ExperimentError
-from repro.faults.runtime import disk_fault_gate
+from repro.faults.runtime import fault_gate
 
 __all__ = [
     "AppendOnlyLog",
@@ -121,9 +121,6 @@ def parse_records(text: str) -> list[dict]:
     return records
 
 
-_parse_lines = parse_records
-
-
 class AppendOnlyLog:
     """A crash-safe append-only JSONL file: one record per line, flushed.
 
@@ -152,7 +149,7 @@ class AppendOnlyLog:
         loads as its valid prefix.
         """
         line = json.dumps(record, separators=(",", ":"), default=_json_default) + "\n"
-        action = disk_fault_gate("journal.append")
+        action = fault_gate("journal.append")
         if action == "error":
             raise OSError(errno.EIO, f"injected I/O error appending to {self.path}")
         if action == "enospc":
@@ -180,7 +177,7 @@ class AppendOnlyLog:
         if self._handle.closed:
             return
         self._handle.flush()
-        action = disk_fault_gate("journal.fsync")
+        action = fault_gate("journal.fsync")
         if action == "error":
             raise OSError(errno.EIO, f"injected fsync failure on {self.path}")
         os.fsync(self._handle.fileno())
@@ -238,7 +235,7 @@ class TrialJournal:
         path = Path(path)
         keys = [point_key(task) for task in tasks]
         if path.exists() and path.stat().st_size > 0:
-            records = _parse_lines(path.read_text(encoding="utf-8"))
+            records = parse_records(path.read_text(encoding="utf-8"))
             if not records or records[0].get("kind") != "header":
                 raise ExperimentError(
                     f"journal {path} has no valid header; refusing to resume"
@@ -288,7 +285,7 @@ class TrialJournal:
         path = Path(path)
         if not path.exists():
             raise ExperimentError(f"journal {path} does not exist")
-        records = _parse_lines(path.read_text(encoding="utf-8"))
+        records = parse_records(path.read_text(encoding="utf-8"))
         if not records or records[0].get("kind") != "header":
             raise ExperimentError(f"journal {path} has no valid header")
         return records[0]

@@ -1,13 +1,17 @@
 """The fault-injection runtime: ambient, countable, zero-cost when idle.
 
 A :class:`FaultInjector` binds one :class:`~repro.faults.plan.FaultPlan` to
-one ``(point, attempt)`` execution.  While installed (via :func:`installed`)
-it is visible process-wide through a module global, so the chaos-aware
-components — :class:`~repro.simulation.oracle.ProbeOracle` probe calls and
-:class:`~repro.simulation.board.BulletinBoard` report posts — can consult it
-from arbitrarily deep inside a trial without any plumbing through the
-protocol layer.  When nothing is installed (the default, and every
-non-chaos run) the gates are a single ``is None`` test.
+one ``(point, attempt)`` execution.  :func:`installed` puts it in the
+calling thread's ambient slot (:mod:`repro.obs.runtime`, the slot that
+also holds the telemetry collection), so the chaos-aware components (the
+:class:`~repro.simulation.oracle.ProbeOracle` probe calls, the
+:class:`~repro.simulation.board.BulletinBoard` report posts and the
+durability layer's disk writes) can consult it from arbitrarily deep inside
+a trial without any plumbing through the protocol layer.  A plan installed
+on one thread is invisible to every other thread; the preference server's
+``Session.submit`` carries the submitting thread's injector to the session
+worker.  When nothing is installed (the default, and every non-chaos run)
+the gates are a single ``is None`` test.
 
 Site calls are counted per execution in deterministic program order, which
 is what makes the plan's ``occurrence`` coordinate meaningful: "the 3rd
@@ -17,20 +21,20 @@ process and at every worker count.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator
+from contextlib import AbstractContextManager
+from dataclasses import asdict, dataclass
+from typing import Any
 
 from repro.errors import OracleTimeout
 from repro.faults.plan import FaultPlan, PlannedFault
+from repro.obs.runtime import _AMBIENT, installing
 
 __all__ = [
     "FaultEvent",
     "FaultInjector",
     "installed",
     "oracle_fault_gate",
-    "board_fault_gate",
-    "disk_fault_gate",
+    "fault_gate",
 ]
 
 
@@ -46,13 +50,7 @@ class FaultEvent:
 
     def as_record(self) -> dict:
         """Plain-JSON form for the trial journal."""
-        return {
-            "site": self.site,
-            "action": self.action,
-            "point": self.point,
-            "attempt": self.attempt,
-            "occurrence": self.occurrence,
-        }
+        return asdict(self)
 
 
 class FaultInjector:
@@ -84,25 +82,10 @@ class FaultInjector:
         return fault
 
 
-#: The installed injector, if any: one slot for the whole process, read by
-#: every thread.  A trial worker runs one execution at a time, but
-#: ``disk_fault_gate`` also runs on the server's per-session worker threads
-#: under a plan installed from another thread (the durability tests install
-#: from the test thread), so concurrent sessions under one plan share its
-#: occurrence counters: install a disk plan around one session's work only.
-_ACTIVE: FaultInjector | None = None
-
-
-@contextmanager
-def installed(injector: FaultInjector) -> Iterator[FaultInjector]:
-    """Install ``injector`` as the ambient fault source for the duration."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = injector
-    try:
-        yield injector
-    finally:
-        _ACTIVE = previous
+def installed(injector: FaultInjector | None) -> AbstractContextManager[Any]:
+    """Install ``injector`` (``None``: none) as this thread's fault source for
+    the duration; nesting restores the previous one on exit."""
+    return installing("faults", injector)
 
 
 def oracle_fault_gate() -> None:
@@ -112,7 +95,7 @@ def oracle_fault_gate() -> None:
     timeout at this call — *before* the oracle mutates any state, so a
     retried probe (or a retried trial) observes exactly the clean run.
     """
-    injector = _ACTIVE
+    injector = _AMBIENT.faults
     if injector is None:
         return
     fault = injector.record("oracle.probe")
@@ -120,35 +103,20 @@ def oracle_fault_gate() -> None:
         raise OracleTimeout(site="oracle.probe", occurrence=fault.occurrence)
 
 
-def disk_fault_gate(site: str) -> str | None:
-    """Called at the head of a durability-path disk operation.
+def fault_gate(site: str) -> str | None:
+    """Count one call of ``site``; return the action planned for it, if any.
 
-    ``site`` is one of the disk fault sites (``journal.append``,
-    ``journal.fsync``, ``checkpoint.write``).  Returns the planned action —
-    ``"error"`` / ``"enospc"`` / ``"short-write"`` / ``"corrupt"`` — or
-    ``None`` for a clean write.  The *caller* turns the action into the
-    concrete failure (raising :class:`OSError`, truncating the write,
-    flipping payload bytes) because only the caller knows what a partial
-    write of its record looks like; counting here keeps the occurrence
-    coordinate deterministic across every durability layer.
+    Called at the head of every board report post (``board.post``: a
+    ``"drop"`` silently discards the post, the graceful-degradation channel;
+    a ``"duplicate"`` applies it twice, bit-identical under last-wins) and of
+    every durability-path disk operation (``journal.append``,
+    ``journal.fsync``, ``checkpoint.write``).  The caller turns the action
+    into the concrete failure because only it knows what a partial write of
+    its record looks like; counting here keeps the occurrence coordinate
+    deterministic across every layer.
     """
-    injector = _ACTIVE
+    injector = _AMBIENT.faults
     if injector is None:
         return None
     fault = injector.record(site)
-    return fault.action if fault is not None else None
-
-
-def board_fault_gate() -> str | None:
-    """Called at the head of every BulletinBoard report-post method.
-
-    Returns the planned action — ``"drop"`` (the post silently vanishes;
-    the graceful-degradation channel) or ``"duplicate"`` (the post is
-    applied twice; idempotent by the board's last-wins semantics, so
-    bit-identical) — or ``None`` for a normal write.
-    """
-    injector = _ACTIVE
-    if injector is None:
-        return None
-    fault = injector.record("board.post")
     return fault.action if fault is not None else None

@@ -1,10 +1,11 @@
 """Observability: span tracing, a metrics registry, and trace transport.
 
 ``repro.obs`` is the measurement substrate of the repository: an ambient,
-zero-overhead-when-off layer (the :mod:`repro.faults.runtime` pattern — a
-single ``is None`` gate at every site) that the protocol stack, the
-simulation layer, the perf kernels and the trial engine all report into
-when a collection window is open.
+zero-overhead-when-off layer that the protocol stack, the simulation layer,
+the perf kernels and the trial engine all report into when a collection
+window is open.  The open collection sits in the calling thread's ambient
+slot (:mod:`repro.obs.runtime`), the one that also holds the fault
+injector, so every site's disabled path is a single ``is None`` gate.
 
 Three pieces:
 
@@ -19,8 +20,10 @@ Three pieces:
   span's dictionary), gauges, histograms and per-kernel timers.
 * **Trace transport** (:mod:`repro.obs.report`) — workers return picklable
   :class:`TraceReport`\\ s that :func:`repro.analysis.runner.run_trials`
-  merges in submission order, so aggregated telemetry is bit-identical for
-  any worker count (property-tested like everything else here).
+  folds into the parent collection (:meth:`Telemetry.absorb`, the one fold
+  :meth:`TraceReport.merged` also uses) in submission order, so aggregated
+  telemetry is bit-identical for any worker count (property-tested like
+  everything else here).
 
 Surfaces: ``python -m repro trace <scenario>`` renders the span tree,
 ``run``/``sweep`` ``--metrics`` embed the structured metrics block in

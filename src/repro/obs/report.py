@@ -23,38 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from repro.obs.metrics import combine_histograms, combine_timers
-
-__all__ = ["TraceReport", "merge_span_dicts", "render_span_tree"]
+__all__ = ["TraceReport", "render_span_tree"]
 
 
 def _empty_span(name: str) -> dict[str, Any]:
     return {"name": name, "n_calls": 0, "wall_s": 0.0, "counts": {}, "children": []}
-
-
-def merge_span_dicts(into: dict[str, Any], other: Mapping[str, Any]) -> None:
-    """Merge one span-tree dict into another in place (same-name nodes fold).
-
-    Call counts, wall times and counters add; children merge recursively by
-    name, with previously unseen names appended in ``other``'s order.  Merge
-    order therefore shapes child *insertion* order — the trial engine merges
-    in submission order, and :meth:`TraceReport.canonical` sorts children, so
-    neither rendering nor the determinism check depends on scheduling.
-    """
-    into["n_calls"] = int(into.get("n_calls", 0)) + int(other.get("n_calls", 0))
-    into["wall_s"] = float(into.get("wall_s", 0.0)) + float(other.get("wall_s", 0.0))
-    counts = into.setdefault("counts", {})
-    for key, value in other.get("counts", {}).items():
-        counts[key] = int(counts.get(key, 0)) + int(value)
-    children = into.setdefault("children", [])
-    by_name = {child["name"]: child for child in children}
-    for other_child in other.get("children", []):
-        mine = by_name.get(other_child["name"])
-        if mine is None:
-            mine = _empty_span(other_child["name"])
-            children.append(mine)
-            by_name[other_child["name"]] = mine
-        merge_span_dicts(mine, other_child)
 
 
 def _canonical_span(node: Mapping[str, Any]) -> dict[str, Any]:
@@ -133,21 +106,17 @@ class TraceReport:
         """Run-wide counters: the root span's (inclusive) count dictionary."""
         return {key: int(value) for key, value in self.spans.get("counts", {}).items()}
 
-    def merge(self, other: "TraceReport") -> "TraceReport":
-        """Fold ``other`` into this report in place and return ``self``."""
-        merge_span_dicts(self.spans, other.spans)
-        self.gauges.update(other.gauges)
-        combine_histograms(self.histograms, other.histograms)
-        combine_timers(self.timers, other.timers)
-        return self
-
     @staticmethod
     def merged(reports: Iterable["TraceReport"]) -> "TraceReport":
-        """Merge many reports left to right into a fresh one."""
-        result = TraceReport()
+        """Fold many reports left to right into a fresh one, through the
+        fold the trial engine applies to worker reports
+        (:meth:`~repro.obs.spans.Telemetry.absorb`)."""
+        from repro.obs.spans import Telemetry  # spans imports this module
+
+        telemetry = Telemetry()
         for report in reports:
-            result.merge(report)
-        return result
+            telemetry.absorb(report)
+        return telemetry.report()
 
     def canonical(self) -> dict[str, Any]:
         """The determinism-checked form (no wall clocks, sorted structure)."""
@@ -182,14 +151,9 @@ class TraceReport:
         return walk(self.spans)
 
     def as_payload(self) -> dict[str, Any]:
-        """Plain-JSON form carrying every metric family."""
-        return {
-            "spans": self.spans,
-            "counters": self.counters,
-            "gauges": dict(self.gauges),
-            "histograms": {name: dict(s) for name, s in self.histograms.items()},
-            "timers": {name: dict(t) for name, t in self.timers.items()},
-        }
+        """Plain-JSON form carrying every metric family: the span tree
+        followed by :meth:`metrics_block`."""
+        return {"spans": self.spans, **self.metrics_block()}
 
     def metrics_block(self) -> dict[str, Any]:
         """The structured ``metrics`` entry for results-JSON tables.

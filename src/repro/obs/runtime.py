@@ -1,14 +1,17 @@
 """The observability runtime: ambient, gated, zero-cost when idle.
 
-Modelled directly on :mod:`repro.faults.runtime`: a thread-local slot holds
-the installed :class:`~repro.obs.spans.Telemetry` (or ``None``, the default
-and every untraced run), and every instrumentation site starts with a single
-``is None`` test.  When nothing is installed, :func:`add`/:func:`observe`/
-:func:`set_gauge` return immediately, :func:`span` hands back a shared
-stateless null context manager, and the :func:`traced`/:func:`timed_kernel`
-wrappers fall straight through to the wrapped function — no allocation, no
-clock read, no dictionary touch.  The telemetry test suite pins this down
-with a call-count spy on :class:`Telemetry`.
+A thread-local slot, ``_AMBIENT``, holds what the current thread installed:
+the :class:`~repro.obs.spans.Telemetry` collection (``.telemetry``, via
+:func:`collecting`) and the fault injector (``.faults``, via
+:func:`repro.faults.runtime.installed`); both are ``None`` by default, and
+:func:`installing` is the one install helper behind both.  Every
+instrumentation site starts with a single ``is None`` test.  When nothing
+is installed, :func:`add`/:func:`observe`/:func:`set_gauge` return
+immediately, :func:`span` hands back a shared stateless null context
+manager, and the :func:`traced`/:func:`timed_kernel` wrappers fall straight
+through to the wrapped function — no allocation, no clock read, no
+dictionary touch.  The telemetry test suite pins this down with a
+call-count spy on :class:`Telemetry`.
 
 Hot sites whose counter *value* is itself a computation (e.g. summing a
 charge vector) should guard the computation too::
@@ -16,13 +19,13 @@ charge vector) should guard the computation too::
     if obs._AMBIENT.telemetry is not None:
         obs.add("oracle.probes", int(counts.sum()))
 
-The ambient slot is **thread-local**: worker processes are single-threaded
-(so they pay only the attribute read), while the preference server runs one
-worker thread per session, each collecting into its own session telemetry
-without clobbering its neighbours.  Installation/teardown stays strictly
-per-thread; cross-thread *reads* of a live collection go through
-:meth:`~repro.obs.spans.Telemetry.snapshot`, which tolerates concurrent
-mutation.
+The slot is **thread-local**: worker processes are single-threaded (so they
+pay only the attribute read), while the preference server runs one worker
+thread per session, each collecting into its own session telemetry (and
+faulting under its own submitter's plan) without clobbering its neighbours.
+Installation/teardown stays strictly per-thread; cross-thread *reads* of a
+live collection go through :meth:`~repro.obs.spans.Telemetry.snapshot`,
+which tolerates concurrent mutation.
 """
 
 from __future__ import annotations
@@ -30,13 +33,17 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from contextlib import AbstractContextManager, contextmanager
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.obs.spans import Telemetry
 
+if TYPE_CHECKING:
+    from repro.faults.runtime import FaultInjector
+
 __all__ = [
     "active_telemetry",
+    "installing",
     "collecting",
     "span",
     "add",
@@ -48,14 +55,27 @@ __all__ = [
 
 
 class _Ambient(threading.local):
-    """Per-thread slot holding the installed telemetry collection."""
+    """Per-thread slot; the class defaults leave every new thread empty."""
 
-    telemetry: Telemetry | None = None  # class default = empty slot per thread
+    telemetry: Telemetry | None = None
+    faults: FaultInjector | None = None
 
 
-#: The per-thread installed telemetry collection (``.telemetry`` is ``None``
-#: when the current thread is not collecting).
+#: What the current thread installed (each field ``None`` when nothing is).
 _AMBIENT = _Ambient()
+
+
+@contextmanager
+def installing(field: str, value: Any) -> Iterator[Any]:
+    """Set ``_AMBIENT.<field>`` on this thread for the duration and yield
+    ``value``; on exit the field gets back its previous value, so nested
+    installs shadow outer ones."""
+    previous = getattr(_AMBIENT, field)
+    setattr(_AMBIENT, field, value)
+    try:
+        yield value
+    finally:
+        setattr(_AMBIENT, field, previous)
 
 
 def active_telemetry() -> Telemetry | None:
@@ -63,8 +83,9 @@ def active_telemetry() -> Telemetry | None:
     return _AMBIENT.telemetry
 
 
-@contextmanager
-def collecting(telemetry: Telemetry | None = None) -> Iterator[Telemetry]:
+def collecting(
+    telemetry: Telemetry | None = None,
+) -> AbstractContextManager[Telemetry]:
     """Install a telemetry collection as the ambient sink for the duration.
 
     Creates a fresh :class:`Telemetry` when none is passed; yields the
@@ -73,13 +94,7 @@ def collecting(telemetry: Telemetry | None = None) -> Iterator[Telemetry]:
     the previous collection on exit (inner windows shadow outer ones).
     The installation is visible only to the current thread.
     """
-    telemetry = Telemetry() if telemetry is None else telemetry
-    previous = _AMBIENT.telemetry
-    _AMBIENT.telemetry = telemetry
-    try:
-        yield telemetry
-    finally:
-        _AMBIENT.telemetry = previous
+    return installing("telemetry", Telemetry() if telemetry is None else telemetry)
 
 
 class _NullSpan:

@@ -47,16 +47,6 @@ class SpanNode:
             self.children[name] = node
         return node
 
-    def as_dict(self) -> dict[str, Any]:
-        """Plain-data form (what :class:`TraceReport` and workers carry)."""
-        return {
-            "name": self.name,
-            "n_calls": self.n_calls,
-            "wall_s": self.wall_s,
-            "counts": dict(self.counts),
-            "children": [child.as_dict() for child in self.children.values()],
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SpanNode({self.name!r}, n_calls={self.n_calls}, "
@@ -142,28 +132,18 @@ class Telemetry:
         self.metrics.absorb(report.gauges, report.histograms, report.timers)
 
     def report(self) -> TraceReport:
-        """Snapshot this collection as a picklable :class:`TraceReport`."""
-        return TraceReport(
-            spans=self.root.as_dict(),
-            gauges=dict(self.metrics.gauges),
-            histograms={name: dict(s) for name, s in self.metrics.histograms.items()},
-            timers={name: dict(t) for name, t in self.metrics.timers.items()},
-        )
+        """This collection as a picklable :class:`TraceReport`.
 
-    def snapshot(self) -> TraceReport:
-        """A :class:`TraceReport` that is safe to take **mid-run** from
-        another thread/task.
-
-        :meth:`report` assumes the collection is quiescent (it is consumed
-        at window exit); ``snapshot`` is the live-read form the preference
-        server's publisher uses to stream telemetry while a session worker
+        Safe to take **mid-run** from another thread or task: the preference
+        server's publisher streams telemetry this way while a session worker
         is still executing inside the collection.  Every container copy is
         a single C-level ``dict()``/``list()`` operation (atomic under the
         GIL), so a concurrent :meth:`add`/:meth:`enter` can never make the
-        snapshot raise; the trade-off is *tearing* — counters touched while
-        the walk is in flight may appear in a parent but not yet in a child.
+        copy raise; the trade-off is *tearing* — counters touched while the
+        walk is in flight may appear in a parent but not yet in a child.
         Monotonicity still holds per node: counts only grow, so successive
-        snapshots never go backwards.
+        reports never go backwards.  A quiescent collection (a closed
+        window) copies exactly.
         """
         spans = _snapshot_span(self.root)
         gauges, histograms, timers = self.metrics.snapshot()
@@ -171,14 +151,17 @@ class Telemetry:
             spans=spans, gauges=gauges, histograms=histograms, timers=timers
         )
 
+    #: The name live readers use; one tear-tolerant copy serves both.
+    snapshot = report
+
 
 def _snapshot_span(node: SpanNode) -> dict[str, Any]:
     """Tear-tolerant copy of one span node and its subtree.
 
     ``dict(...)`` and ``list(...)`` on live dicts are single C-level calls
     (no Python-visible iteration), so copying never races a concurrent
-    writer into an exception — unlike :meth:`SpanNode.as_dict`, whose
-    comprehension iterates ``children.values()`` step-by-step.
+    writer into an exception, as a comprehension over ``children.values()``
+    could.
     """
     counts = dict(node.counts)
     children = list(node.children.values())

@@ -71,7 +71,7 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.faults.journal import AppendOnlyLog, parse_records
-from repro.faults.runtime import disk_fault_gate
+from repro.faults.runtime import fault_gate
 from repro.protocols.context import ProtocolContext
 from repro.scenarios.engine import PreparedRun, prepare
 from repro.scenarios.spec import ScenarioSpec
@@ -300,7 +300,7 @@ class SessionCheckpoint:
         }
         data = json.dumps(header, separators=(",", ":")).encode("utf-8")
         data += b"\n" + payload
-        action = disk_fault_gate("checkpoint.write")
+        action = fault_gate("checkpoint.write")
         if action == "error":
             raise OSError(errno.EIO, f"injected I/O error writing {path}")
         if action == "enospc":
@@ -625,7 +625,7 @@ class SessionJournal:
                 for record in (header, mark, *tail)
             )
             tmp = self.path.with_name(self.path.name + ".tmp")
-            action = disk_fault_gate("journal.fsync")
+            action = fault_gate("journal.fsync")
             try:
                 with open(tmp, "w", encoding="utf-8") as handle:
                     handle.write(data)

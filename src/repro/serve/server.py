@@ -284,19 +284,27 @@ class PreferenceServer:
                     spec = build_spec(
                         str(header["scenario"]), dict(header.get("overrides") or {})
                     )
-                    checkpoint = self._load_checkpoint(name, journal, spec)
+                    checkpoint, rejected = self._load_checkpoint(name, journal, spec)
                     if checkpoint is None and journal.compacted_at_seq > 0:
                         journal.close()
                         self.telemetry.add("serve.recovery_skipped", 1)
                         stats["sessions_skipped"] += 1
                         warnings.warn(
                             f"session {name!r} cannot be recovered: its "
-                            "journal was compacted but no valid checkpoint "
-                            "covers the compacted ops; skipping it",
+                            "journal was compacted and no valid checkpoint "
+                            "covers the compacted ops "
+                            f"({rejected or 'no checkpoint file'}); skipping it",
                             DurabilityWarning,
                             stacklevel=2,
                         )
                         continue
+                    if rejected is not None:
+                        warnings.warn(
+                            f"session {name!r}: {rejected}; falling back to "
+                            "full replay",
+                            DurabilityWarning,
+                            stacklevel=2,
+                        )
                     session = Session(
                         name,
                         spec,
@@ -342,19 +350,20 @@ class PreferenceServer:
 
     def _load_checkpoint(
         self, name: str, journal: SessionJournal, spec: ScenarioSpec
-    ) -> SessionCheckpoint | None:
-        """The session's verified checkpoint, or ``None`` (absent or bad).
+    ) -> tuple[SessionCheckpoint | None, CheckpointError | None]:
+        """``(checkpoint, None)`` for a verified checkpoint, ``(None, None)``
+        when there is none, and ``(None, error)`` when verification fails.
 
         Verification failures — a torn payload, a checksum mismatch, another
         format version, a checkpoint naming a different session, scenario,
         overrides or seed than the journal, one older than the journal's
         compaction point, or state that does not fit the spec's dimensions
-        — count as ``checkpoint_fallbacks`` and warn; whether full replay
-        can stand in is the caller's call.
+        — count as ``checkpoint_fallbacks``; the caller warns once, naming
+        the error and whether full replay stands in or the session is skipped.
         """
         ckpt_path = session_checkpoint_path(journal.path)
         if not ckpt_path.is_file():
-            return None
+            return None, None
         try:
             checkpoint = SessionCheckpoint.load(ckpt_path)
             expected = dict(journal.header, session=name)
@@ -377,15 +386,10 @@ class PreferenceServer:
         except CheckpointError as error:
             self.telemetry.add("serve.checkpoint_fallbacks", 1)
             self.recovery_stats["checkpoint_fallbacks"] += 1
-            warnings.warn(
-                f"session {name!r}: {error}; falling back to full replay",
-                DurabilityWarning,
-                stacklevel=2,
-            )
-            return None
+            return None, error
         self.telemetry.add("serve.checkpoint_loads", 1)
         self.recovery_stats["checkpoint_loads"] += 1
-        return checkpoint
+        return checkpoint, None
 
     # ------------------------------------------------------------------
     # Connections

@@ -35,8 +35,9 @@ from repro._typing import spawn_seeds
 from repro.analysis.runner import run_trials
 from repro.errors import ReproError
 from repro.faults.chaos import degraded_payload
+from repro.faults.runtime import installed
 from repro.leader.feige import feige_leader_election
-from repro.obs.runtime import collecting
+from repro.obs.runtime import _AMBIENT, collecting
 from repro.obs.spans import Telemetry
 from repro.protocols.rselect import rselect_collective
 from repro.protocols.select import select_collective
@@ -336,6 +337,11 @@ class Session:
         is shed fast with a typed retryable ``overloaded`` error (carrying
         a ``retry_after_s`` hint) instead of growing an unbounded queue
         behind a slow op.
+
+        ``fn`` runs under the session telemetry and under the fault
+        injector of the thread that submits it (if any): the one place a
+        fault plan crosses threads, so each session's disk faults count in
+        its own submitter's plan.
         """
         if self.closed:
             raise ServeError("session-evicted", f"session {self.name!r} is closed")
@@ -348,10 +354,11 @@ class Session:
                 )
             self._pending += 1
         self.touch()
+        injector = _AMBIENT.faults
 
         def call() -> Any:
             try:
-                with collecting(self.telemetry):
+                with collecting(self.telemetry), installed(injector):
                     return fn()
             finally:
                 with self._lock:

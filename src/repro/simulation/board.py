@@ -42,7 +42,7 @@ import numpy as np
 
 from repro._typing import check_binary
 from repro.errors import ConfigurationError
-from repro.faults.runtime import board_fault_gate
+from repro.faults.runtime import fault_gate
 from repro.obs import runtime as obs
 from repro.perf import (
     PackedBits,
@@ -131,7 +131,7 @@ class BulletinBoard:
         occurs.  Duplicate objects within one call resolve in order (last
         wins), as in a sequential posting loop.
         """
-        faulted = board_fault_gate()
+        faulted = fault_gate("board.post")
         if faulted == "drop":
             return  # the post silently vanished in transit
         self._check_owner(player)
@@ -191,7 +191,7 @@ class BulletinBoard:
         one of the posted bytes per column land every cell exactly, and the
         later columns overwrite the earlier ones, which is last-wins.
         """
-        faulted = board_fault_gate()
+        faulted = fault_gate("board.post")
         if faulted == "drop":
             return
         probers = np.asarray(probers, dtype=np.int64)
@@ -277,7 +277,7 @@ class BulletinBoard:
         player subset scatter single bit columns through
         :func:`repro.perf.packed_scatter_columns`.
         """
-        faulted = board_fault_gate()
+        faulted = fault_gate("board.post")
         if faulted == "drop":
             return
         players = np.asarray(players, dtype=np.int64)

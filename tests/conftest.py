@@ -17,6 +17,14 @@ from repro import (
 )
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    # A durability warning that no test asserts fails the test: recovery
+    # and disk-fault degradation must warn exactly where a test expects it.
+    config.addinivalue_line(
+        "filterwarnings", "error::repro.serve.durability.DurabilityWarning"
+    )
+
+
 @pytest.fixture
 def constants() -> ProtocolConstants:
     """The practical constant profile used throughout the tests."""

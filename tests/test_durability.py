@@ -45,9 +45,11 @@ import asyncio
 import hashlib
 import json
 import pickle
+import re
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1098,8 +1100,16 @@ class TestCheckpointedRecovery:
         raw[-1] ^= 0xFF
         ckpt.write_bytes(bytes(raw))
 
-        with pytest.warns(DurabilityWarning, match="cannot be recovered"):
+        with pytest.warns(DurabilityWarning) as record:
             server = self._recover(tmp_path)
+        # One warning, naming the rejection and the skip; no full replay
+        # is promised because none can happen.
+        (warning,) = record
+        assert re.fullmatch(
+            r"session 's1' cannot be recovered: .*fails its checksum.*; "
+            r"skipping it",
+            str(warning.message),
+        )
         assert server.sessions == {}
         assert server.recovery_stats["sessions_recovered"] == 0
         assert server.recovery_stats["sessions_skipped"] == 1
@@ -1151,6 +1161,43 @@ class TestDiskFaultDegradation:
         assert second.result() == expected.result()
         session.close()
         reference.close()
+
+    def test_concurrent_sessions_fault_under_their_own_plans(self, tmp_path):
+        """Two sessions, each driven from its own thread under its own
+        ``journal.append`` plan, degrade at exactly their own planned op:
+        a plan reaches only the ops its thread submits."""
+        ops = [("probe", {"player": n, "objects": [n]}) for n in range(6)]
+        both_installed = threading.Barrier(2, timeout=60)
+
+        def drive(name: str, occurrence: int) -> list[bool]:
+            journal = SessionJournal.create(
+                session_journal_path(tmp_path, name), session=name,
+                scenario=SCENARIO, overrides=None, seed=3, max_pending=32,
+            )
+            session = Session(name, build_spec(SCENARIO), 3, journal=journal)
+            _settle(session)
+            degraded = []
+            with _disk_fault("journal.append", "error", occurrence):
+                both_installed.wait()
+                for op, params in ops:
+                    session.submit_op(op, dict(params)).result()
+                    degraded.append(session.durability_degraded)
+            session.close()
+            return degraded
+
+        plans = {"s1": 1, "s2": 4}  # each session's faulted append
+        with pytest.warns(DurabilityWarning, match="quarantined") as record:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                runs = {name: pool.submit(drive, name, at) for name, at in plans.items()}
+                degraded = {name: runs[name].result(timeout=60) for name in plans}
+        assert len(record) == 2
+        for name, at in plans.items():
+            assert degraded[name].index(True) == at
+            path = session_journal_path(tmp_path, name)
+            broken = path.with_name(path.name + ".broken").read_text()
+            # The quarantined log holds exactly the ops before the fault.
+            kinds = [json.loads(line)["kind"] for line in broken.splitlines()]
+            assert kinds.count("op") == at
 
     def test_checkpoint_fault_keeps_the_full_journal_then_recovers(self, tmp_path):
         """A failed checkpoint write degrades to "keep the full journal";

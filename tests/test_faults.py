@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from repro.faults import (
     FaultPlan,
     PlannedFault,
     TrialJournal,
+    fault_gate,
     fault_stats_note,
     installed,
     make_fault_plan,
@@ -65,6 +67,11 @@ def _boom(x):
     if x == 3:
         raise ValueError("kaboom at three")
     return {"x": x}
+
+
+def _logged_boom(log, x):
+    log.append(("start", x))
+    return _boom(x)
 
 
 def _tiny_spec():
@@ -209,6 +216,22 @@ class TestRuntimeGates:
         board.post_reports("c", 0, np.array([0]), np.array([1], dtype=np.uint8))
         assert oracle.probes_used()[0] == 3
         assert board_reports(board, "c")[1].sum() == 1
+
+    def test_an_installed_plan_is_invisible_to_other_threads(self):
+        plan = FaultPlan(faults=(
+            PlannedFault(site="journal.append", point=0, action="error"),
+        ))
+        seen = []
+        with installed(FaultInjector(plan, point=0, attempt=0)) as injector:
+            other = threading.Thread(
+                target=lambda: seen.append(fault_gate("journal.append"))
+            )
+            other.start()
+            other.join(timeout=10)
+            assert not other.is_alive()
+            assert seen == [None]
+            assert injector.events == []  # the other thread counted nothing
+            assert fault_gate("journal.append") == "error"
 
     def test_injector_events_record_fired_faults(self):
         plan = FaultPlan(faults=(
@@ -425,6 +448,36 @@ class TestFailureSemantics:
         assert note == "faults: injected=2 retried=3 pool_restarts=1 timeouts=0"
 
 
+class TestSerialOrder:
+    """In-process, a point starts only after the previous point's result
+    has landed, and the first exhausted failure stops the run."""
+
+    LANDED = [
+        ("start", 0), ("result", 0), ("start", 1), ("result", 1),
+        ("start", 2), ("result", 2),
+    ]
+
+    def _run(self, log, **kwargs):
+        return run_trials(
+            _logged_boom, [(log, x) for x in range(6)], retries=0,
+            on_result=lambda index, _: log.append(("result", index)),
+            **kwargs,
+        )
+
+    def test_starts_and_results_interleave_until_the_failure(self):
+        log = []
+        with pytest.raises(ValueError, match="kaboom"):
+            self._run(log)
+        assert log == self.LANDED + [("start", 3)]  # 4 and 5 never start
+
+    def test_an_exhausted_planned_crash_stops_the_run_too(self):
+        log = []
+        plan = FaultPlan(faults=(PlannedFault(site="worker.crash", point=3),))
+        with pytest.raises(ExperimentError, match="point 3"):
+            self._run(log, fault_plan=plan)
+        assert log == self.LANDED
+
+
 # ---------------------------------------------------------------------------
 # Graceful degradation
 # ---------------------------------------------------------------------------
@@ -546,9 +599,7 @@ class TestDiskFaultPlansAndGates:
         assert make_fault_plan(n_points=4, seed=12, disk_faults=6) != plan_a
 
     def test_gate_is_inert_without_an_injector_and_counts_with_one(self):
-        from repro.faults import disk_fault_gate
-
-        assert disk_fault_gate("journal.append") is None
+        assert fault_gate("journal.append") is None
         plan = FaultPlan(faults=(
             PlannedFault(
                 site="journal.fsync", point=0, occurrence=1, action="error"
@@ -556,12 +607,12 @@ class TestDiskFaultPlansAndGates:
         ))
         injector = FaultInjector(plan, point=0, attempt=0)
         with installed(injector):
-            assert disk_fault_gate("journal.fsync") is None    # occurrence 0
-            assert disk_fault_gate("journal.fsync") == "error"  # occurrence 1
-            assert disk_fault_gate("journal.fsync") is None    # past it
+            assert fault_gate("journal.fsync") is None    # occurrence 0
+            assert fault_gate("journal.fsync") == "error"  # occurrence 1
+            assert fault_gate("journal.fsync") is None    # past it
         (event,) = injector.events
         assert event.as_record()["site"] == "journal.fsync"
-        assert disk_fault_gate("journal.fsync") is None  # uninstalled again
+        assert fault_gate("journal.fsync") is None  # uninstalled again
 
     def test_append_short_write_leaves_a_parseable_torn_tail(self, tmp_path):
         from repro.faults import AppendOnlyLog

@@ -37,7 +37,7 @@ from repro.obs import (
     collecting,
 )
 from repro.obs import runtime as obs_runtime
-from repro.obs.report import merge_span_dicts, render_span_tree
+from repro.obs.report import render_span_tree
 from repro.players import PlayerPool, ReportingStrategy
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.engine import execute
@@ -291,19 +291,6 @@ class TestMergeAlgebra:
         clone = pickle.loads(pickle.dumps(report))
         assert clone.canonical() == report.canonical()
         assert clone.as_payload()["counters"] == {"c": 2}
-
-    def test_merge_span_dicts_appends_unseen_children(self):
-        into = {"name": "run", "n_calls": 0, "wall_s": 0.0, "counts": {},
-                "children": []}
-        other = {"name": "run", "n_calls": 1, "wall_s": 0.5,
-                 "counts": {"c": 2},
-                 "children": [{"name": "x", "n_calls": 1, "wall_s": 0.1,
-                               "counts": {}, "children": []}]}
-        merge_span_dicts(into, other)
-        merge_span_dicts(into, other)
-        assert into["n_calls"] == 2
-        assert into["counts"] == {"c": 4}
-        assert [c["n_calls"] for c in into["children"]] == [2]
 
 
 # ----------------------------------------------------------------------
