@@ -38,6 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from reference_loops import (  # noqa: E402
     block_words_reduceat,
     board_reports,
+    dense_slots,
     rselect_collective_serial,
 )
 
@@ -323,16 +324,19 @@ def _kernel_microbenchmark(
     players = np.arange(tournament_n)
     objects = np.arange(tournament_width)
 
-    def run_tournament(tournament) -> np.ndarray:
+    slots = dense_slots(stack)
+
+    def run_tournament(tournament, candidates) -> np.ndarray:
         ctx = make_context(instance, budget=8, seed=seed)
-        return tournament(ctx, players, objects, stack)
+        return tournament(ctx, players, objects, candidates)
 
     add_row(
         "rselect tournament (serial vs collective)",
-        lambda: run_tournament(rselect_collective_serial),
-        lambda: run_tournament(rselect_collective),
+        lambda: run_tournament(rselect_collective_serial, stack),
+        lambda: run_tournament(rselect_collective, slots),
         lambda: np.array_equal(
-            run_tournament(rselect_collective_serial), run_tournament(rselect_collective)
+            run_tournament(rselect_collective_serial, stack),
+            run_tournament(rselect_collective, slots),
         ),
         n_value=tournament_n,
         width_value=tournament_width,

@@ -1,10 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Each ``bench_eXX_*.py`` module regenerates one experiment from the DESIGN.md
-index (the paper analogue of a table/figure).  The helper below times the
+Each ``bench_eXX_*.py`` module regenerates one experiment (the paper
+analogue of a table/figure).  The helper below times the
 experiment driver with pytest-benchmark, renders the resulting table, writes
 it under ``benchmarks/results/`` and echoes it to stdout (run with ``-s`` to
-see it live).  EXPERIMENTS.md records representative outputs of these runs.
+see it live).  ``benchmarks/results/eXX_*.md`` holds the committed outputs
+of these runs.
 
 Besides the human-readable ``.txt``/``.md`` renderings, every run now also
 emits a machine-readable ``<slug>.json`` (wall time, row payload, timestamp)

@@ -4,20 +4,23 @@
         --pairs 10 --seconds 30 --label pivots
 
 Run from the repository root.  The checkout the script runs in is the
-*change*; ``--base`` names the revision it is compared against, which is
-checked out as a detached ``git worktree`` under ``.perfbench-work/`` and
-removed again at the end.  For each workload the script runs ``k`` pairs of
-``perfbench/run.py --trace 0`` (one run per side, the same benchmark seed
-for both, the side that runs first alternating from pair to pair, since
-order effects bias a paired comparison), then one ``--trace 1`` run per
-side for the per-layer split.
+*change*; ``--base`` names the revision it is compared against, whose
+committed files are exported (``git archive``) under ``.perfbench-work/``
+and removed again at the end.  For each workload the script runs ``k``
+pairs of ``perfbench/run.py --trace 0`` (one run per side, the same
+benchmark seed for both, the side that runs first alternating from pair to
+pair, since order effects bias a paired comparison), then ``min(k,
+TRACED_PAIRS)`` pairs of ``--trace 1`` runs, seeded and alternated alike,
+for the per-layer split.
 
 It writes ``benchmarks/results/perf_<label>.json`` through
 :func:`repro.analysis.reporting.write_table_json`: one table row per
 workload and end-to-end metric with both sides' medians and quartiles, the
 change's wins out of ``k`` (ties count for neither) and a verdict; the
-table's ``metrics`` block keeps every run's result line and the per-layer
-deltas of the traced runs.  A verdict is ``faster`` (or ``slower``) only
+table's ``metrics`` block keeps every run's result line and, per layer
+metric of the traced pairs, each side's quartiles and the median of the
+paired deltas (change minus base), so drift in the host's speed between
+two runs does not read as a layer change.  A verdict is ``faster`` (or ``slower``) only
 when the change is better (or worse) in at least nine tenths of the pairs
 and the medians differ by more than the base side's interquartile range;
 otherwise it is ``unresolved``.  Each row also carries the metric's
@@ -31,11 +34,13 @@ for all workloads, or one per workload.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tarfile
 import time
 from pathlib import Path
 from typing import Any
@@ -53,6 +58,10 @@ FIRST_SEED = 101
 
 #: Share of the pairs the change must win (or lose) for a verdict.
 WIN_SHARE = 0.9
+
+#: Most ``--trace 1`` pairs per workload: a workload of ``k`` pairs gets
+#: ``min(k, TRACED_PAIRS)`` of them.
+TRACED_PAIRS = 3
 
 #: The ledger table's columns: one row per workload and end-to-end metric.
 COLUMNS = [
@@ -115,6 +124,29 @@ def run_benchmark(root: Path, workload: str, seed: int, seconds: float, trace: i
     return json.loads(lines[-1])
 
 
+def schedule(n_pairs: int) -> list[tuple[int, int, str]]:
+    """One workload's runs in order, as ``(trace, pair, side)``: ``n_pairs``
+    end-to-end pairs, then ``min(n_pairs, TRACED_PAIRS)`` traced pairs.
+    Pair ``i`` runs benchmark seed ``FIRST_SEED + i`` on both sides, base
+    first in even pairs and change first in odd ones."""
+    runs = []
+    for trace, count in ((0, n_pairs), (1, min(n_pairs, TRACED_PAIRS))):
+        for pair in range(count):
+            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            runs.extend((trace, pair, side) for side in order)
+    return runs
+
+
+def paired(runs: list[dict], workload: str, trace: int) -> list[dict[str, dict]]:
+    """The result metrics of ``workload``'s pairs at ``trace``, in pair
+    order, each as ``{"base": metrics, "change": metrics}``."""
+    pairs: dict[int, dict[str, dict]] = {}
+    for run in runs:
+        if run["workload"] == workload and run["trace"] == trace:
+            pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+    return [pairs[i] for i in sorted(pairs)]
+
+
 def verdict(wins: int, losses: int, pairs: int, gap: float, base_iqr: float) -> str:
     """``faster``/``slower`` when one side wins at least ``WIN_SHARE`` of the
     pairs and the medians differ by more than the base IQR."""
@@ -142,14 +174,11 @@ def compare(
     runs: list[dict], workload: str, metrics: list[dict], table: ExperimentTable
 ) -> None:
     """Add one row per end-to-end metric of ``workload`` to ``table``."""
-    pairs: dict[int, dict[str, dict]] = {}
-    for run in runs:
-        if run["workload"] == workload and run["trace"] == 0:
-            pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
+    pairs = paired(runs, workload, 0)
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
-        base = [pairs[i]["base"]["metrics"][name]["value"] for i in sorted(pairs)]
-        change = [pairs[i]["change"]["metrics"][name]["value"] for i in sorted(pairs)]
+        base = [pair["base"][name]["value"] for pair in pairs]
+        change = [pair["change"][name]["value"] for pair in pairs]
         # Positive when the change is better, whichever direction that is.
         gains = [sign * (b - c) for b, c in zip(base, change)]
         base_q1, base_median, base_q3 = quartiles(base)
@@ -179,20 +208,26 @@ def compare(
 
 
 def layer_deltas(runs: list[dict], workload: str) -> dict[str, dict[str, float]]:
-    """Per-layer metric of the traced runs: base, change and their delta."""
-    traced = {
-        run["side"]: run["result"]["metrics"]
-        for run in runs
-        if run["workload"] == workload and run["trace"] == 1
-    }
-    return {
-        name: {
-            "base": base["value"],
-            "change": traced["change"][name]["value"],
-            "delta": traced["change"][name]["value"] - base["value"],
+    """Per-layer metric of the traced pairs: each side's quartiles, and the
+    median over the pairs of the change's value minus the base's."""
+    pairs = paired(runs, workload, 1)
+    layers = {}
+    for name in pairs[0]["base"]:
+        base = [pair["base"][name]["value"] for pair in pairs]
+        change = [pair["change"][name]["value"] for pair in pairs]
+        base_q1, base_median, base_q3 = quartiles(base)
+        change_q1, change_median, change_q3 = quartiles(change)
+        layers[name] = {
+            "base_q1": base_q1,
+            "base_median": base_median,
+            "base_q3": base_q3,
+            "change_q1": change_q1,
+            "change_median": change_median,
+            "change_q3": change_q3,
+            "delta_median": quartiles([c - b for b, c in zip(base, change)])[1],
+            "pairs": len(pairs),
         }
-        for name, base in traced["base"].items()
-    }
+    return layers
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -202,34 +237,32 @@ def main(argv: list[str] | None = None) -> int:
     change_rev = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     base_root = WORK_DIR / f"base-{base_rev[:12]}"
-    # A run cut short leaves its worktree behind; start from a clean one.
+    # A run cut short leaves its export behind; start from a clean one.
     shutil.rmtree(base_root, ignore_errors=True)
-    git("worktree", "prune")
-    git("worktree", "add", "--detach", str(base_root), base_rev)
+    base_root.mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", base_rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(base_root, filter="data")
     started = time.perf_counter()
     runs: list[dict[str, Any]] = []
     try:
         sides = {"base": base_root, "change": ROOT}
         for workload, n_pairs in zip(args.workload, args.pairs):
-            for pair in range(n_pairs):
-                order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-                for position, side in enumerate(order):
-                    result = run_benchmark(
-                        sides[side], workload, FIRST_SEED + pair, args.seconds, 0
-                    )
-                    runs.append(dict(workload=workload, pair=pair, side=side,
-                                     first=position == 0, seed=FIRST_SEED + pair,
-                                     trace=0, result=result))
-                    p50 = result["metrics"]["p50_ms"]["value"]
-                    print(f"{workload} pair {pair} {side}: p50_ms {p50:.3f} "
-                          f"correct {result['correct']} failed {result['failed']}",
-                          flush=True)
-            for side in ("base", "change"):
-                result = run_benchmark(sides[side], workload, FIRST_SEED, args.seconds, 1)
-                runs.append(dict(workload=workload, pair=None, side=side, first=None,
-                                 seed=FIRST_SEED, trace=1, result=result))
+            for trace, pair, side in schedule(n_pairs):
+                seed = FIRST_SEED + pair
+                result = run_benchmark(sides[side], workload, seed, args.seconds, trace)
+                first = side == ("base" if pair % 2 == 0 else "change")
+                runs.append(dict(workload=workload, pair=pair, side=side, first=first,
+                                 seed=seed, trace=trace, result=result))
+                figure = (
+                    "traced" if trace else f"p50_ms {result['metrics']['p50_ms']['value']:.3f}"
+                )
+                print(f"{workload} pair {pair} {side}: {figure} correct {result['correct']} "
+                      f"failed {result['failed']}", flush=True)
     finally:
-        git("worktree", "remove", "--force", str(base_root))
+        shutil.rmtree(base_root, ignore_errors=True)
 
     table = ExperimentTable(
         experiment_id=f"perf_{args.label}",
@@ -240,8 +273,11 @@ def main(argv: list[str] | None = None) -> int:
             + (" plus uncommitted edits" if dirty else ""),
             f"perfbench/run.py --seconds {args.seconds:g}; pair i runs benchmark "
             f"seed {FIRST_SEED} + i on both sides, the first side alternating "
-            "(base first in even pairs); one --trace 1 run per side at seed "
-            f"{FIRST_SEED}.",
+            "(base first in even pairs); the first min(k, "
+            f"{TRACED_PAIRS}) pairs are repeated with --trace 1.",
+            "per_layer: each layer metric's quartiles per side over the traced "
+            "pairs, and delta_median, the median of the paired deltas (change "
+            "minus base).",
             "wins: pairs where the change reads better (ties count for neither); "
             f"verdict faster/slower needs {WIN_SHARE:.0%} of the pairs and a median "
             "gap above the base IQR, else unresolved.",

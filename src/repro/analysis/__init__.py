@@ -3,9 +3,10 @@
 ``bounds`` evaluates the paper's closed-form probe/error bounds so measured
 numbers can be printed next to what the theory predicts.  ``lower_bound``
 implements the Claim-2 experiment.  ``experiments`` contains one driver per
-experiment in the DESIGN.md index (E1–E12); each returns an
-:class:`~repro.analysis.reporting.ExperimentTable` that the benchmark
-harness and EXPERIMENTS.md generation share.  ``reporting`` renders those
+experiment E1–E12 (each run by its ``benchmarks/bench_eNN_*.py`` module);
+each returns an :class:`~repro.analysis.reporting.ExperimentTable`, which
+the benchmark harness records under ``benchmarks/results/`` (the committed
+tables are ``benchmarks/results/eNN_*.md``).  ``reporting`` renders those
 tables as plain text / Markdown.
 """
 

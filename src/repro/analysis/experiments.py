@@ -1,10 +1,10 @@
-"""Experiment drivers E1–E12 (see DESIGN.md §4 for the index).
+"""Experiment drivers E1–E12 (one ``benchmarks/bench_eNN_*.py`` module each).
 
 Each function builds the workload a paper claim quantifies over, runs the
 relevant protocol(s) against the probe-counting simulator, and returns an
 :class:`~repro.analysis.reporting.ExperimentTable`.  Benchmarks call these
 drivers (one per table/figure analogue) and print the rendered table;
-EXPERIMENTS.md records representative outputs.
+``benchmarks/results/eNN_*.md`` holds the committed outputs.
 
 All drivers are deterministic given their ``seed`` and accept size parameters
 so the same code scales from quick unit-test settings to the benchmark

@@ -2,8 +2,8 @@
 
 Every experiment driver returns an :class:`ExperimentTable`; the benchmark
 harness prints the text rendering (so ``pytest benchmarks/ --benchmark-only``
-regenerates the paper's rows on stdout) and EXPERIMENTS.md embeds the
-Markdown rendering.
+regenerates the paper's rows on stdout) and writes the Markdown rendering
+to ``benchmarks/results/<slug>.md``.
 
 :func:`write_table_json` is the single source of truth for the results-JSON
 format: the benchmark harness writes ``benchmarks/results/<slug>.json`` with
@@ -137,7 +137,8 @@ def render_text(table: ExperimentTable) -> str:
 
 
 def render_markdown(table: ExperimentTable) -> str:
-    """GitHub-flavoured Markdown rendering (used by EXPERIMENTS.md)."""
+    """GitHub-flavoured Markdown rendering (the ``benchmarks/results/<slug>.md``
+    tables)."""
     rows = _rendered_rows(table)
     header = "| " + " | ".join(table.columns) + " |"
     rule = "|" + "|".join("---" for _ in table.columns) + "|"

@@ -57,8 +57,7 @@ import functools
 import os
 import pickle
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
+from concurrent.futures import Executor, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -247,9 +246,6 @@ def _run_points(
     else:
         executor = _InProcess()
     plain = not pooled and retries == 0 and plan is None
-    # Only a pool wait can time out; an in-process trial's own TimeoutError
-    # is an ordinary failure.
-    wait_timeout = (FuturesTimeout,) if pooled else ()
     attempts = {index: 0 for index in remaining}
     saw_timeout = False
     collect = telemetry is not None
@@ -274,9 +270,14 @@ def _run_points(
     try:
         while futures:
             index = min(futures)  # collect in submission (point) order
-            try:
-                _, result, events, report = futures[index].result(timeout=timeout_s)
-            except wait_timeout as error:
+            # Only a pool wait can time out, and only a future still running
+            # when the wait ends has: a trial's own TimeoutError (the class
+            # ``concurrent.futures`` raises on a wait since Python 3.11) is an
+            # ordinary failure, in a worker as in-process.
+            if pooled and not wait([futures[index]], timeout=timeout_s).done:
+                error = TimeoutError(
+                    f"point {index} did not finish within timeout_s={timeout_s}"
+                )
                 saw_timeout = True
                 stats["timeouts"] += 1
                 if journal is not None:
@@ -291,6 +292,8 @@ def _run_points(
                 stats["retried"] += 1
                 futures[index] = submit(index)
                 continue
+            try:
+                _, result, events, report = futures[index].result()
             except BrokenProcessPool as error:
                 stats["pool_restarts"] += 1
                 if journal is not None:

@@ -41,7 +41,8 @@ class AlonBaselineResult:
     """Output of the Alon et al. baseline."""
 
     predictions: np.ndarray
-    candidate_stack: np.ndarray
+    #: One dense ``(n_players, n_objects)`` SmallRadius output per guess.
+    candidates: tuple[np.ndarray, ...]
     diameters: tuple[float, ...]
 
 
@@ -67,7 +68,7 @@ def alon_awerbuch_azar_patt_shamir(
     Returns
     -------
     AlonBaselineResult
-        Final predictions and the per-guess candidate stack.
+        Final predictions and the per-guess candidates.
     """
     players = ctx.all_players()
     objects = ctx.all_objects()
@@ -90,13 +91,8 @@ def alon_awerbuch_azar_patt_shamir(
         )
         candidates.append(preds)
 
-    candidate_stack = np.stack(candidates, axis=1)
-    if candidate_stack.shape[1] == 1:
-        final = candidate_stack[:, 0, :].copy()
-    else:
-        final = rselect_collective(ctx, players, objects, candidate_stack)
     return AlonBaselineResult(
-        predictions=final,
-        candidate_stack=candidate_stack,
+        predictions=rselect_collective(ctx, players, objects, candidates),
+        candidates=tuple(candidates),
         diameters=tuple(float(d) for d in diameters),
     )

@@ -82,4 +82,5 @@ def oracle_clustering(ctx: ProtocolContext) -> np.ndarray:
     making this skyline meaningful in the Byzantine experiments too.
     """
     clustering = ideal_clusters(ctx.oracle.ground_truth(), ctx.budget)
-    return share_work(ctx, clustering, channel="baseline/oracle-work")
+    labels, rows = share_work(ctx, clustering, channel="baseline/oracle-work")
+    return rows[labels]

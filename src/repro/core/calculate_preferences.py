@@ -16,6 +16,12 @@ For one guessed diameter the pipeline is:
 Two easy cases are dispatched as in §6.1: when the budget already allows
 probing everything, do that; when the guessed diameter is below ``log n``,
 SmallRadius alone solves the problem for that guess.
+
+Each guess hands the final RSelect its candidate in the layout that
+produced it: work sharing's ``(labels, rows)`` slot (one majority row per
+cluster, and each player's cluster label), or the dense ``(n_players,
+n_objects)`` matrix of an easy case.  No per-player stack of the guesses'
+candidates is built.
 """
 
 from __future__ import annotations
@@ -57,10 +63,16 @@ class DiameterIterationTrace:
 
 @dataclass(frozen=True)
 class CalculatePreferencesResult:
-    """Output of a full CalculatePreferences execution."""
+    """Output of a full CalculatePreferences execution.
+
+    ``candidates`` holds one slot per guessed diameter, in schedule order:
+    work sharing's ``(labels, rows)`` pair (player ``p``'s candidate is
+    ``rows[labels[p]]``) or an easy case's dense ``(n_players, n_objects)``
+    matrix.  A run whose budget probed everything has one dense slot.
+    """
 
     predictions: np.ndarray
-    candidate_stack: np.ndarray
+    candidates: tuple[tuple[np.ndarray, np.ndarray] | np.ndarray, ...]
     diameters: tuple[float, ...]
     traces: tuple[DiameterIterationTrace, ...] = field(default_factory=tuple)
     probed_everything: bool = False
@@ -93,12 +105,12 @@ def efficient_diameter_schedule(
     dispatch.  This schedule keeps only the guesses ``D ≥ c · ln n`` (always
     at least one guess).
 
-    Trade-off (documented in EXPERIMENTS.md): when the true optimal diameter
-    ``D_opt`` is below the smallest retained guess ``T = Θ(log n)``, the
-    protocol's guarantee weakens from ``O(D_opt)`` to ``O(T) = O(log n)``
-    additive — the same cluster still qualifies at the ``T`` guess, it is just
-    measured against a coarser diameter.  Whenever ``D_opt = Ω(log n)`` the
-    constant-factor guarantee is unchanged.
+    Trade-off: when the true optimal diameter ``D_opt`` is below the
+    smallest retained guess ``T = Θ(log n)``, the protocol's guarantee
+    weakens from ``O(D_opt)`` to ``O(T) = O(log n)`` additive — the same
+    cluster still qualifies at the ``T`` guess, it is just measured against
+    a coarser diameter.  Whenever ``D_opt = Ω(log n)`` the constant-factor
+    guarantee is unchanged.
     """
     log_n = constants.log_n(n_players)
     minimum = constants.sample_prob_factor * log_n
@@ -112,12 +124,12 @@ def calculate_preferences_for_diameter(
     ctx: ProtocolContext,
     diameter: float,
     channel: str = "calc",
-) -> tuple[np.ndarray, DiameterIterationTrace]:
+) -> tuple[tuple[np.ndarray, np.ndarray], DiameterIterationTrace]:
     """Run steps (b)–(e) of Figure 2 for one guessed diameter.
 
-    Returns the candidate prediction matrix for this guess plus a trace of
-    the intermediate structure (sample size, clusters) used by the
-    experiments and by EXPERIMENTS.md.
+    Returns this guess's candidates as work sharing's ``(labels, rows)``
+    slot (player ``p``'s candidate is ``rows[labels[p]]``) plus a trace of
+    the intermediate structure (sample size, clusters).
     """
     players = ctx.all_players()
     constants = ctx.constants
@@ -150,7 +162,7 @@ def calculate_preferences_for_diameter(
         clustering = cluster_players(adjacency, min_cluster_size, seed_degree=seed_degree)
 
     # Step (e): work sharing.
-    predictions = share_work(ctx, clustering, channel=f"{channel}/work")
+    slot = share_work(ctx, clustering, channel=f"{channel}/work")
 
     trace = DiameterIterationTrace(
         diameter=float(diameter),
@@ -159,13 +171,13 @@ def calculate_preferences_for_diameter(
         cluster_sizes=tuple(int(size) for size in clustering.sizes()),
         used_small_radius_directly=False,
     )
-    return predictions, trace
+    return slot, trace
 
 
 @traced("diameter")
 def _run_diameter_iteration(
     ctx: ProtocolContext, diameter: float, channel: str
-) -> tuple[np.ndarray, DiameterIterationTrace]:
+) -> tuple[tuple[np.ndarray, np.ndarray] | np.ndarray, DiameterIterationTrace]:
     """One guessed-diameter iteration: the §6.1 dispatch between the direct
     SmallRadius easy case and the full pipeline."""
     if diameter <= 0:
@@ -215,7 +227,7 @@ def calculate_preferences(
     Returns
     -------
     CalculatePreferencesResult
-        Final per-player predictions, the per-diameter candidate stack, and
+        Final per-player predictions, the per-diameter candidate slots, and
         per-iteration traces.
     """
     players = ctx.all_players()
@@ -229,10 +241,9 @@ def calculate_preferences(
             true_block, _ = ctx.probe_and_report_block(
                 f"{channel}/probe-all", players, objects
             )
-        stack = true_block[:, None, :]
         return CalculatePreferencesResult(
             predictions=true_block,
-            candidate_stack=stack,
+            candidates=(true_block,),
             diameters=(float(m),),
             traces=(),
             probed_everything=True,
@@ -243,24 +254,21 @@ def calculate_preferences(
     if not diameters:
         raise ProtocolError("diameters schedule must be non-empty")
 
-    candidates: list[np.ndarray] = []
+    candidates: list[tuple[np.ndarray, np.ndarray] | np.ndarray] = []
     traces: list[DiameterIterationTrace] = []
     for index, diameter in enumerate(diameters):
-        preds, trace = _run_diameter_iteration(ctx, diameter, f"{channel}/d{index}")
-        candidates.append(preds)
+        slot, trace = _run_diameter_iteration(ctx, diameter, f"{channel}/d{index}")
+        candidates.append(slot)
         traces.append(trace)
 
-    candidate_stack = np.stack(candidates, axis=1)  # (n_players, k, n_objects)
-    if candidate_stack.shape[1] == 1:
-        final = candidate_stack[:, 0, :].copy()
-    else:
-        # One collective tournament: every player's RSelect over its
-        # per-diameter candidates runs round-batched (player-major
-        # randomness, one ragged oracle call per candidate-pair round).
-        final = rselect_collective(ctx, players, objects, candidate_stack)
+    # One collective tournament: every player's RSelect over its
+    # per-diameter candidates runs round-batched (player-major randomness,
+    # one ragged oracle call per candidate-pair round).  A single guess's
+    # candidates are returned as they are, with no draw and no probe.
+    final = rselect_collective(ctx, players, objects, candidates)
     return CalculatePreferencesResult(
         predictions=final,
-        candidate_stack=candidate_stack,
+        candidates=tuple(candidates),
         diameters=tuple(float(d) for d in diameters),
         traces=tuple(traces),
     )

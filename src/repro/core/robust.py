@@ -201,30 +201,27 @@ def robust_calculate_preferences(
             resolved_players=np.zeros(0, dtype=np.int64),
         )
 
-    candidate_stack = np.stack(candidate_blocks, axis=1)  # (n_players, iters, n_objects)
-    if candidate_stack.shape[1] == 1:
-        final = candidate_stack[:, 0, :].copy()
-    else:
-        # Step 5's per-player RSelect over the per-iteration candidates runs
-        # as one collective round-batched tournament; each player still
-        # relies only on its own probes and substream, so the dishonest
-        # players cannot influence anyone else's choice.
-        try:
-            final = rselect_collective(
-                ctx, ctx.all_players(), ctx.all_objects(), candidate_stack
+    # Step 5's per-player RSelect over the per-iteration candidates runs as
+    # one collective round-batched tournament, one dense slot per repetition
+    # (a single repetition's candidates are returned as they are); each
+    # player still relies only on its own probes and substream, so the
+    # dishonest players cannot influence anyone else's choice.
+    try:
+        final = rselect_collective(
+            ctx, ctx.all_players(), ctx.all_objects(), candidate_blocks
+        )
+    except (BudgetExceededError, OracleTimeout) as error:
+        if not degrade:
+            raise
+        failures.append(
+            DegradedRun(
+                stage="final-select",
+                iteration=None,
+                reason=type(error).__name__,
+                detail=str(error),
             )
-        except (BudgetExceededError, OracleTimeout) as error:
-            if not degrade:
-                raise
-            failures.append(
-                DegradedRun(
-                    stage="final-select",
-                    iteration=None,
-                    reason=type(error).__name__,
-                    detail=str(error),
-                )
-            )
-            final = candidate_blocks[0].copy()
+        )
+        final = candidate_blocks[0].copy()
     partial = bool(failures)
     return RobustResult(
         predictions=final,

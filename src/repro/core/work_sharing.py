@@ -51,11 +51,10 @@ def share_work(
     ctx: ProtocolContext,
     clustering: Clustering,
     channel: str = "work-sharing",
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the work-sharing phase for every cluster.
 
-    Returns the prediction matrix ``W`` of shape ``(n_players, n_objects)``:
-    every member of a cluster receives the cluster's majority vector: for
+    Every member of a cluster receives the cluster's majority vector: for
     every object, ``redundancy`` members chosen by the shared randomness
     (with replacement) probe it and post reports, and the cluster adopts
     the majority of the posted reports.  The probe traffic of all clusters
@@ -64,6 +63,15 @@ def share_work(
     order), same probe accounting (clusters are disjoint, so no
     cross-cluster pair collides), same board state, same majorities.
 
+    Returns the predictions as a ``(labels, rows)`` pair, the layout in
+    which the vote produces them: ``rows[c]`` is cluster ``c``'s majority
+    vector (zeros for a cluster without members), and player ``p``
+    predicts ``rows[labels[p]]``.  Labels are given cluster by cluster, so
+    a player listed in two clusters takes the later one's row.  A player in
+    no cluster gets an all-zero row, appended after the clusters' rows only
+    when some player needs it.  No ``(n_players, n_objects)`` matrix is
+    built; ``rows[labels]`` is the dense prediction matrix.
+
     Cluster ``c``'s reports are posted to ``{channel}/c{c}``.  Naming rule:
     every work-sharing channel contains ``work`` (the default, ``…/work``
     under CalculatePreferences, ``baseline/oracle-work``) and no other
@@ -71,43 +79,45 @@ def share_work(
     reads its attack phase from it.
     """
     redundancy = ctx.constants.vote_redundancy(ctx.n_players)
-    predictions = np.zeros((ctx.n_players, ctx.n_objects), dtype=np.uint8)
     n_objects = ctx.n_objects
+    labels = np.full(ctx.n_players, -1, dtype=np.int64)
+    rows = np.zeros((clustering.n_clusters, n_objects), dtype=np.uint8)
 
     populated = [
         cluster_id
         for cluster_id in range(clustering.n_clusters)
         if clustering.members(cluster_id).size
     ]
-    if not populated:
-        return predictions
+    if populated:
+        # Draw every cluster's (n_objects, redundancy) assignment first
+        # (cluster order — the draws are the protocol-visible part), then
+        # resolve all probes in one call on the assignments laid side by side.
+        assignments = [
+            ctx.randomness.assign_probers(
+                clustering.members(cluster_id), n_objects, redundancy
+            )
+            for cluster_id in populated
+        ]
+        true_values = ctx.oracle.probe_assignment(np.concatenate(assignments, axis=1))
 
-    # Draw every cluster's (n_objects, redundancy) assignment first (cluster
-    # order — the draws are the protocol-visible part), then resolve all
-    # probes in one call on the assignments laid side by side.
-    assignments = [
-        ctx.randomness.assign_probers(
-            clustering.members(cluster_id), n_objects, redundancy
-        )
-        for cluster_id in populated
-    ]
-    true_values = ctx.oracle.probe_assignment(np.concatenate(assignments, axis=1))
-
-    objects = np.repeat(np.arange(n_objects, dtype=np.int64), redundancy)
-    for index, cluster_id in enumerate(populated):
-        columns = slice(index * redundancy, (index + 1) * redundancy)
-        probers = assignments[index]
-        cluster_channel = f"{channel}/c{cluster_id}"
-        # The pool reports on the flat pairs, object-major: entry
-        # o * redundancy + r is object o's r-th prober and its answer.
-        reported = ctx.pool.reports_pairs(
-            cluster_channel,
-            probers.reshape(-1),
-            objects,
-            true_values[:, columns].reshape(-1),
-        ).reshape(n_objects, redundancy)
-        ctx.board.post_report_assignment(cluster_channel, probers, reported)
-        predictions[clustering.members(cluster_id)] = _majority_from_votes(
-            reported, redundancy
-        )
-    return predictions
+        objects = np.repeat(np.arange(n_objects, dtype=np.int64), redundancy)
+        for index, cluster_id in enumerate(populated):
+            columns = slice(index * redundancy, (index + 1) * redundancy)
+            probers = assignments[index]
+            cluster_channel = f"{channel}/c{cluster_id}"
+            # The pool reports on the flat pairs, object-major: entry
+            # o * redundancy + r is object o's r-th prober and its answer.
+            reported = ctx.pool.reports_pairs(
+                cluster_channel,
+                probers.reshape(-1),
+                objects,
+                true_values[:, columns].reshape(-1),
+            ).reshape(n_objects, redundancy)
+            ctx.board.post_report_assignment(cluster_channel, probers, reported)
+            rows[cluster_id] = _majority_from_votes(reported, redundancy)
+            labels[clustering.members(cluster_id)] = cluster_id
+    unassigned = labels < 0
+    if unassigned.any():
+        labels[unassigned] = rows.shape[0]
+        rows = np.concatenate([rows, np.zeros((1, n_objects), dtype=np.uint8)])
+    return labels, rows

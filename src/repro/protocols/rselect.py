@@ -15,16 +15,20 @@ Two entry points are provided:
   The pair schedule is shared (all players walk the same ``(a, b)`` nested
   order, skipping pairs they already eliminated), so each round vectorises.
   Players often share candidate rows (CalculatePreferences hands every
-  member of a work-sharing cluster its cluster's vector), so each slot's
-  distinct packed rows get labels first, and each round does its XOR, its
-  popcount and its ascending list of differing positions (the unpacked XOR
-  bits through one ``flatnonzero``) once per distinct pair of rows; every
-  voting player then reads its differing-bit count, and its sampled
-  positions by rank, from its pair's.  The drawing players' keys land in
-  one flat buffer, reused from round to round, whose ``sample_size``
-  smallest per player are selected exactly (a fixed key prefilter, then one
-  small padded argsort); every player's sample probes are charged through
-  a single flat
+  member of a work-sharing cluster its cluster's vector), so each of the
+  ``k`` candidate slots is a set of rows plus every player's label into
+  them: work sharing hands over its ``(labels, rows)`` pair, one row per
+  cluster, and a dense ``(n_players, n_objects)`` slot has its distinct
+  rows labelled by a hash of their packed words.  No per-player stack of
+  the slots is built.  Each round does its XOR, its popcount and its
+  ascending list of differing positions (the unpacked XOR bits through one
+  ``flatnonzero``) once per distinct pair of labels, and reads candidate
+  ``a``'s sampled bits from its slot's rows; every voting player reads its
+  differing-bit count, and its sampled positions by rank, from its pair's.
+  The drawing players' keys land in one flat buffer, reused from round to
+  round, whose ``sample_size`` smallest per player are selected exactly (a
+  fixed key prefilter, then one small padded argsort); every player's
+  sample probes are charged through a single flat
   :meth:`~repro.simulation.oracle.ProbeOracle.probe_ragged` call; and the
   votes are counted by :func:`repro.perf.packed_pair_vote`.  The only step
   that walks the players in Python is one ``random`` call per drawing
@@ -58,7 +62,7 @@ the one that survived the most comparisons.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -219,35 +223,70 @@ def _smallest_keys(keys: np.ndarray, widths: np.ndarray, sample_size: int) -> np
     return chosen
 
 
-def _slot_labels(words: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Label the distinct candidate rows of every slot.
+def _slot_labels(words: np.ndarray) -> np.ndarray:
+    """Label the distinct rows of one dense candidate slot.
 
-    ``words`` is the packed ``(P, k, n_words)`` candidate stack.  Within each
-    slot the rows are sorted by a hash of their words, and a new label
-    starts wherever a row differs from its predecessor (a different hash,
-    or an equal hash and different words), so equal labels always mean
-    equal rows.  (Equal rows that a colliding row separates in that order
-    get two labels, which costs work, never a wrong answer.)  Returns
-    ``labels``, the ``(P, k)`` label of every row, and per slot the words of
-    each label's row, ``(n_labels, n_words)``.
+    ``words`` is the slot's packed ``(P, n_words)`` rows.  The rows are
+    sorted by a hash of their words, and a new run starts wherever a row
+    differs from its predecessor (a different hash, or an equal hash and
+    different words); every row is labelled with the index of the row that
+    starts its run, so equal labels always mean equal rows.  (Equal rows
+    that a colliding row separates in that order get two labels, which
+    costs work, never a wrong answer.)  Returns the ``(P,)`` labels, each an
+    index into the slot's own rows.
     """
     multipliers = np.cumprod(
         np.full(words.shape[-1], _ROW_HASH_MULTIPLIER, dtype=np.uint64)
     )
     hashes = words @ multipliers  # integer arithmetic, modulo 2**64
-    order = np.argsort(hashes, axis=0, kind="stable")
-    ordered_hashes = np.take_along_axis(hashes, order, axis=0)
-    starts = np.ones(order.shape, dtype=bool)
+    order = np.argsort(hashes, kind="stable")
+    ordered_hashes = hashes[order]
+    starts = np.ones(order.size, dtype=bool)
     starts[1:] = ordered_hashes[1:] != ordered_hashes[:-1]
-    row, slot = np.nonzero(~starts)
-    starts[row, slot] = (
-        words[order[row, slot], slot] != words[order[row - 1, slot], slot]
-    ).any(axis=-1)
-    labels = np.empty(order.shape, dtype=np.int64)
-    np.put_along_axis(labels, order, np.cumsum(starts, axis=0) - 1, axis=0)
-    return labels, [
-        words[order[starts[:, slot], slot], slot] for slot in range(words.shape[1])
-    ]
+    (same,) = np.nonzero(~starts)
+    starts[same] = (words[order[same]] != words[order[same - 1]]).any(axis=-1)
+    labels = np.empty(order.size, dtype=np.int64)
+    labels[order] = order[starts][np.cumsum(starts) - 1]
+    return labels
+
+
+def _checked_slot(
+    slot: Any, n_players: int, n_objects: int
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """One candidate slot of :func:`rselect_collective`, validated.
+
+    A tuple is a ``(labels, rows)`` pair: player ``i`` holds
+    ``rows[labels[i]]``.  Anything else is a dense ``(n_players,
+    n_objects)`` matrix, returned with ``None`` for labels (it is labelled
+    only if a tournament runs).
+    """
+    if isinstance(slot, tuple):
+        labels, rows = slot
+        labels = np.asarray(labels)
+        rows = np.asarray(rows, dtype=np.uint8)
+        if rows.ndim != 2 or rows.shape[1] != n_objects:
+            raise ProtocolError(
+                f"slot rows must have shape (n_rows, {n_objects}), got {rows.shape}"
+            )
+        if labels.shape != (n_players,) or (
+            n_players and labels.dtype.kind not in "iu"
+        ):
+            raise ProtocolError(
+                f"slot labels must be {n_players} integers, got {labels.dtype} "
+                f"of shape {labels.shape}"
+            )
+        if n_players and (labels.min() < 0 or labels.max() >= rows.shape[0]):
+            raise ProtocolError(
+                f"slot labels must index its {rows.shape[0]} rows, got "
+                f"[{labels.min()}, {labels.max()}]"
+            )
+        return labels.astype(np.int64, copy=False), rows
+    rows = np.asarray(slot, dtype=np.uint8)
+    if rows.shape != (n_players, n_objects):
+        raise ProtocolError(
+            f"a dense slot must have shape ({n_players}, {n_objects}), got {rows.shape}"
+        )
+    return None, rows
 
 
 def _pair_vote(
@@ -364,32 +403,29 @@ def rselect_collective(
     ctx: ProtocolContext,
     players: np.ndarray,
     objects: np.ndarray,
-    candidates_per_player: np.ndarray,
+    candidates: Sequence[tuple[np.ndarray, np.ndarray] | np.ndarray],
     sample_size: int | None = None,
 ) -> np.ndarray:
     """Run RSelect independently for every listed player.
 
-    ``candidates_per_player`` has shape ``(len(players), k, len(objects))``:
-    player ``players[i]`` chooses among ``candidates_per_player[i]``.
-    Returns the chosen vectors, shape ``(len(players), len(objects))``.
+    ``candidates`` holds the ``k`` candidate slots; player ``players[i]``
+    chooses among its row of each.  A slot is either a ``(labels, rows)``
+    pair — ``rows`` of shape ``(n_rows, len(objects))`` and player ``i``'s
+    candidate ``rows[labels[i]]``, the layout work sharing produces — or a
+    dense ``(len(players), len(objects))`` matrix, whose distinct rows are
+    labelled by hashing (:func:`_slot_labels`).  Returns the chosen vectors,
+    shape ``(len(players), len(objects))``.
     """
     players = np.asarray(players, dtype=np.int64)
     objects = np.asarray(objects, dtype=np.int64)
-    candidates_per_player = np.asarray(candidates_per_player, dtype=np.uint8)
-    if (
-        candidates_per_player.ndim != 3
-        or candidates_per_player.shape[0] != players.size
-        or candidates_per_player.shape[2] != objects.size
-    ):
-        raise ProtocolError(
-            "candidates_per_player must have shape (n_players, k, n_objects); got "
-            f"{candidates_per_player.shape}"
-        )
-    n_players, k, _ = candidates_per_player.shape
+    n_players = players.size
+    slots = [_checked_slot(slot, n_players, objects.size) for slot in candidates]
+    k = len(slots)
     if k == 0:
         raise ProtocolError("rselect requires at least one candidate")
     if k == 1 or n_players == 0:
-        return candidates_per_player[:, 0, :].copy()
+        labels, rows = slots[0]
+        return rows.copy() if labels is None else rows[labels]
     sample_size = int(
         sample_size
         if sample_size is not None
@@ -399,11 +435,16 @@ def rselect_collective(
         raise ProtocolError(f"sample_size must be positive, got {sample_size}")
     rngs = _player_rngs(ctx, n_players)
     majority = ctx.constants.rselect_majority
-    words = _as_words(pack_bits(candidates_per_player).data)  # (P, k, n_words)
-    labels, label_words = _slot_labels(words)
+    # Every slot as packed row words and each player's label: an index into
+    # the slot's rows, equal labels meaning equal rows.
+    words = [_as_words(pack_bits(rows).data) for _, rows in slots]
+    labels = [
+        _slot_labels(slot_words) if slot_labels is None else slot_labels
+        for (slot_labels, _), slot_words in zip(slots, words)
+    ]
     # Bits per unpacked XOR row: a differing position's flat index in the
     # unpacked pair rows is its pair's row times this, plus the position.
-    row_bits = 8 * words.itemsize * words.shape[-1]
+    row_bits = 8 * words[0].itemsize * words[0].shape[-1]
     keys = np.empty(0)
     alive = np.ones((n_players, k), dtype=bool)
     last_eliminated = np.full(n_players, -1, dtype=np.int64)
@@ -416,11 +457,11 @@ def rselect_collective(
             # popcount and its differing positions are computed once per
             # distinct (row a, row b) pair.  A player whose candidates are
             # identical has a (0, 0) tie: no draw, no probe.
-            n_b = label_words[b].shape[0]
+            n_b = words[b].shape[0]
             pairs, pair_of = np.unique(
-                labels[active, a] * n_b + labels[active, b], return_inverse=True
+                labels[a][active] * n_b + labels[b][active], return_inverse=True
             )
-            xor = label_words[a][pairs // n_b] ^ label_words[b][pairs % n_b]
+            xor = words[a][pairs // n_b] ^ words[b][pairs % n_b]
             pair_counts = _popcount_words(xor).sum(axis=-1, dtype=np.int64)
             diff_counts = pair_counts[pair_of]
             voting = np.flatnonzero(diff_counts)
@@ -462,10 +503,11 @@ def rselect_collective(
                 players[voter_rows], objects[picked], lengths, packed=True
             )
 
-            # Candidate rows -> zero-padded operands for the packed vote
-            # kernel; every sampled position distinguishes the pair, so
-            # candidate b holds the complement of candidate a there.
-            values_a = candidates_per_player[np.repeat(voter_rows, lengths), a, picked]
+            # Candidate a's sampled bits, read from its slot's rows, as
+            # zero-padded operands for the packed vote kernel; every sampled
+            # position distinguishes the pair, so candidate b holds the
+            # complement of candidate a there.
+            values_a = slots[a][1][np.repeat(labels[a][voter_rows], lengths), picked]
             pad_mask = np.arange(int(lengths.max()))[None, :] < lengths[:, None]
             pad_a = np.zeros(pad_mask.shape, dtype=np.uint8)
             pad_b = np.zeros(pad_mask.shape, dtype=np.uint8)
@@ -489,4 +531,8 @@ def rselect_collective(
         alive.argmax(axis=1),
         np.where(last_eliminated >= 0, last_eliminated, 0),
     )
-    return candidates_per_player[np.arange(n_players), winner, :]
+    chosen = np.empty((n_players, objects.size), dtype=np.uint8)
+    for slot, ((_, rows), slot_labels) in enumerate(zip(slots, labels)):
+        won = np.flatnonzero(winner == slot)
+        chosen[won] = rows[slot_labels[won]]
+    return chosen

@@ -7,14 +7,14 @@ used wherever a diameter promise ``D`` is available (SmallRadius steps 2–3).
 Its only property the analysis relies on is: *if some candidate is within
 distance D of the player's true vector, the output is within O(D)*.
 
-We implement Select as a sampled distance-estimation tournament which has the
-same guarantee with high probability (documented as a substitution in
-DESIGN.md): the player probes a shared random sample of the objects, computes
-its empirical distance to every candidate on the sample, and picks the
-argmin.  Because the probed sample is shared, the whole step vectorises
-across *all players at once* — this is the hot inner loop of SmallRadius and
-of the clustering phase, and the reason the simulator can run hundreds of
-players in seconds.
+We implement Select as a sampled distance-estimation tournament, a
+substitution for the paper's deterministic step that has the same guarantee
+with high probability: the player probes a shared random sample of the
+objects, computes its empirical distance to every candidate on the sample,
+and picks the argmin.  Because the probed sample is shared, the whole step
+vectorises across *all players at once* — this is the hot inner loop of
+SmallRadius and of the clustering phase, and the reason the simulator can
+run hundreds of players in seconds.
 """
 
 from __future__ import annotations
@@ -158,44 +158,53 @@ def select_per_player(
     ctx: ProtocolContext,
     players: np.ndarray,
     objects: np.ndarray,
-    candidates_per_player: np.ndarray,
+    candidates: np.ndarray,
     sample_size: int | None = None,
 ) -> np.ndarray:
     """Select when each player holds its *own* candidate list.
 
-    ``candidates_per_player`` has shape ``(len(players), k, len(objects))``.
-    All players probe the same shared random sample of positions (one probe
-    block), then each compares its own candidates on that sample and keeps
-    the argmin.  Returns the chosen vectors of shape
-    ``(len(players), len(objects))``.
+    ``candidates`` is object-major, shape ``(k, len(objects), len(players))``:
+    ``candidates[c, j, i]`` is candidate ``c`` of player ``players[i]`` on
+    ``objects[j]``, the layout SmallRadius writes its repetitions in.  All
+    players probe the same shared random sample of positions (one probe
+    block), then each counts its disagreements with its own candidates on
+    that sample and keeps the first candidate with the fewest.  Returns the
+    chosen rows, object-major: shape ``(len(objects), len(players))``.
+
+    The choice is merged in place of a gather: the output starts as every
+    player's candidate 0, and each later candidate that some player chose
+    takes one masked XOR pass, ``out ^= (candidates[c] ^ out) & chose_c``,
+    where ``chose_c`` is 1 in the columns of the players who chose ``c``.
     """
     players = np.asarray(players, dtype=np.int64)
     objects = np.asarray(objects, dtype=np.int64)
-    candidates_per_player = np.asarray(candidates_per_player, dtype=np.uint8)
+    candidates = np.asarray(candidates, dtype=np.uint8)
     if (
-        candidates_per_player.ndim != 3
-        or candidates_per_player.shape[0] != players.size
-        or candidates_per_player.shape[2] != objects.size
+        candidates.ndim != 3
+        or candidates.shape[1] != objects.size
+        or candidates.shape[2] != players.size
     ):
         raise ProtocolError(
-            "candidates_per_player must have shape "
-            f"({players.size}, k, {objects.size}), got {candidates_per_player.shape}"
+            "candidates must have shape "
+            f"(k, {objects.size}, {players.size}), got {candidates.shape}"
         )
-    k = candidates_per_player.shape[1]
+    k = candidates.shape[0]
     if k == 0:
         raise ProtocolError("select_per_player requires at least one candidate per player")
     if k == 1:
-        return candidates_per_player[:, 0, :].copy()
+        return candidates[0].copy()
     if sample_size is None:
         sample_size = ctx.constants.rselect_sample_size(ctx.n_players)
     sample_size = int(sample_size)
 
     positions = draw_sample_positions(ctx, objects.size, sample_size)
-    true_packed = ctx.oracle.probe_block(players, objects[positions], packed=True)  # (P, s/8)
-    cand_block = candidates_per_player[:, :, positions]  # (P, k, s)
-    cand_packed = pack_bits(cand_block)  # (P, k, s/8)
-    disagreements = packed_hamming(
-        cand_packed.data, true_packed.data[:, None, :]
-    )  # (P, k)
-    choice = disagreements.argmin(axis=1)
-    return candidates_per_player[np.arange(players.size), choice, :].copy()
+    true_rows = ctx.oracle.probe_block(players, objects[positions]).T  # (s, P)
+    disagreements = np.count_nonzero(candidates[:, positions] != true_rows, axis=1)  # (k, P)
+    choice = disagreements.argmin(axis=0)
+    chosen = candidates[0].copy()
+    scratch = np.empty_like(chosen)
+    for candidate in np.unique(choice[choice > 0]).tolist():
+        np.bitwise_xor(candidates[candidate], chosen, out=scratch)
+        scratch &= (choice == candidate).view(np.uint8)
+        chosen ^= scratch
+    return chosen

@@ -56,6 +56,13 @@ each subset with candidates on one of two routes:
 Select's probe block covers every subset with two or more candidates,
 whichever route resolves it, so probes and requests are the per-subset
 loop's on both routes.
+
+The repetitions stay object-major to the end: each is written in place
+into one ``(repetitions, n_objects, n_players)`` array, step 4's Select
+(:func:`~repro.protocols.select.select_per_player`) reads that array and
+merges each player's chosen repetition with one masked XOR pass per chosen
+repetition, and the result turns player-major once, in one blocked
+transpose.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ import numpy as np
 
 from repro.errors import ProtocolError
 from repro.obs.runtime import traced
-from repro.perf.bitset import _popcount_words
+from repro.perf.bitset import _popcount_words, _transpose
 from repro.protocols.context import ProtocolContext
 from repro.protocols.select import (
     draw_sample_positions,
@@ -281,8 +288,11 @@ def small_radius(
     )
     select_sample = constants.rselect_sample_size(ctx.n_players)
 
+    # Object-major repetitions: row j of repetition r holds every player's
+    # estimate for objects[j], the layout the base group writes and Select
+    # reads.
     repetition_candidates = np.empty(
-        (players.size, repetitions, objects.size), dtype=np.uint8
+        (repetitions, objects.size, players.size), dtype=np.uint8
     )
     object_order = np.argsort(objects, kind="stable")
     sorted_objects = objects[object_order]
@@ -292,8 +302,7 @@ def small_radius(
             objects, constants.small_radius_partitions(diameter, objects.size)
         )
         partitions = [subset for subset in partitions if subset.size]
-        # Object-major: row j holds every player's estimate for objects[j].
-        assembled = np.empty((objects.size, players.size), dtype=np.uint8)
+        assembled = repetition_candidates[rep]
         # Mixed recursion: subsets that would hit ZeroRadius' base case (the
         # common regime — the partition count is Θ(D^1.5), so subsets are
         # small) share one probe block, one post per channel and one probe
@@ -313,13 +322,13 @@ def small_radius(
             assembled,
             channel,
         )
-        repetition_candidates[:, rep, :] = assembled.T
 
-    if repetitions == 1:
-        return repetition_candidates[:, 0, :].copy()
-    return select_per_player(
-        ctx, players, objects, repetition_candidates, sample_size=select_sample
-    )
+    chosen = repetition_candidates[0]
+    if repetitions > 1:
+        chosen = select_per_player(
+            ctx, players, objects, repetition_candidates, sample_size=select_sample
+        )
+    return _transpose(chosen)
 
 
 def _batched_base_repetition(

@@ -588,7 +588,8 @@ class Session:
             )
         sample_size = params.get("sample_size")
         chosen = rselect_collective(
-            ctx, players, objects, candidates,
+            ctx, players, objects,
+            [candidates[:, slot] for slot in range(candidates.shape[1])],
             sample_size=None if sample_size is None else int(sample_size),
         )
         return {"chosen_vectors": encode_array(chosen)}

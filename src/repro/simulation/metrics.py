@@ -9,7 +9,7 @@ Every experiment reduces to two questions the paper's theorems quantify:
   and compared against the per-player optimal diameter ``D_opt(p)``.)
 
 The dataclasses here package those answers in a form shared by tests,
-benchmarks and EXPERIMENTS.md generation.
+benchmarks and the experiment tables under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -169,7 +169,7 @@ def small_radius_per_subset(
     select_sample = constants.rselect_sample_size(ctx.n_players)
 
     repetition_candidates = np.empty(
-        (players.size, repetitions, objects.size), dtype=np.uint8
+        (repetitions, objects.size, players.size), dtype=np.uint8
     )
     object_order = np.argsort(objects, kind="stable")
     sorted_objects = objects[object_order]
@@ -196,13 +196,13 @@ def small_radius_per_subset(
                 ctx, players, subset, candidates, sample_size=select_sample
             )
             assembled[:, cols] = chosen
-        repetition_candidates[:, rep, :] = assembled
+        repetition_candidates[rep] = assembled.T
 
     if repetitions == 1:
-        return repetition_candidates[:, 0, :].copy()
+        return repetition_candidates[0].T.copy()
     return select_per_player(
         ctx, players, objects, repetition_candidates, sample_size=select_sample
-    )
+    ).T.copy()
 
 
 def cluster_majority_vote(
@@ -245,6 +245,12 @@ def share_work_per_cluster(
     return predictions
 
 
+def dense_slots(candidates_per_player: np.ndarray) -> list[np.ndarray]:
+    """The ``k`` dense slots of a ``(P, k, m)`` per-player candidate stack,
+    as :func:`~repro.protocols.rselect.rselect_collective` takes them."""
+    return [candidates_per_player[:, slot] for slot in range(candidates_per_player.shape[1])]
+
+
 def rselect_collective_serial(
     ctx: ProtocolContext,
     players: np.ndarray,
@@ -254,7 +260,9 @@ def rselect_collective_serial(
 ) -> np.ndarray:
     """The collective RSelect run player by player: one :func:`rselect` per
     player, each on the substream :func:`rselect_collective` derives for it
-    (one batched player-major seed draw from the shared randomness)."""
+    (one batched player-major seed draw from the shared randomness).
+    Player ``players[i]`` chooses among ``candidates_per_player[i]``, a
+    dense ``(P, k, m)`` stack."""
     players = np.asarray(players, dtype=np.int64)
     objects = np.asarray(objects, dtype=np.int64)
     candidates_per_player = np.asarray(candidates_per_player, dtype=np.uint8)

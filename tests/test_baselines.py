@@ -87,7 +87,7 @@ class TestAlonBaseline:
         result = alon_awerbuch_azar_patt_shamir(ctx, diameters=[8.0, 16.0])
         errors = prediction_errors(result.predictions, instance.preferences)
         assert errors.max() <= 5 * 8 + 8
-        assert result.candidate_stack.shape == (96, 2, 96)
+        assert [candidate.shape for candidate in result.candidates] == [(96, 96)] * 2
 
     def test_probe_requests_exceed_calculate_preferences(self, constants):
         # The headline comparison: on the same schedule, the prior state of the

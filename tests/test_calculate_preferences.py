@@ -94,7 +94,10 @@ class TestFullProtocol:
         ctx = make_context(instance, budget=4, constants=constants, seed=4)
         schedule = [16.0, 32.0]
         result = calculate_preferences(ctx, diameters=schedule)
-        assert result.candidate_stack.shape == (n, 2, m)
+        assert len(result.candidates) == 2
+        for labels, rows in result.candidates:
+            assert labels.shape == (n,) and rows.shape[1] == m
+            assert rows[labels].shape == (n, m)
         assert result.diameters == (16.0, 32.0)
         assert len(result.traces) == 2
 
@@ -112,7 +115,8 @@ class TestFullProtocol:
         instance = planted_clusters_instance(64, 64, 4, 8, seed=6)
         ctx = make_context(instance, budget=4, constants=constants, seed=6)
         result = calculate_preferences(ctx, diameters=[32.0])
-        np.testing.assert_array_equal(result.predictions, result.candidate_stack[:, 0, :])
+        ((labels, rows),) = result.candidates
+        np.testing.assert_array_equal(result.predictions, rows[labels])
 
     def test_same_seed_runs_are_bit_identical(self, constants):
         # The context's seed fixes the whole run: outputs, probe accounting,
@@ -126,7 +130,11 @@ class TestFullProtocol:
             runs.append((calculate_preferences(ctx, diameters=schedule), ctx))
         (first, ctx1), (second, ctx2) = runs
         np.testing.assert_array_equal(first.predictions, second.predictions)
-        np.testing.assert_array_equal(first.candidate_stack, second.candidate_stack)
+        for (got_labels, got_rows), (want_labels, want_rows) in zip(
+            first.candidates, second.candidates, strict=True
+        ):
+            np.testing.assert_array_equal(got_labels, want_labels)
+            np.testing.assert_array_equal(got_rows, want_rows)
         assert first.traces == second.traces
         np.testing.assert_array_equal(ctx1.oracle.probes_used(), ctx2.oracle.probes_used())
         np.testing.assert_array_equal(
@@ -156,8 +164,8 @@ class TestFullProtocol:
     def test_single_iteration_trace_contents(self, constants):
         instance = planted_clusters_instance(96, 96, 4, 24, seed=7)
         ctx = make_context(instance, budget=4, constants=constants, seed=7)
-        predictions, trace = calculate_preferences_for_diameter(ctx, 24.0)
-        assert predictions.shape == (96, 96)
+        (labels, rows), trace = calculate_preferences_for_diameter(ctx, 24.0)
+        assert rows[labels].shape == (96, 96)
         assert trace.sample_size >= 1
         assert trace.n_clusters >= 1
         assert sum(trace.cluster_sizes) == 96

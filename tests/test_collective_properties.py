@@ -4,12 +4,14 @@ Each bulk path must be *bit-for-bit* equal to the loop or dense reference it
 replaces:
 
 * ``rselect_collective`` against ``rselect_collective_serial`` (one
-  ``rselect`` per player on its own substream): outputs, probe accounting,
-  the oracle's memo masks and the shared randomness left behind, on stacks
-  with a row per player or rows shared across players (1 to ``n`` distinct
-  rows per slot, identical slots, pairs that do not differ) — also with
-  the key prefilter forced to send every drawing row to its fallback, or to
-  keep every key;
+  ``rselect`` per player on its own substream, given the dense per-player
+  stack): outputs, probe accounting, the oracle's memo masks and the
+  shared randomness left behind, on dense slots with a row per player, and
+  on rows shared across players handed over as ``(labels, rows)`` slots (1
+  to ``n`` distinct rows per slot, a duplicate row under a second label, a
+  row no player holds, identical slots, pairs that do not differ) — also
+  with the key prefilter forced to send every drawing row to its fallback,
+  or to keep every key;
 * the per-player substreams: ``_seed_states`` against
   ``SeedSequence.generate_state`` and ``_player_rngs`` streams against
   ``default_rng(int(seed))`` streams (the serial reference shares
@@ -71,6 +73,7 @@ from reference_loops import (
     DenseReferenceBoard,
     assert_same_execution,
     board_reports,
+    dense_slots,
     rselect_collective_serial,
     small_radius_per_subset,
 )
@@ -92,7 +95,10 @@ def _instance(truth: np.ndarray) -> PlantedInstance:
 # ---------------------------------------------------------------------------
 # Collective RSelect == per-player serial RSelect
 # ---------------------------------------------------------------------------
-def _assert_collective_matches_serial(truth, players, stack, sample_size, noisy, seed):
+def _assert_collective_matches_serial(truth, players, slots, stack, sample_size, noisy, seed):
+    """``slots`` go to the collective tournament, their dense ``(P, k, m)``
+    stack to the per-player reference."""
+
     def context():
         return make_context(
             _instance(truth),
@@ -104,7 +110,7 @@ def _assert_collective_matches_serial(truth, players, stack, sample_size, noisy,
 
     objects = np.arange(truth.shape[1])
     ctx_collective, ctx_serial = context(), context()
-    got = rselect_collective(ctx_collective, players, objects, stack, sample_size)
+    got = rselect_collective(ctx_collective, players, objects, slots, sample_size)
     want = rselect_collective_serial(ctx_serial, players, objects, stack, sample_size)
     np.testing.assert_array_equal(got, want)
     oracle, reference = ctx_collective.oracle, ctx_serial.oracle
@@ -134,22 +140,33 @@ def test_rselect_collective_matches_serial(data):
     truth = rng.integers(0, 2, size=(n_players, n_objects), dtype=np.uint8)
     # Candidates near each player's truth, so votes are not all one-sided.
     stack = (truth[:, None, :] ^ (rng.random((n_players, k, n_objects)) < 0.3)).astype(np.uint8)
+    slots = dense_slots(stack)
     if data.draw(st.booleans(), label="cluster_shared"):
         # Shared rows, as CalculatePreferences hands every member of a
         # cluster its cluster's vector: per slot, 1 to n_players distinct
-        # rows, each player holding a drawn one.  Every slot draws from one
-        # pool, so some players' pairs do not differ at all.
+        # rows, each player holding a drawn one, passed as a (labels, rows)
+        # slot.  Every slot draws from one pool, so some players' pairs do
+        # not differ at all.
         pool = stack[rng.integers(0, n_players, size=n_players + k), rng.integers(0, k)]
         for slot in range(k):
             n_distinct = data.draw(st.integers(1, n_players), label="n_distinct")
-            rows = rng.choice(pool.shape[0], size=n_distinct, replace=False)
-            stack[:, slot] = pool[rows[rng.integers(0, n_distinct, size=n_players)]]
-    # Identical slots give (0, 0)-tie rounds: no draw, no probe.
+            drawn = pool[rng.choice(pool.shape[0], size=n_distinct, replace=False)]
+            labels = rng.integers(0, n_distinct, size=n_players)
+            # Row n_distinct repeats row 0 under a second label, held by
+            # about half of row 0's holders; the last row no player holds.
+            labels[(labels == 0) & (rng.random(n_players) < 0.5)] = n_distinct
+            unheld = rng.integers(0, 2, size=(1, n_objects), dtype=np.uint8)
+            rows = np.concatenate([drawn, drawn[:1], unheld])
+            stack[:, slot] = rows[labels]
+            slots[slot] = (labels, rows)
+    # Identical slots give (0, 0)-tie rounds: no draw, no probe.  The copy
+    # is a dense slot, so shared slots also meet dense ones.
     for source, target in data.draw(
         st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=3),
         label="duplicates",
     ):
         stack[:, target] = stack[:, source]
+        slots[target] = stack[:, target]
     # Players may repeat (the oracle's per-player fallback) and come unsorted.
     players = np.asarray(
         data.draw(
@@ -158,7 +175,13 @@ def test_rselect_collective_matches_serial(data):
         ),
         dtype=np.int64,
     )
-    _assert_collective_matches_serial(truth, players, stack[players], sample_size, noisy, seed)
+    listed = [
+        (slot[0][players], slot[1]) if isinstance(slot, tuple) else slot[players]
+        for slot in slots
+    ]
+    _assert_collective_matches_serial(
+        truth, players, listed, stack[players], sample_size, noisy, seed
+    )
 
 
 @pytest.mark.parametrize(
@@ -176,7 +199,9 @@ def test_rselect_collective_matches_serial_whatever_the_prefilter_keeps(
     stack = (truth[:, None, :] ^ (rng.random((20, 5, 300)) < 0.3)).astype(np.uint8)
     players = np.arange(20)
     for noisy in (False, True):
-        _assert_collective_matches_serial(truth, players, stack, 6, noisy, seed=3)
+        _assert_collective_matches_serial(
+            truth, players, dense_slots(stack), stack, 6, noisy, seed=3
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,8 @@ class TestWorkSharing:
             assignment=instance.cluster_of.copy(),
             clusters=[instance.cluster_members(c) for c in range(4)],
         )
-        predictions = share_work(ctx, clustering)
-        errors = prediction_errors(predictions, instance.preferences)
+        labels, rows = share_work(ctx, clustering)
+        errors = prediction_errors(rows[labels], instance.preferences)
         assert errors.max() == 0
 
     def test_probe_load_is_shared(self, constants):

@@ -25,6 +25,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.analysis.runner as runner_module
 from repro.analysis.runner import run_trials, resume_trials
 from repro.baselines.naive import global_majority
 from repro.core.robust import robust_calculate_preferences
@@ -67,6 +68,12 @@ def _boom(x):
     if x == 3:
         raise ValueError("kaboom at three")
     return {"x": x}
+
+
+def _own_timeout(x):
+    if x == 1:
+        raise TimeoutError("the trial's own timeout at one")
+    return _record(x)
 
 
 def _logged_boom(log, x):
@@ -435,6 +442,32 @@ class TestFailureSemantics:
                          timeout_s=0.5, fault_plan=plan, stats=stats)
         assert out == clean
         assert stats["timeouts"] >= 1
+
+    def test_a_trials_own_timeout_error_is_a_failure_not_a_wait_timeout(
+        self, tmp_path, monkeypatch
+    ):
+        # Since Python 3.11 the pool's wait timeout is the builtin
+        # TimeoutError, so the pool must tell a trial that raised one from a
+        # wait that ran out: both paths journal two failed attempts, back
+        # off once and count no timeout.
+        backoffs: list[int] = []
+        monkeypatch.setattr(
+            runner_module, "_sleep_backoff", lambda backoff, attempt: backoffs.append(attempt)
+        )
+        journaled = {}
+        for n_workers in (1, 2):
+            stats: dict[str, int] = {}
+            journal = tmp_path / f"workers{n_workers}.jsonl"
+            backoffs.clear()
+            with pytest.raises(ExperimentError, match="point 1") as info:
+                run_trials(_own_timeout, [(0,), (1,), (2,)], n_workers=n_workers,
+                           retries=1, journal=journal, stats=stats)
+            assert isinstance(info.value.__cause__, TimeoutError)
+            assert (stats["timeouts"], stats["retried"]) == (0, 1)
+            assert backoffs == [0]
+            records = [json.loads(line) for line in journal.read_text().splitlines()]
+            journaled[n_workers] = [r["event"] for r in records if r["kind"] == "event"]
+        assert journaled[2] == journaled[1] == ["attempt-failed", "attempt-failed"]
 
     def test_argument_validation(self):
         with pytest.raises(ExperimentError):

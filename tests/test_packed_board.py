@@ -473,7 +473,8 @@ class TestShareWorkBatching:
             return make_context(instance, budget=4, strategies=strategies, seed=77)
 
         ctx_b = context()
-        batched = share_work(ctx_b, clustering)
+        labels, rows = share_work(ctx_b, clustering)
+        batched = rows[labels]
         ctx_l = context()
         looped = share_work_per_cluster(ctx_l, clustering)
         np.testing.assert_array_equal(batched, looped)
@@ -493,7 +494,8 @@ class TestShareWorkBatching:
             return make_context(instance, budget=4, strategies=strategies, seed=3)
 
         ctx_b = context()
-        batched = share_work(ctx_b, clustering)
+        labels, rows = share_work(ctx_b, clustering)
+        batched = rows[labels]
         ctx_l = context()
         np.testing.assert_array_equal(batched, share_work_per_cluster(ctx_l, clustering))
         assert_same_execution(ctx_b, ctx_l)

@@ -415,8 +415,8 @@ def test_share_work_bulk_posting_attribution():
         assignment=assignment,
         clusters=[np.flatnonzero(assignment == c) for c in range(3)],
     )
-    predictions = share_work(ctx, clustering, channel="ws")
-    assert predictions.shape == (24, 16)
+    labels, rows = share_work(ctx, clustering, channel="ws")
+    assert rows[labels].shape == (24, 16)
     # Every posted report cell is attributed to a member of the right cluster.
     for cluster_id in range(3):
         _, posted = board_reports(ctx.board, f"ws/c{cluster_id}")

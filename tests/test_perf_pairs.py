@@ -1,8 +1,10 @@
-"""The paired-benchmark ledger's verdicts, on a synthetic runs list.
+"""The paired-benchmark ledger's verdicts and per-layer split, on a
+synthetic runs list.
 
 ``benchmarks/perf_pairs.py`` turns paired parent-vs-change runs into one
-row per workload and end-to-end metric; these tests feed it made-up result
-lines, so no benchmark runs.
+row per workload and end-to-end metric, and its traced pairs into per-layer
+quartiles and paired deltas; these tests feed it made-up result lines, so
+no benchmark runs.
 """
 
 from __future__ import annotations
@@ -83,3 +85,45 @@ def test_beyond_bound_scales_with_the_base_median():
     assert not perf_pairs.beyond_bound(-10.0, 100.0, 0.1)
     assert perf_pairs.beyond_bound(-10.5, 100.0, 0.1)
     assert perf_pairs.beyond_bound(-0.5, 0.0, 0.25)
+
+
+def test_a_workload_gets_up_to_three_alternating_traced_pairs():
+    runs = perf_pairs.schedule(10)
+    assert [run for run in runs if run[0] == 0] == [
+        (0, pair, side)
+        for pair in range(10)
+        for side in (("base", "change") if pair % 2 == 0 else ("change", "base"))
+    ]
+    assert runs[20:] == [
+        (1, 0, "base"), (1, 0, "change"),
+        (1, 1, "change"), (1, 1, "base"),
+        (1, 2, "base"), (1, 2, "change"),
+    ]
+    # Two end-to-end pairs (the CI step) get two traced pairs.
+    assert [run for run in perf_pairs.schedule(2) if run[0] == 1] == [
+        (1, 0, "base"), (1, 0, "change"), (1, 1, "change"), (1, 1, "base"),
+    ]
+    assert perf_pairs.TRACED_PAIRS == 3
+
+
+def test_layer_deltas_pair_the_traced_runs():
+    # The change side's median is 1 below the base's, but in two of the
+    # three pairs the change reads higher: the median paired delta is +2.
+    base, change = [10.0, 20.0, 30.0], [12.0, 19.0, 35.0]
+    runs = [
+        dict(workload="w", pair=pair, side=side, trace=1,
+             result={"metrics": {"layer.self_s": {"value": values[pair]}}})
+        for pair in range(3)
+        for side, values in (("base", base), ("change", change))
+    ]
+    # Untraced runs and other workloads do not enter the per-layer split.
+    runs.append(dict(workload="w", pair=0, side="base", trace=0,
+                     result={"metrics": {"layer.self_s": {"value": 1e9}}}))
+    runs.append(dict(workload="v", pair=0, side="change", trace=1,
+                     result={"metrics": {"layer.self_s": {"value": -1e9}}}))
+    layer = perf_pairs.layer_deltas(runs, "w")["layer.self_s"]
+    assert layer == {
+        "base_q1": 15.0, "base_median": 20.0, "base_q3": 25.0,
+        "change_q1": 15.5, "change_median": 19.0, "change_q3": 27.0,
+        "delta_median": 2.0, "pairs": 3,
+    }

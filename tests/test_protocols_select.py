@@ -7,7 +7,7 @@ import pytest
 
 from repro import make_context, zero_radius_instance
 from repro.errors import ProtocolError
-from repro.preferences.generators import planted_clusters_instance
+from repro.preferences.generators import PlantedInstance, planted_clusters_instance
 from repro.protocols.rselect import rselect, rselect_collective
 from repro.protocols.select import (
     estimate_distances,
@@ -96,22 +96,74 @@ class TestSelectPerPlayer:
         objects = ctx.all_objects()
         truth = ctx.oracle.ground_truth()
         k = 3
-        stack = np.empty((players.size, k, objects.size), dtype=np.uint8)
+        stack = np.empty((k, objects.size, players.size), dtype=np.uint8)
         for i in range(players.size):
-            stack[i] = _candidates_for(ctx, i, [0, 15, 30], rng)
+            stack[:, :, i] = _candidates_for(ctx, i, [0, 15, 30], rng)
         chosen = select_per_player(ctx, players, objects, stack, sample_size=objects.size)
-        np.testing.assert_array_equal(chosen, truth)
+        np.testing.assert_array_equal(chosen.T, truth)
+
+    @pytest.mark.parametrize("n_players", [1, 5, 13, 27])
+    def test_each_player_gets_its_first_repetition_at_the_fewest_disagreements(
+        self, constants, n_players
+    ):
+        # Computed here, not by the function: every player's disagreements
+        # with each of its repetitions over the whole object set (the sample
+        # covers it, so nothing is drawn), and the first repetition with the
+        # fewest.  Distances of 0-2 flips make ties between different rows
+        # common; repetition 4 repeats repetition 1 outright.
+        rng = np.random.default_rng(n_players)
+        n_objects, k = 37, 5
+        truth = rng.integers(0, 2, size=(n_players, n_objects), dtype=np.uint8)
+        instance = PlantedInstance(
+            preferences=truth,
+            cluster_of=np.zeros(n_players, dtype=np.int64),
+            planted_diameters=np.zeros(n_players, dtype=np.int64),
+            metadata={"generator": "select-per-player"},
+        )
+        stack = np.empty((k, n_objects, n_players), dtype=np.uint8)
+        for repetition in range(k - 1):
+            for i in range(n_players):
+                row = truth[i].copy()
+                row[rng.choice(n_objects, size=int(rng.integers(0, 3)), replace=False)] ^= 1
+                stack[repetition, :, i] = row
+        stack[k - 1] = stack[1]
+        players, objects = np.arange(n_players), np.arange(n_objects)
+
+        ctx = make_context(instance, budget=2, constants=constants, seed=n_players)
+        state = ctx.randomness.generator.bit_generator.state
+        chosen = select_per_player(ctx, players, objects, stack, sample_size=n_objects)
+
+        assert chosen.shape == (n_objects, n_players)
+        ties = 0
+        for i in range(n_players):
+            counts = [int((stack[c, :, i] != truth[i]).sum()) for c in range(k)]
+            first = counts.index(min(counts))
+            np.testing.assert_array_equal(chosen[:, i], stack[first, :, i])
+            ties += any(
+                counts[c] == counts[first] and (stack[c, :, i] != stack[first, :, i]).any()
+                for c in range(first + 1, k)
+            )
+        if n_players > 5:
+            assert ties  # some player's first choice beat a different tied row
+        assert ctx.randomness.generator.bit_generator.state == state
+        # The probes charged are those of one probe block over the sample.
+        reference = make_context(instance, budget=2, constants=constants, seed=n_players)
+        reference.oracle.probe_block(players, objects)
+        np.testing.assert_array_equal(ctx.oracle.probes_used(), reference.oracle.probes_used())
+        np.testing.assert_array_equal(
+            ctx.oracle.requests_used(), reference.oracle.requests_used()
+        )
 
     def test_single_candidate_short_circuit(self, ctx):
         players = ctx.all_players()
-        stack = np.zeros((players.size, 1, ctx.n_objects), dtype=np.uint8)
+        stack = np.zeros((1, ctx.n_objects, players.size), dtype=np.uint8)
         chosen = select_per_player(ctx, players, ctx.all_objects(), stack)
-        assert chosen.shape == (players.size, ctx.n_objects)
+        assert chosen.shape == (ctx.n_objects, players.size)
 
     def test_shape_validation(self, ctx):
         with pytest.raises(ProtocolError):
             select_per_player(
-                ctx, ctx.all_players(), ctx.all_objects(), np.zeros((2, 1, ctx.n_objects), dtype=np.uint8)
+                ctx, ctx.all_players(), ctx.all_objects(), np.zeros((1, ctx.n_objects, 2), dtype=np.uint8)
             )
 
 
@@ -161,7 +213,7 @@ class TestRSelectCollective:
         stack = np.empty((players.size, 2, ctx.n_objects), dtype=np.uint8)
         for i in range(players.size):
             stack[i] = _candidates_for(ctx, i, [0, 30], rng)
-        chosen = rselect_collective(ctx, players, ctx.all_objects(), stack)
+        chosen = rselect_collective(ctx, players, ctx.all_objects(), [stack[:, 0], stack[:, 1]])
         np.testing.assert_array_equal(chosen, truth)
 
     def test_shape_validation(self, ctx):

@@ -131,7 +131,11 @@ class TestRobustWrapper:
         np.testing.assert_array_equal(first.predictions, second.predictions)
         assert first.elections == second.elections
         for got, want in zip(first.iteration_results, second.iteration_results):
-            np.testing.assert_array_equal(got.candidate_stack, want.candidate_stack)
+            for (got_labels, got_rows), (want_labels, want_rows) in zip(
+                got.candidates, want.candidates, strict=True
+            ):
+                np.testing.assert_array_equal(got_labels, want_labels)
+                np.testing.assert_array_equal(got_rows, want_rows)
         np.testing.assert_array_equal(ctx1.oracle.probes_used(), ctx2.oracle.probes_used())
         assert_same_board(ctx1.board, ctx2.board)
         prefixes = {"/".join(name.split("/")[:2]) for name in ctx1.board.channels()}

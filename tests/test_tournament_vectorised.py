@@ -49,6 +49,7 @@ from repro.protocols.small_radius import small_radius
 from repro.simulation.oracle import ProbeOracle
 from reference_loops import (
     assert_same_execution,
+    dense_slots,
     rselect_collective_serial,
     small_radius_per_subset,
 )
@@ -89,7 +90,7 @@ def test_rselect_collective_vectorised_matches_serial(seed):
     ctx_vec, ctx_ser, stack = _paired_contexts(seed)
     players = ctx_vec.all_players()
     objects = ctx_vec.all_objects()
-    vectorised = rselect_collective(ctx_vec, players, objects, stack)
+    vectorised = rselect_collective(ctx_vec, players, objects, dense_slots(stack))
     serial = rselect_collective_serial(ctx_ser, players, objects, stack)
     np.testing.assert_array_equal(vectorised, serial)
     np.testing.assert_array_equal(
@@ -106,11 +107,25 @@ def test_rselect_collective_vectorised_matches_serial(seed):
 def test_rselect_collective_validates_sample_size_and_shape(ctx_planted):
     players = ctx_planted.all_players()
     objects = ctx_planted.all_objects()
-    stack = np.zeros((players.size, 2, objects.size), dtype=np.uint8)
+    slots = dense_slots(np.zeros((players.size, 2, objects.size), dtype=np.uint8))
     with pytest.raises(ProtocolError):
-        rselect_collective(ctx_planted, players, objects, stack, sample_size=0)
+        rselect_collective(ctx_planted, players, objects, slots, sample_size=0)
     with pytest.raises(ProtocolError):
-        rselect_collective(ctx_planted, players, objects, stack[:, :, :-1])
+        rselect_collective(ctx_planted, players, objects, [slot[:, :-1] for slot in slots])
+    with pytest.raises(ProtocolError):
+        rselect_collective(ctx_planted, players, objects, [])
+    # A (labels, rows) slot: its rows span the objects and its labels name
+    # one of its rows per player.
+    rows = np.zeros((2, objects.size), dtype=np.uint8)
+    for labels, slot_rows in [
+        (np.zeros(players.size, dtype=np.int64), rows[:, :-1]),
+        (np.zeros(players.size + 1, dtype=np.int64), rows),
+        (np.zeros(players.size), rows),
+        (np.full(players.size, 2), rows),
+        (np.full(players.size, -1), rows),
+    ]:
+        with pytest.raises(ProtocolError):
+            rselect_collective(ctx_planted, players, objects, [slots[0], (labels, slot_rows)])
 
 
 def test_rselect_survivor_fallback_keeps_last_eliminated():
@@ -142,11 +157,13 @@ def test_rselect_survivor_fallback_keeps_last_eliminated():
     assert winner == 1
     np.testing.assert_array_equal(vector, candidates[1])
     # The collective path and its serial reference apply the same tie-break.
-    for tournament in (rselect_collective, rselect_collective_serial):
+    stack = candidates[None, :, :]
+    for tournament, given in (
+        (rselect_collective, dense_slots(stack)),
+        (rselect_collective_serial, stack),
+    ):
         ctx = make_context(instance, budget=4, constants=constants, seed=0)
-        chosen = tournament(
-            ctx, np.asarray([0]), np.arange(8), candidates[None, :, :], sample_size=8
-        )
+        chosen = tournament(ctx, np.asarray([0]), np.arange(8), given, sample_size=8)
         np.testing.assert_array_equal(chosen[0], candidates[1])
 
 
@@ -179,7 +196,7 @@ def test_slot_labels_name_equal_rows_alike_and_unequal_rows_apart(
 ):
     # A zero multiplier hashes every row to 0, so the sort keeps the player
     # order and equal rows lie apart: the labels must still never join two
-    # unequal rows, and each label's words must be its rows' words.
+    # unequal rows, and each label must name a row with the same words.
     if not hashed:
         monkeypatch.setattr(_RSELECT_MODULE, "_ROW_HASH_MULTIPLIER", 0)
     rng = np.random.default_rng(n_bits)
@@ -190,20 +207,21 @@ def test_slot_labels_name_equal_rows_alike_and_unequal_rows_apart(
     for slot, n_distinct in enumerate((1, 3, 7, n_players)):
         distinct = rng.integers(0, 2, size=(n_distinct, n_bits), dtype=np.uint8)
         stack[:, slot] = distinct[rng.integers(0, n_distinct, size=n_players)]
-    words = _as_words(pack_bits(stack).data)
-    labels, label_words = _slot_labels(words)
-    assert labels.shape == (n_players, k)
     for slot in range(k):
         rows = stack[:, slot]
-        same_label = labels[:, slot, None] == labels[None, :, slot]
+        words = _as_words(pack_bits(rows).data)
+        labels = _slot_labels(words)
+        assert labels.shape == (n_players,)
+        same_label = labels[:, None] == labels[None, :]
         same_row = (rows[:, None, :] == rows[None, :, :]).all(axis=-1)
         # Equal labels mean equal rows: unequal rows never share a label.
         assert not (same_label & ~same_row).any()
         if hashed:
             # Without collisions every distinct row has exactly one label.
             np.testing.assert_array_equal(same_label, same_row)
-        assert sorted(set(labels[:, slot].tolist())) == list(range(len(label_words[slot])))
-        np.testing.assert_array_equal(label_words[slot][labels[:, slot]], words[:, slot])
+        # A label is the index of a row of its run, which labels itself.
+        np.testing.assert_array_equal(labels[labels], labels)
+        np.testing.assert_array_equal(words[labels], words)
 
 
 # ---------------------------------------------------------------------------
